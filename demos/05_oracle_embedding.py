@@ -19,7 +19,7 @@ soc = bf.soc_model(gamma=gamma, mu=mu)
 print(f"=== spin-orbit well, target {e0:.6f} ===")
 grid = bf.Grid.symmetric(30.0, 2048)
 h = oracle.assemble(soc, grid, bf.SocBic(gamma, nu))
-print(f"box [-30, 30], {h.dim} x {h.dim} dense matrix, "
+print(f"box [-30, 30], {h.dim} x {h.dim} sparse matrix (shift-invert near target), "
       f"hermiticity residual {h.hermiticity_residual():.1e}")
 for e, st in sorted(oracle.eigen_near(h, e0, 7), key=lambda t: t[0]):
     loc = oracle.localization(st, 15.0)

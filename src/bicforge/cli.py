@@ -23,7 +23,7 @@ from .delta import (boundary_residual, general_b_kappa, general_b_solution,
 from .errors import (BicforgeError, CheckFailure, DegeneratePoles, GridTooLarge,
                      NoBoundState, NoNearUnitEigenvalue, NoSolutionInRange)
 from .green import constantA_kernel, derivative_jump, residue_green, soc_kernel
-from .grids import Grid
+from .grids import MIN_POINTS, Grid
 from .models import (BandModel, general_b_model, load_model, single_band_model,
                      soc_model, two_band_model)
 from .potentials import Delta, Scaled, SocBic, e_bic_analytic, spec_from_dict
@@ -320,10 +320,18 @@ def _cmd_oracle(args) -> int:
         pot = SocBic(args.gamma, args.nu)
         half_default = 30.0
     half = args.half_width if args.half_width is not None else half_default
+    if args.n < MIN_POINTS:
+        raise BicforgeError(f"--n must be >= {MIN_POINTS}, got {args.n}")
+    if not half > 0:
+        raise BicforgeError(f"--half-width must be positive, got {half}")
+    if not 1 <= args.k <= oracle_mod.MAX_K:
+        raise BicforgeError(f"--k must be in 1..{oracle_mod.MAX_K}, got {args.k}")
     grid = Grid.symmetric(half_width=half, n_points=args.n)
+    x_cut = args.x_cut if args.x_cut is not None else half / 2.0
+    if not 0 <= x_cut <= grid.x_max:
+        raise BicforgeError(f"--x-cut must lie in [0, {grid.x_max}], got {x_cut}")
     h = oracle_mod.assemble(model, grid, pot)
     pairs = oracle_mod.eigen_near(h, args.target, args.k)
-    x_cut = args.x_cut if args.x_cut is not None else half / 2.0
     rows = []
     for e, st in pairs:
         loc = oracle_mod.localization(st, x_cut)

@@ -50,7 +50,7 @@ class GridTooCoarse(BicforgeError):
 
 
 class GridTooLarge(BicforgeError):
-    """Dense diagonalization refused beyond the supported matrix size."""
+    """Oracle diagonalization refused beyond the supported matrix size."""
 
 
 class NoNearUnitEigenvalue(BicforgeError):

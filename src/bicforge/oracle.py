@@ -1,10 +1,12 @@
-"""Brute-force oracle: dense finite-difference diagonalization in a hard-wall box.
+"""Brute-force oracle: sparse finite-difference diagonalization in a hard-wall box.
 
 Independent of every solver in the package: 3-point Laplacian, central
 first difference for the linear-in-p term (exactly Hermitian by
-construction), Dirichlet walls. Deliberately dense and size-capped; the
-point is trust, not scale. Hard walls (not periodic) avoid momentum
-quantization accidentally coinciding with the real poles.
+construction), Dirichlet walls. H is block-tridiagonal and stored sparse;
+eigenpairs near a target come from one shift-invert Lanczos run (ARPACK).
+Still size-capped; the point is trust, not scale. Hard walls (not
+periodic) avoid momentum quantization accidentally coinciding with the
+real poles.
 """
 from __future__ import annotations
 
@@ -12,7 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
+import scipy.sparse as sp
+# eigh is unused here but stays bound: bench/tracer.py wraps oracle.eigh
+from scipy.linalg import eigh, eigvalsh  # noqa: F401
+from scipy.sparse.linalg import eigsh
 
 from .errors import GridTooLarge
 from .grids import Grid, SpinorField
@@ -20,20 +25,29 @@ from .models import BandModel
 from .potentials import PotentialSpec, sample_potential
 
 MAX_DENSE_DIM = 16384
+MAX_K = 20
+
+
+class SparseMatrix(sp.csr_array):
+    """CSR array that reports its storage size, like ndarray.nbytes."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
 @dataclass(frozen=True)
 class FdHamiltonian:
     grid: Grid
     n_bands: int
-    matrix: np.ndarray
+    matrix: SparseMatrix
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def hermiticity_residual(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return float(abs(self.matrix - self.matrix.conj().T).max())
 
 
 @dataclass(frozen=True)
@@ -44,64 +58,65 @@ class LocalizationMetrics:
 
 def assemble(model: BandModel, grid: Grid,
              potential: PotentialSpec | Sequence | None) -> FdHamiltonian:
-    """Dense Hermitian matrix of H on the grid; raises GridTooLarge beyond
-    16384 rows. Real-valued models come back as float64 (faster eigh)."""
+    """Sparse block-tridiagonal Hermitian matrix of H on the grid.
+
+    Raises GridTooLarge beyond MAX_DENSE_DIM rows, because spectrum() still
+    densifies H (dim^2 memory). Real-valued models come back as float64.
+    """
     n, nb = grid.n_points, model.n_bands
     dim = n * nb
     if dim > MAX_DENSE_DIM:
-        raise GridTooLarge(f"dense oracle refuses {dim} > {MAX_DENSE_DIM} rows")
+        raise GridTooLarge(f"oracle refuses {dim} > {MAX_DENSE_DIM} rows")
     dx = grid.dx
     m = model.mass
     kin = 1.0 / (2.0 * m * dx * dx)
     eye = np.eye(nb)
-    diag_block = 2.0 * kin * eye + model.a0
     hop_up = -kin * eye + (-1j / (2.0 * dx)) * model.a1
     hop_dn = -kin * eye + (+1j / (2.0 * dx)) * model.a1
 
-    h = np.zeros((n, nb, n, nb), dtype=complex)
-    ii = np.arange(n)
-    h[ii, :, ii, :] = diag_block
-    h[ii[:-1], :, ii[1:], :] = hop_up
-    h[ii[1:], :, ii[:-1], :] = hop_dn
-
+    diag = np.broadcast_to(2.0 * kin * eye + model.a0, (n, nb, nb)).astype(complex)
     if potential is not None:
         if isinstance(potential, (list, tuple)):
             for ch, spec in enumerate(potential):
                 if spec is None:
                     continue
-                h[ii, ch, ii, ch] += sample_potential(spec, grid)
+                diag[:, ch, ch] += sample_potential(spec, grid)
         else:
-            v = sample_potential(potential, grid)
-            h[ii, :, ii, :] += v[:, None, None] * model.b
+            diag += sample_potential(potential, grid)[:, None, None] * model.b
 
-    mat = h.reshape(dim, dim)
-    if np.abs(mat.imag).max() == 0.0:
-        mat = mat.real.copy()
+    # (3n-2, nb, nb) block stack: diagonal, upper and lower hopping blocks
+    blocks = np.concatenate([diag, np.broadcast_to(hop_up, (n - 1, nb, nb)),
+                             np.broadcast_to(hop_dn, (n - 1, nb, nb))])
+    ii = np.arange(n)
+    block_row = np.concatenate([ii, ii[:-1], ii[1:]])
+    block_col = np.concatenate([ii, ii[1:], ii[:-1]])
+    chan = np.arange(nb)
+    rows = np.broadcast_to((nb * block_row)[:, None, None] + chan[:, None], blocks.shape)
+    cols = np.broadcast_to((nb * block_col)[:, None, None] + chan, blocks.shape)
+    data = blocks if blocks.imag.any() else blocks.real
+    mat = SparseMatrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim))
+    mat.eliminate_zeros()
     return FdHamiltonian(grid=grid, n_bands=nb, matrix=mat)
 
 
 def spectrum(h: FdHamiltonian) -> np.ndarray:
-    """All eigenvalues, ascending."""
-    return eigvalsh(h.matrix)
+    """All eigenvalues, ascending. Dense (dim^2 memory): small matrices only."""
+    return eigvalsh(h.matrix.toarray())
 
 
 def eigen_near(h: FdHamiltonian, e_target: float, k: int
                ) -> list[tuple[float, SpinorField]]:
     """k eigenpairs nearest e_target, eigenvectors normalized to unit norm^2.
 
-    Two passes: values everywhere, then vectors only for the selected index
-    range (subset eigensolver).
+    One shift-invert Lanczos run about e_target (sparse LU of H - e_target).
+    The start vector is fixed so that repeated calls are bit-identical.
     """
-    if k > 20:
-        raise ValueError("k must be <= 20 (oracle stays small and checkable)")
-    values = eigvalsh(h.matrix)
-    order = np.argsort(np.abs(values - e_target), kind="stable")
-    chosen = np.sort(order[:k])
-    lo, hi = int(chosen[0]), int(chosen[-1])
-    vals, vecs = eigh(h.matrix, subset_by_index=(lo, hi))
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be in 1..{MAX_K} (oracle stays small and checkable)")
+    v0 = np.random.default_rng(0).standard_normal(h.dim)
+    vals, vecs = eigsh(h.matrix, k=k, sigma=e_target, v0=v0)
     out = []
-    for idx in chosen:
-        j = idx - lo
+    for j in np.argsort(vals, kind="stable"):
         psi = vecs[:, j].reshape(h.grid.n_points, h.n_bands).astype(complex)
         nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * h.grid.dx)
         psi /= nrm

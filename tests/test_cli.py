@@ -185,6 +185,24 @@ def test_oracle_grid_too_large():
     assert "resource" in err
 
 
+@pytest.mark.parametrize("bad, flag", [
+    (("--n", "10"), "--n"),
+    (("--n", "-5"), "--n"),
+    (("--k", "0"), "--k"),
+    (("--k", "25"), "--k"),
+    (("--half-width", "-3"), "--half-width"),
+    (("--x-cut", "99"), "--x-cut"),
+])
+def test_oracle_bad_arguments_exit_usage(capsys, bad, flag):
+    rc = cli.main(["oracle", "--single-band", "--lambda", "-1",
+                   "--target", "-0.5", "--n", "256", *bad])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(f"bicforge: {flag} ")
+    assert captured.err.count("\n") == 1
+
+
 def test_kernel_check_default_passes():
     rc, out, _ = run_cli("kernel-check")
     assert rc == 0

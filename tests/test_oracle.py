@@ -126,3 +126,66 @@ def test_grid_too_large_and_k_cap():
     h = oracle.assemble(model, bf.Grid.symmetric(10.0, 64), None)
     with pytest.raises(ValueError):
         oracle.eigen_near(h, 0.0, 21)
+
+
+def _complex_two_band():
+    # mu*sigma_z + g*sigma_y: complex interband coupling, potential on channel 1
+    a0 = 0.3 * bf.sigma_z() + 0.8 * bf.sigma_y()
+    return bf.BandModel(2, 1.0, a0, np.zeros((2, 2)), np.diag([-1.0, 0.0]).astype(complex))
+
+
+def _three_band():
+    a0 = np.array([[0.4, 0.3, 0.0], [0.3, -0.2, 0.5], [0.0, 0.5, 0.1]])
+    a1 = np.array([[0.2, 0.1j, 0.0], [-0.1j, 0.0, 0.3], [0.0, 0.3, -0.2]])
+    return bf.BandModel(3, 1.0, a0, a1, np.diag([-1.0, 0.5, 0.0]).astype(complex))
+
+
+REFERENCE_CASES = {
+    "soc_real": (lambda: bf.soc_model(gamma=0.5, mu=1.0), 30.0, 512,
+                 bf.SocBic(0.5, 0.7), 0.69),
+    "two_band_complex": (_complex_two_band, 40.0, 512, UNIT_DELTA, 0.4),
+    "three_band": (_three_band, 30.0, 384, UNIT_DELTA, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_eigen_near_matches_dense_spectrum(case):
+    make_model, half, n, pot, target = REFERENCE_CASES[case]
+    h = oracle.assemble(make_model(), bf.Grid.symmetric(half, n), pot)
+    assert h.matrix.dtype == (np.float64 if case == "soc_real" else np.complex128)
+    assert h.hermiticity_residual() < 1e-12
+    k = 7
+    dense = oracle.spectrum(h)
+    want = np.sort(dense[np.argsort(np.abs(dense - target), kind="stable")[:k]])
+    pairs = oracle.eigen_near(h, target, k)
+    got = np.array([e for e, _ in pairs])
+    np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=1e-10)
+    assert np.all(np.diff(np.abs(got - target)) >= 0)
+    for e, state in pairs:
+        psi = state.values.ravel()
+        assert np.sum(np.abs(psi) ** 2) * h.grid.dx == pytest.approx(1.0, abs=1e-12)
+        resid = np.linalg.norm(h.matrix @ psi - e * psi)
+        assert resid <= 1e-8 * np.linalg.norm(psi)
+    again = [e for e, _ in oracle.eigen_near(h, target, k)]
+    assert again == got.tolist()
+
+
+def test_assemble_at_cap_stays_small():
+    import tracemalloc
+
+    model = bf.two_band_model(mu=0.3, g=0.8, lam=-1.0)
+    grid = bf.Grid.symmetric(40.0, oracle.MAX_DENSE_DIM // 2)
+    tracemalloc.start()
+    try:
+        h = oracle.assemble(model, grid, UNIT_DELTA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.dim == oracle.MAX_DENSE_DIM
+    assert peak < 32 * 2**20
+
+
+def test_eigen_near_rejects_k_below_one():
+    h = oracle.assemble(bf.single_band_model(), bf.Grid.symmetric(10.0, 64), None)
+    with pytest.raises(ValueError):
+        oracle.eigen_near(h, 0.0, 0)
