@@ -56,10 +56,7 @@ print(f"\nscaled well (x1.1): verdict {worst.verdict.value}, residual "
 # plot data: component spectrum with zeros at +/-q, and the state profile
 q = float(np.abs(br.real_poles).max())
 qs = np.linspace(-2 * q, 2 * q, 801)
-src = bf.sample_potential(pot, grid)[:, None] * (rep.state.values @ model.b.T)
-comp = np.array([(np.exp(-1j * t * grid.x)[:, None] * src
-                  * grid.weights[:, None]).sum(axis=0) for t in qs])
-write_spectrum(HERE / "fq_spectrum.tsv", qs, comp)
+write_spectrum(HERE / "fq_spectrum.tsv", qs, bf.fourier_residual(rep.state, pot, model.b, qs))
 write_wave_samples(HERE / "bic_profile.tsv", grid.x, rep.state.values)
 print(f"\nwrote {HERE / 'fq_spectrum.tsv'} (note the zeros at q = +/-{q:.5f})")
 print(f"wrote {HERE / 'bic_profile.tsv'}")

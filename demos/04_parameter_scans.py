@@ -21,7 +21,7 @@ table = bf.scan_parameter(
     lambda v: bf.Scaled(bf.SocBic(gamma, nu), v),
     "scale", 0.85, 1.15, 13,
     grid=grid, e_window=(0.45, 0.9), scan_grid=scan_grid,
-    mesh_points=12, jobs=2)
+    mesh_points=12)
 print(table.to_csv())
 print("candidate exact-BIC loci (residual minima):",
       [table.rows[i].param for i in table.minima])
@@ -34,5 +34,5 @@ table = bf.scan_parameter(
     grid=bf.Grid.symmetric(30.0, 2048),
     e_window=lambda v: (bf.e_bic_analytic(gamma, v, mu) - 0.05,
                         bf.e_bic_analytic(gamma, v, mu) + 0.05),
-    scan_grid=scan_grid, mesh_points=7, jobs=2)
+    scan_grid=scan_grid, mesh_points=7)
 print(table.to_csv())

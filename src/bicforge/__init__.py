@@ -24,8 +24,7 @@ from .grids import Grid, SpinorField
 from .potentials import (Delta, PotentialSpec, Scaled, SocBic, Tabulated,
                          e_bic_analytic, load_tabulated, potential_soc_bic,
                          sample_potential)
-from .solver import (SolveReport, assemble_map, default_grid, find_energy,
-                     solve_state)
+from .solver import SolveReport, assemble_map, find_energy, solve_state
 from .criterion import (BicReport, ScanRow, ScanTable, Verdict, classify,
                         fourier_residual, multiband_criterion, peak_fourier_norm,
                         scan_parameter, tail_metrics)

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import oracle as oracle_mod
-from .criterion import BicReport, classify, multiband_criterion, scan_parameter
+from .criterion import BicReport, classify, fourier_residual, scan_parameter
 from .delta import (boundary_residual, general_b_kappa, general_b_solution,
                     lambda_critical, single_band_bound, two_band_solution)
 from .errors import (BicforgeError, CheckFailure, DegeneratePoles, GridTooLarge,
-                     NoBoundState, NoNearUnitEigenvalue, NoSolutionInRange)
+                     ModelError, NoBoundState, NoNearUnitEigenvalue, NoSolutionInRange)
 from .green import constantA_kernel, derivative_jump, residue_green, soc_kernel
 from .grids import MIN_POINTS, Grid
 from .models import (BandModel, general_b_model, load_model, single_band_model,
@@ -59,13 +58,12 @@ def _pole_table(model: BandModel, energy: float) -> list[dict]:
             for r, lab in zip(ps.roots, ps.labels)]
 
 
-def _jobs_default(args_jobs: int | None) -> int:
-    env = os.environ.get("BICFORGE_JOBS")
-    if env is not None:
-        return max(1, int(env))
-    if args_jobs is not None:
-        return max(1, args_jobs)
-    return os.cpu_count() or 1
+def _checked_grid(half_width: float, n_points: int, n_flag: str = "--n-points") -> Grid:
+    if n_points < MIN_POINTS:
+        raise BicforgeError(f"{n_flag} must be >= {MIN_POINTS}, got {n_points}")
+    if not half_width > 0:
+        raise BicforgeError(f"--half-width must be positive, got {half_width}")
+    return Grid.symmetric(half_width=half_width, n_points=n_points)
 
 
 def _num(x: float) -> float | None:
@@ -165,8 +163,17 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _decode_potentials(docs: list) -> list:
+    try:
+        return [spec_from_dict(d) for d in docs]
+    except KeyError as exc:
+        raise ModelError(f"potential entry is missing key {exc}") from exc
+    except (TypeError, ValueError, OSError) as exc:
+        raise ModelError(f"bad potential entry: {exc}") from exc
+
+
 def _cmd_bic_verify(args) -> int:
-    grid = Grid.symmetric(half_width=args.half_width, n_points=args.n_points)
+    grid = _checked_grid(args.half_width, args.n_points)
     scan_grid = Grid.symmetric(half_width=args.half_width,
                                n_points=max(1024, args.n_points // 4))
 
@@ -174,15 +181,11 @@ def _cmd_bic_verify(args) -> int:
         model, pot_docs = load_model(args.model_file)
         if not pot_docs:
             raise BicforgeError("model file carries no per-channel potentials")
-        pots = [spec_from_dict(d) for d in pot_docs]
+        pot = _decode_potentials(pot_docs)
         if args.e_window is None:
             raise BicforgeError("--model-file mode needs --e-window lo:hi")
         lo, hi = _parse_window(args.e_window)
-        reports = find_energy(model, grid, pots, lo, hi, mesh_points=args.mesh_points,
-                              scan_grid=scan_grid)
-        scored = [(rep, multiband_criterion(model, rep.state, pots, rep.energy))
-                  for rep in reports]
-        pot_for_spectrum = pots
+        mesh = args.mesh_points
     else:
         model, pot = _soc_setup(args)
         e0 = e_bic_analytic(args.gamma, args.nu, args.mu)
@@ -195,11 +198,8 @@ def _cmd_bic_verify(args) -> int:
             lo = max(e0 - 0.3, -abs(args.mu) + margin)
             hi = min(e0 + 0.2, abs(args.mu) - margin)
         mesh = args.mesh_points if args.scale != 1.0 or args.e_window else 7
-        reports = find_energy(model, grid, pot, lo, hi, mesh_points=mesh,
-                              scan_grid=scan_grid)
-        scored = [(rep, classify(model, rep.state, pot, rep.energy))
-                  for rep in reports]
-        pot_for_spectrum = pot
+    reports = find_energy(model, grid, pot, lo, hi, mesh_points=mesh, scan_grid=scan_grid)
+    scored = [(rep, classify(model, rep.state, pot, rep.energy)) for rep in reports]
 
     rep, br = min(scored, key=lambda t: t[1].residual_rel)
     results = {
@@ -217,15 +217,8 @@ def _cmd_bic_verify(args) -> int:
     if args.spectrum_out and br.real_poles.size:
         qmax = 2.0 * float(np.abs(br.real_poles).max())
         qs = np.linspace(-qmax, qmax, 801)
-        from .criterion import _source_values  # same source as the verdict
-        if isinstance(pot_for_spectrum, list):
-            src = _source_values(rep.state, pot_for_spectrum, None)
-        else:
-            src = _source_values(rep.state, pot_for_spectrum, model.b)
-        comp = np.array([
-            np.sum(np.exp(-1j * q * grid.x)[:, None] * src * grid.weights[:, None], axis=0)
-            for q in qs])
-        write_spectrum(args.spectrum_out, qs, comp)
+        write_spectrum(args.spectrum_out, qs,
+                       fourier_residual(rep.state, pot, model.b, qs))
     if args.wave_out:
         write_wave_samples(args.wave_out, grid.x, rep.state.values)
     _emit({"command": "bic-verify", "status": "ok",
@@ -254,7 +247,7 @@ def _cmd_scan(args) -> int:
     if args.gamma is None or args.nu is None or args.mu is None:
         raise BicforgeError("scan needs base --gamma, --nu and --mu")
     gamma0, nu0, mu0, mass = args.gamma, args.nu, args.mu, args.mass
-    grid = Grid.symmetric(half_width=args.half_width, n_points=args.n_points)
+    grid = _checked_grid(args.half_width, args.n_points)
     scan_grid = Grid.symmetric(half_width=args.half_width,
                                n_points=max(512, args.n_points // 2))
 
@@ -287,8 +280,7 @@ def _cmd_scan(args) -> int:
 
     table = scan_parameter(model_fam, pot_fam, args.param, lo, hi, steps,
                            grid=grid, e_window=e_window, scan_grid=scan_grid,
-                           mesh_points=args.mesh_points,
-                           jobs=_jobs_default(args.jobs))
+                           mesh_points=args.mesh_points)
     text = table.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -320,13 +312,9 @@ def _cmd_oracle(args) -> int:
         pot = SocBic(args.gamma, args.nu)
         half_default = 30.0
     half = args.half_width if args.half_width is not None else half_default
-    if args.n < MIN_POINTS:
-        raise BicforgeError(f"--n must be >= {MIN_POINTS}, got {args.n}")
-    if not half > 0:
-        raise BicforgeError(f"--half-width must be positive, got {half}")
+    grid = _checked_grid(half, args.n, "--n")
     if not 1 <= args.k <= oracle_mod.MAX_K:
         raise BicforgeError(f"--k must be in 1..{oracle_mod.MAX_K}, got {args.k}")
-    grid = Grid.symmetric(half_width=half, n_points=args.n)
     x_cut = args.x_cut if args.x_cut is not None else half / 2.0
     if not 0 <= x_cut <= grid.x_max:
         raise BicforgeError(f"--x-cut must lie in [0, {grid.x_max}], got {x_cut}")
@@ -532,7 +520,8 @@ def build_parser() -> _Parser:
     p.add_argument("--half-width", type=float, default=30.0)
     p.add_argument("--n-points", type=int, default=2048)
     p.add_argument("--mesh-points", type=int, default=24)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int,
+                   help="accepted for compatibility and ignored: rows run serially")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
 

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import eigsh
 from .errors import GridTooLarge
 from .grids import Grid, SpinorField
 from .models import BandModel
-from .potentials import PotentialSpec, sample_potential
+from .potentials import PotentialSpec, coupling_terms, sample_potential
 
 MAX_DENSE_DIM = 16384
 MAX_K = 20
@@ -60,6 +60,9 @@ def assemble(model: BandModel, grid: Grid,
              potential: PotentialSpec | Sequence | None) -> FdHamiltonian:
     """Sparse block-tridiagonal Hermitian matrix of H on the grid.
 
+    The potential enters the diagonal blocks as sum_k V_k(x) B_k (see
+    potentials.coupling_terms); None leaves the free Hamiltonian.
+
     Raises GridTooLarge beyond MAX_DENSE_DIM rows, because spectrum() still
     densifies H (dim^2 memory). Real-valued models come back as float64.
     """
@@ -75,14 +78,8 @@ def assemble(model: BandModel, grid: Grid,
     hop_dn = -kin * eye + (+1j / (2.0 * dx)) * model.a1
 
     diag = np.broadcast_to(2.0 * kin * eye + model.a0, (n, nb, nb)).astype(complex)
-    if potential is not None:
-        if isinstance(potential, (list, tuple)):
-            for ch, spec in enumerate(potential):
-                if spec is None:
-                    continue
-                diag[:, ch, ch] += sample_potential(spec, grid)
-        else:
-            diag += sample_potential(potential, grid)[:, None, None] * model.b
+    for spec, bk in coupling_terms(potential, model.b):
+        diag += sample_potential(spec, grid)[:, None, None] * bk
 
     # (3n-2, nb, nb) block stack: diagonal, upper and lower hopping blocks
     blocks = np.concatenate([diag, np.broadcast_to(hop_up, (n - 1, nb, nb)),

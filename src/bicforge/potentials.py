@@ -7,16 +7,20 @@ Variants:
                             hosts an exact BIC in the spin-orbit model
   Tabulated(x, v)        -- numeric table, linearly interpolated
   Scaled(base, factor)   -- pointwise rescaling of any other variant
+
+coupling_terms() turns either potential input form -- one spec acting
+through the model's coupling matrix B, or a per-channel list -- into one
+list of terms [(V_k, B_k)], so that the coupling is sum_k V_k(x) B_k.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidRadicand, SingularDenominator
+from .errors import InvalidRadicand, ModelError, SingularDenominator
 from .grids import Grid
 
 
@@ -136,6 +140,29 @@ def sample_potential(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     raise TypeError(f"unknown potential spec {type(spec).__name__}")
 
 
+def coupling_terms(potential: PotentialSpec | Sequence[PotentialSpec | None] | None,
+                   b: np.ndarray) -> list[tuple[PotentialSpec, np.ndarray]]:
+    """The coupling sum_k V_k(x) B_k as a list of (spec_k, B_k) terms.
+
+    A single spec couples through b: [(spec, b)]. A per-channel list
+    diag(V_1, ..., V_N) gives (spec_ch, e_ch e_ch^T) for each entry that is
+    not None, and must hold one entry per channel (N = len(b)). None means
+    no potential: [].
+    """
+    b = np.asarray(b)
+    if potential is None:
+        return []
+    if not isinstance(potential, (list, tuple)):
+        return [(potential, b)]
+    n_channels = b.shape[0]
+    if len(potential) != n_channels:
+        raise ModelError(f"need one potential entry per channel: "
+                         f"{len(potential)} entries for {n_channels} channels")
+    eye = np.eye(n_channels)
+    return [(spec, np.outer(eye[ch], eye[ch]))
+            for ch, spec in enumerate(potential) if spec is not None]
+
+
 def load_tabulated(path) -> Tabulated:
     """Read a two-column (x, V) text table."""
     data = np.loadtxt(path)
@@ -162,6 +189,8 @@ def spec_from_dict(doc: dict | None) -> PotentialSpec | None:
     """Decode one per-channel potential entry of a model file."""
     if doc is None:
         return None
+    if not isinstance(doc, dict):
+        raise ValueError(f"potential entry must be an object or null, got {doc!r}")
     kind = doc.get("variant")
     if kind in (None, "none"):
         return None

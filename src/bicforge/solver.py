@@ -1,9 +1,11 @@
-"""Self-consistent bound-state solver psi = Int G_E(x-x') V(x') B psi(x') dx'.
+"""Self-consistent bound-state solver psi = Int G_E(x-x') U(x') psi(x') dx'.
 
-Discretized on a uniform grid with trapezoid weights, the right-hand side
-becomes a dense (nN x nN) map M(E); solutions are fixed points, found by
-tracking the eigenvalue of M(E) nearest 1 and root-finding its crossing of
-1 as the energy sweeps the mixed-pole window.
+The coupling U(x) = sum_k V_k(x) B_k comes from potentials.coupling_terms:
+one term V(x) B for a single potential spec, one channel projector per
+entry for a per-channel list. Discretized on a uniform grid with trapezoid
+weights, the right-hand side becomes a dense (nN x nN) map M(E); solutions
+are fixed points, found by tracking the eigenvalue of M(E) nearest 1 and
+root-finding its crossing of 1 as the energy sweeps the mixed-pole window.
 
 M has block Toeplitz structure (the kernel depends on x_i - x_j only), so
 the solver applies it through FFT convolutions instead of materializing the
@@ -13,7 +15,6 @@ cross-checks. Both paths share the same kernel samples and weights.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +26,7 @@ from .errors import GridTooCoarse, NoNearUnitEigenvalue, NoSolutionInRange
 from .green import GreenKernel, residue_green
 from .grids import Grid, SpinorField
 from .models import BandModel
-from .potentials import PotentialSpec, decay_scale, sample_potential
+from .potentials import PotentialSpec, coupling_terms, decay_scale, sample_potential
 
 MAX_PHASE_STEP = 0.3          # dx * p_real above this cannot resolve the sine
 ACCEPT_EIG_DISTANCE = 0.5     # |lambda - 1| beyond this is "no solution here"
@@ -42,22 +43,13 @@ class SolveReport:
     fixed_point_residual: float
 
 
-def _source_factors(model: BandModel, grid: Grid,
-                    potential: PotentialSpec | Sequence) -> np.ndarray:
-    """Per-site matrix factors F_j = V(x_j) B w_j (or diag(V_i(x_j)) w_j)."""
-    n, nb = grid.n_points, model.n_bands
+def _source_factors(grid: Grid, terms: list, n_bands: int) -> np.ndarray:
+    """Per-site matrix factors F_j = sum_k V_k(x_j) w_j B_k."""
     w = grid.weights
-    if isinstance(potential, (list, tuple)):
-        if len(potential) != nb:
-            raise ValueError("need one potential entry per channel")
-        f = np.zeros((n, nb, nb))
-        for ch, spec in enumerate(potential):
-            if spec is None:
-                continue
-            f[:, ch, ch] = sample_potential(spec, grid) * w
-        return f
-    v = sample_potential(potential, grid)
-    return (v * w)[:, None, None] * model.b
+    f = np.zeros((grid.n_points, n_bands, n_bands), dtype=complex)
+    for spec, bk in terms:
+        f += (sample_potential(spec, grid) * w)[:, None, None] * bk
+    return f
 
 
 def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
@@ -69,10 +61,8 @@ def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
     return kernel
 
 
-def _coverage_warning(grid: Grid, kernel: GreenKernel,
-                      potential: PotentialSpec | Sequence) -> None:
-    specs = potential if isinstance(potential, (list, tuple)) else [potential]
-    rates = [decay_scale(s) for s in specs if s is not None]
+def _coverage_warning(grid: Grid, kernel: GreenKernel, terms: list) -> None:
+    rates = [decay_scale(spec) for spec, _ in terms]
     rates.append(kernel.decay_rate)
     slowest = min(rates)
     if np.isfinite(slowest) and grid.x_max * slowest < 10.0:
@@ -96,12 +86,13 @@ def assemble_map(model: BandModel, energy: float, grid: Grid,
     same map matrix-free and scale to much larger grids.
     """
     kernel = _kernel_checked(model, energy, grid)
-    _coverage_warning(grid, kernel, potential)
+    terms = coupling_terms(potential, model.b)
+    _coverage_warning(grid, kernel, terms)
     n, nb = grid.n_points, model.n_bands
     samples = _kernel_samples(kernel, grid)
-    factors = _source_factors(model, grid, potential)
+    factors = _source_factors(grid, terms, nb)
     idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
-    blocks = np.einsum("ijab,jbc->iajc", samples[idx], factors.astype(complex))
+    blocks = np.einsum("ijab,jbc->iajc", samples[idx], factors)
     return blocks.reshape(n * nb, n * nb)
 
 
@@ -114,9 +105,10 @@ class _ConvMap(LinearOperator):
         self.n_bands = model.n_bands
         n = grid.n_points
         kernel = _kernel_checked(model, energy, grid)
-        _coverage_warning(grid, kernel, potential)
+        terms = coupling_terms(potential, model.b)
+        _coverage_warning(grid, kernel, terms)
         self.kernel = kernel
-        self.factors = _source_factors(model, grid, potential).astype(complex)
+        self.factors = _source_factors(grid, terms, model.n_bands)
         self.support = np.flatnonzero(np.abs(self.factors).max(axis=(1, 2)) > 0)
         samples = _kernel_samples(kernel, grid)
         self._fft_len = next_fast_len(2 * n - 1)
@@ -243,7 +235,7 @@ def _branch_value(model: BandModel, energy: float, grid: Grid,
 def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence,
                 e_lo: float, e_hi: float, *, mesh_points: int = 200,
                 scan_grid: Grid | None = None, k: int = 12,
-                refine_tol: float = 1e-9, jobs: int | None = None) -> list[SolveReport]:
+                refine_tol: float = 1e-9) -> list[SolveReport]:
     """Scan [e_lo, e_hi], bracket crossings of Re(eigenvalue) = 1, refine.
 
     The mesh phase may run on a coarser scan_grid; refinement always runs
@@ -260,11 +252,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
         except (ArpackError, NoNearUnitEigenvalue):
             return float("nan")
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            h = list(pool.map(probe, energies))
-    else:
-        h = [probe(e) for e in energies]
+    h = [probe(e) for e in energies]
 
     def fine(e: float) -> float:
         return float(_branch_value(model, e, grid, potential, k).real) - 1.0
@@ -302,17 +290,3 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
         raise NoSolutionInRange(f"no fixed point in ({e_lo:g}, {e_hi:g})")
     reports.sort(key=lambda r: r.energy)
     return reports
-
-
-def default_grid(kernel_decay: float, potential: PotentialSpec | Sequence,
-                 n_points: int = 2048) -> Grid:
-    """Rule-of-thumb grid: half-width max(10/potential rate, 15/kernel rate)."""
-    specs = potential if isinstance(potential, (list, tuple)) else [potential]
-    rates = [decay_scale(s) for s in specs if s is not None]
-    v_rate = min(rates) if rates else float("inf")
-    half = 15.0 / kernel_decay if np.isfinite(kernel_decay) else 0.0
-    if np.isfinite(v_rate):
-        half = max(half, 10.0 / v_rate)
-    if half <= 0:
-        half = 20.0
-    return Grid.symmetric(half_width=half, n_points=n_points)

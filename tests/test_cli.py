@@ -134,6 +134,60 @@ def test_model_file_errors(tmp_path):
     assert rc == 1
 
 
+def _soc_model_file(tmp_path, pots) -> str:
+    path = tmp_path / "model.json"
+    bf.save_model(path, bf.soc_model(gamma=0.5, mu=1.0), pots)
+    return str(path)
+
+
+@pytest.mark.parametrize("pots, fragment", [
+    ([{"variant": "mystery"}, None], "unknown potential variant 'mystery'"),
+    ([{"variant": "delta"}, None], "missing key 'strength'"),
+    ([{"variant": "tabulated", "path": "no-such-table.tsv"}, None], "no-such-table.tsv"),
+    ([{"variant": "soc_bic", "gamma": 0.5, "nu": 0.7}], "one potential entry per channel"),
+    (["delta", None], "must be an object or null"),
+], ids=["unknown_variant", "missing_key", "unreadable_table", "wrong_entry_count",
+        "not_an_object"])
+def test_model_file_bad_potential_entry_exit_usage(tmp_path, capsys, pots, fragment):
+    rc = cli.main(["bic-verify", "--model-file", _soc_model_file(tmp_path, pots),
+                   "--n-points", "1024", "--mesh-points", "5", "--e-window", "0.67:0.71"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("bicforge: ") and fragment in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1"],
+    ["scan", "--param", "scale", "--range", "0.9:1.1:3",
+     "--gamma", "0.5", "--nu", "0.7", "--mu", "1"],
+], ids=["bic-verify", "scan"])
+@pytest.mark.parametrize("bad, flag", [
+    (("--n-points", "10"), "--n-points"),
+    (("--n-points", "-5"), "--n-points"),
+    (("--half-width", "-5"), "--half-width"),
+    (("--half-width", "0"), "--half-width"),
+], ids=["n_points_10", "n_points_neg", "half_width_neg", "half_width_0"])
+def test_grid_bad_arguments_exit_usage(capsys, command, bad, flag):
+    rc = cli.main([*command, *bad])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(f"bicforge: {flag} ")
+    assert captured.err.count("\n") == 1
+
+
+def test_scan_ignores_jobs_environment(monkeypatch, capsys):
+    # worker counts are gone: neither a malformed BICFORGE_JOBS nor --jobs
+    # changes what scan does
+    monkeypatch.setenv("BICFORGE_JOBS", "abc")
+    rc = cli.main(["scan", "--param", "scale", "--range", "1:1:0", "--jobs", "3",
+                   "--gamma", "0.5", "--nu", "0.7", "--mu", "1"])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().out == "param,energy,residual_rel,tail_rel,verdict\n"
+
+
 def test_scan_rows_and_errors(tmp_path):
     out_file = tmp_path / "scan.csv"
     rc, out, _ = run_cli("scan", "--param", "nu", "--range", "0.6:0.8:3",

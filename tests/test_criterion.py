@@ -41,6 +41,21 @@ def test_conjugate_symmetry(quasi_state_2049):
         assert np.allclose(fm, fp.conj(), atol=1e-12 * max(1, np.abs(fp).max()))
 
 
+def test_fourier_residual_array_q_matches_scalar_calls(quasi_state_2049):
+    _, state = quasi_state_2049
+    b = np.array([[-1.0, 0.0], [0.0, 0.0]])
+    qs = np.linspace(-3.3, 3.3, 7)
+    many = bf.fourier_residual(state, UNIT_DELTA, b, qs)
+    assert many.shape == (7, 2)
+    for q, row in zip(qs, many):
+        assert np.array_equal(row, bf.fourier_residual(state, UNIT_DELTA, b, q))
+    grid_q = bf.fourier_residual(state, UNIT_DELTA, b, qs[:6].reshape(2, 3))
+    assert np.array_equal(grid_q, many[:6].reshape(2, 3, 2))
+    # one coarse frequency in the array is refused like a single one
+    with pytest.raises(GridTooCoarse):
+        bf.fourier_residual(state, UNIT_DELTA, b, np.append(qs, 0.6 / state.grid.dx))
+
+
 def test_tail_metrics_quasi_state(quasi_state_2049):
     sol, state = quasi_state_2049
     osc, _ = bf.tail_metrics(state, sol.p_real, 12.0)
@@ -185,7 +200,7 @@ def test_scan_scale_minimum_at_unity(soc):
         grid=bf.Grid.symmetric(30.0, 1024),
         e_window=lambda v: (0.45, 0.9),
         scan_grid=bf.Grid.symmetric(30.0, 512),
-        mesh_points=12, jobs=2)
+        mesh_points=12)
     assert len(table.rows) == 41
     res = [r.residual_rel for r in table.rows]
     i_min = int(np.argmin(res))

@@ -1,0 +1,39 @@
+"""Static guards on the package sources: modules use each other's public
+names only, and no thread or process pools come back without a measurement
+that shows they pay."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bicforge"
+
+
+def _imports():
+    paths = sorted(SRC.glob("*.py"))
+    assert {p.name for p in paths} >= {"cli.py", "criterion.py", "solver.py"}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield f"{path.name}:{node.lineno}", node
+
+
+def test_no_private_import_between_package_modules():
+    bad = [f"{where} from {'.' * node.level}{node.module or ''} import {alias.name}"
+           for where, node in _imports()
+           if isinstance(node, ast.ImportFrom) and node.level > 0
+           for alias in node.names if alias.name.startswith("_")]
+    assert not bad
+
+
+def test_no_concurrent_futures():
+    bad = []
+    for where, node in _imports():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif node.level == 0 and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        bad += [f"{where} {name}" for name in names
+                if name == "concurrent" or name.startswith("concurrent.")]
+    assert not bad

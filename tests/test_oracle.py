@@ -31,6 +31,8 @@ def test_richardson_extrapolation_sharpens_delta_energy():
 def test_free_two_band_spectrum_bounded_by_band_bottom():
     model = bf.two_band_model(mu=0.0, g=1.0)
     h = oracle.assemble(model, bf.Grid.symmetric(30.0, 1024), None)
+    empty = oracle.assemble(model, bf.Grid.symmetric(30.0, 1024), [None, None])
+    assert np.array_equal(empty.matrix.toarray(), h.matrix.toarray())
     vals = oracle.spectrum(h)
     assert vals.min() >= -1.0 - 1e-6
     assert vals.min() == pytest.approx(-1.0, abs=1e-2)

@@ -21,12 +21,14 @@ def test_assembled_map_shape_and_delta_fixed_point():
 def test_operator_matches_dense_matrix():
     model = bf.soc_model(gamma=0.5, mu=1.0)
     grid = bf.Grid.symmetric(20.0, 384)
-    pot = bf.SocBic(0.5, 0.7)
-    dense = bf.assemble_map(model, 0.55, grid, pot)
-    op = _ConvMap(model, 0.55, grid, pot)
     rng = np.random.default_rng(0)
     v = rng.normal(size=768) + 1j * rng.normal(size=768)
-    assert np.allclose(op.matvec(v), dense @ v, atol=1e-11 * np.abs(dense @ v).max())
+    well = bf.SocBic(0.5, 0.7)
+    # a single spec through B, and per-channel lists of one and two terms
+    for pot in (well, [well, None], [bf.Scaled(well, 0.9), well]):
+        dense = bf.assemble_map(model, 0.55, grid, pot)
+        op = _ConvMap(model, 0.55, grid, pot)
+        assert np.allclose(op.matvec(v), dense @ v, atol=1e-11 * np.abs(dense @ v).max())
 
 
 def test_socbic_map_has_unit_eigenvalue_at_analytic_energy(e_bic, soc, socbic_pot,
@@ -131,9 +133,3 @@ def test_tabulated_potential_matches_analytic_route(soc, socbic_pot, e_bic):
     r1 = bf.find_energy(soc, grid, tab, 0.65, 0.73, mesh_points=5)
     r2 = bf.find_energy(soc, grid, socbic_pot, 0.65, 0.73, mesh_points=5)
     assert r1[0].energy == pytest.approx(r2[0].energy, abs=2e-4)
-
-
-def test_default_grid_rule():
-    grid = bf.default_grid(0.7, bf.SocBic(0.5, 0.7), n_points=512)
-    assert grid.n_points == 512
-    assert grid.x_max == pytest.approx(max(10.0 / 1.4, 15.0 / 0.7))
