@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +65,11 @@ def _checked_grid(half_width: float, n_points: int, n_flag: str = "--n-points") 
     if not half_width > 0:
         raise BicforgeError(f"--half-width must be positive, got {half_width}")
     return Grid.symmetric(half_width=half_width, n_points=n_points)
+
+
+def _check_mesh(mesh_points: int) -> None:
+    if mesh_points < 2:
+        raise BicforgeError(f"--mesh-points must be >= 2, got {mesh_points}")
 
 
 def _num(x: float) -> float | None:
@@ -163,9 +169,9 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _decode_potentials(docs: list) -> list:
+def _decode_potentials(docs: list, base_dir: Path) -> list:
     try:
-        return [spec_from_dict(d) for d in docs]
+        return [spec_from_dict(d, base_dir) for d in docs]
     except KeyError as exc:
         raise ModelError(f"potential entry is missing key {exc}") from exc
     except (TypeError, ValueError, OSError) as exc:
@@ -174,6 +180,7 @@ def _decode_potentials(docs: list) -> list:
 
 def _cmd_bic_verify(args) -> int:
     grid = _checked_grid(args.half_width, args.n_points)
+    _check_mesh(args.mesh_points)
     scan_grid = Grid.symmetric(half_width=args.half_width,
                                n_points=max(1024, args.n_points // 4))
 
@@ -181,7 +188,7 @@ def _cmd_bic_verify(args) -> int:
         model, pot_docs = load_model(args.model_file)
         if not pot_docs:
             raise BicforgeError("model file carries no per-channel potentials")
-        pot = _decode_potentials(pot_docs)
+        pot = _decode_potentials(pot_docs, Path(args.model_file).parent)
         if args.e_window is None:
             raise BicforgeError("--model-file mode needs --e-window lo:hi")
         lo, hi = _parse_window(args.e_window)
@@ -248,6 +255,7 @@ def _cmd_scan(args) -> int:
         raise BicforgeError("scan needs base --gamma, --nu and --mu")
     gamma0, nu0, mu0, mass = args.gamma, args.nu, args.mu, args.mass
     grid = _checked_grid(args.half_width, args.n_points)
+    _check_mesh(args.mesh_points)
     scan_grid = Grid.symmetric(half_width=args.half_width,
                                n_points=max(512, args.n_points // 2))
 

@@ -54,7 +54,14 @@ class GridTooLarge(BicforgeError):
 
 
 class NoNearUnitEigenvalue(BicforgeError):
-    """No eigenvalue of the discretized map lies near 1."""
+    """No eigenvalue of the discretized map lies near 1.
+
+    distance is |lambda - 1| of the nearest eigenvalue, when one was found.
+    """
+
+    def __init__(self, message: str, distance: float | None = None):
+        super().__init__(message)
+        self.distance = distance
 
 
 class NoSolutionInRange(BicforgeError):

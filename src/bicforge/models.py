@@ -157,15 +157,22 @@ def model_from_dict(doc: dict) -> tuple[BandModel, list | None]:
             raise ModelError(f"model file missing matrix {name!r}")
         mats[name] = _pairs_to_matrix(doc[name], name)
     model = BandModel(n, mass, mats["a0"], mats["a1"], mats["b"])
-    return model, doc.get("potentials")
+    potentials = doc.get("potentials")
+    if potentials is not None and not isinstance(potentials, list):
+        raise ModelError("model file field 'potentials' must be a list")
+    return model, potentials
 
 
 def load_model(path) -> tuple[BandModel, list | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"model file {path}: {exc}") from exc
+    except OSError as exc:
+        raise ModelError(f"model file {path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"model file {path}: not UTF-8 text ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"model file {path}: {exc}") from exc
     return model_from_dict(doc)
 
 

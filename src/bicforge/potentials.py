@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
@@ -185,8 +186,12 @@ def decay_scale(spec: PotentialSpec) -> float:
     raise TypeError(f"unknown potential spec {type(spec).__name__}")
 
 
-def spec_from_dict(doc: dict | None) -> PotentialSpec | None:
-    """Decode one per-channel potential entry of a model file."""
+def spec_from_dict(doc: dict | None, base_dir=".") -> PotentialSpec | None:
+    """Decode one per-channel potential entry of a model file.
+
+    A relative tabulated path is read from base_dir, the model file's
+    directory; absolute paths are used as they are.
+    """
     if doc is None:
         return None
     if not isinstance(doc, dict):
@@ -199,9 +204,9 @@ def spec_from_dict(doc: dict | None) -> PotentialSpec | None:
     if kind == "soc_bic":
         return SocBic(gamma=float(doc["gamma"]), nu=float(doc["nu"]))
     if kind == "tabulated":
-        return load_tabulated(doc["path"])
+        return load_tabulated(Path(base_dir) / doc["path"])
     if kind == "scaled":
-        base = spec_from_dict(doc["base"])
+        base = spec_from_dict(doc["base"], base_dir)
         if base is None:
             raise ValueError("scaled potential needs a base variant")
         return Scaled(base=base, factor=float(doc["factor"]))

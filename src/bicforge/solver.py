@@ -6,6 +6,10 @@ entry for a per-channel list. Discretized on a uniform grid with trapezoid
 weights, the right-hand side becomes a dense (nN x nN) map M(E); solutions
 are fixed points, found by tracking the eigenvalue of M(E) nearest 1 and
 root-finding its crossing of 1 as the energy sweeps the mixed-pole window.
+That eigenvalue's real part also jumps across 1 where the selection switches
+from one branch to another; find_energy tells the two apart by counting the
+eigenvalues with Re > 1 at each mesh point and refines only brackets where
+the count changes or is unknown (see find_energy for the limitation).
 
 M has block Toeplitz structure (the kernel depends on x_i - x_j only), so
 the solver applies it through FFT convolutions instead of materializing the
@@ -161,40 +165,55 @@ DIRECT_SUPPORT_LIMIT = 512
 
 def _eigs_near_one(op: _ConvMap, k: int, want_vectors: bool):
     """Eigenvalue of the map nearest 1 (searched among the k largest)."""
+    lam, vec, _ = _near_one(op, k, want_vectors)
+    return lam, vec
+
+
+def _near_one(op: _ConvMap, k: int, want_vectors: bool):
+    """Eigenvalue nearest 1, its eigenvector (None unless asked for), and the
+    number of eigenvalues with Re(lambda) > 1, or None where it is unknown.
+
+    Re(lambda) > 1 implies |lambda| > 1, so the count is exact whenever the
+    computed set holds every eigenvalue of modulus above 1: on the direct
+    support-matrix path, which returns the whole nonzero spectrum, and after
+    a converged Arnoldi run whose smallest returned |lambda| is below 1. A
+    partial set from a non-converged run leaves it unknown.
+    """
     dim = op.shape[0]
     if op.is_null:
-        if want_vectors:
-            return 0.0 + 0.0j, np.zeros(dim, dtype=complex)
-        return 0.0 + 0.0j, None
-    if op.support.size * op.n_bands <= DIRECT_SUPPORT_LIMIT:
+        return 0.0 + 0.0j, (np.zeros(dim, dtype=complex) if want_vectors else None), 0
+    direct = op.support.size * op.n_bands <= DIRECT_SUPPORT_LIMIT
+    if direct:
         t = op.support_matrix()
         if want_vectors:
             vals, vecs = np.linalg.eig(t)
-            best = int(np.argmin(np.abs(vals - 1.0)))
-            lam = complex(vals[best])
-            if lam == 0.0:
-                return lam, np.zeros(dim, dtype=complex)
-            return lam, op.lift_support_vector(vecs[:, best], lam)
-        vals = np.linalg.eigvals(t)
-        best = int(np.argmin(np.abs(vals - 1.0)))
-        return complex(vals[best]), None
-    k = min(k, dim - 2)
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))  # deterministic Arnoldi start
-    try:
-        if want_vectors:
-            vals, vecs = eigs(op, k=k, which="LM", v0=v0, tol=1e-11)
         else:
-            vals = eigs(op, k=k, which="LM", v0=v0, tol=1e-11,
-                        return_eigenvectors=False)
-            vecs = None
-    except ArpackNoConvergence as exc:
-        vals = exc.eigenvalues
-        vecs = exc.eigenvectors if want_vectors else None
-        if vals is None or len(vals) == 0:
-            raise NoNearUnitEigenvalue("Arnoldi iteration found no eigenvalues") from exc
+            vals, vecs = np.linalg.eigvals(t), None
+        complete = True
+    else:
+        k = min(k, dim - 2)
+        v0 = np.full(dim, 1.0 / np.sqrt(dim))  # deterministic Arnoldi start
+        try:
+            if want_vectors:
+                vals, vecs = eigs(op, k=k, which="LM", v0=v0, tol=1e-11)
+            else:
+                vals = eigs(op, k=k, which="LM", v0=v0, tol=1e-11,
+                            return_eigenvectors=False)
+                vecs = None
+            complete = bool(np.abs(vals).min() < 1.0)
+        except ArpackNoConvergence as exc:
+            vals = exc.eigenvalues
+            vecs = exc.eigenvectors if want_vectors else None
+            if vals is None or len(vals) == 0:
+                raise NoNearUnitEigenvalue("Arnoldi iteration found no eigenvalues") from exc
+            complete = False
     best = int(np.argmin(np.abs(vals - 1.0)))
+    lam = complex(vals[best])
     vec = vecs[:, best] if vecs is not None else None
-    return complex(vals[best]), vec
+    if direct and vec is not None:
+        vec = np.zeros(dim, dtype=complex) if lam == 0.0 else op.lift_support_vector(vec, lam)
+    above = int(np.count_nonzero(vals.real > 1.0)) if complete else None
+    return lam, vec, above
 
 
 def _fix_phase(values: np.ndarray) -> np.ndarray:
@@ -216,7 +235,8 @@ def solve_state(model: BandModel, energy: float, grid: Grid,
     lam, vec = _eigs_near_one(op, k, want_vectors=True)
     if abs(lam - 1.0) > ACCEPT_EIG_DISTANCE:
         raise NoNearUnitEigenvalue(
-            f"nearest map eigenvalue {lam:.6g} is {abs(lam - 1):.3g} away from 1")
+            f"nearest map eigenvalue {lam:.6g} is {abs(lam - 1):.3g} away from 1",
+            distance=abs(lam - 1.0))
     values = _fix_phase(vec.reshape(grid.n_points, model.n_bands))
     resid = np.linalg.norm(op.matvec(values.reshape(-1)) - values.reshape(-1))
     resid /= np.linalg.norm(values)
@@ -226,10 +246,15 @@ def solve_state(model: BandModel, energy: float, grid: Grid,
 
 
 def _branch_value(model: BandModel, energy: float, grid: Grid,
-                  potential, k: int) -> complex:
+                  potential, k: int) -> tuple[complex, int | None]:
+    """Eigenvalue nearest 1 and the count of eigenvalues with Re > 1 (or None)."""
     op = _ConvMap(model, energy, grid, potential)
-    lam, _ = _eigs_near_one(op, k, want_vectors=False)
-    return lam
+    lam, _, above = _near_one(op, k, want_vectors=False)
+    return lam, above
+
+
+def _plural(n: int, noun: str, plural: str) -> str:
+    return f"{n} {noun if n == 1 else plural}"
 
 
 def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence,
@@ -240,27 +265,47 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
 
     The mesh phase may run on a coarser scan_grid; refinement always runs
     on the main grid. Returns every converged solution, ordered by energy.
+
+    The tracked eigenvalue is the one nearest 1, so its Re - 1 also changes
+    sign where the selection jumps from one branch to another without any
+    eigenvalue reaching 1. A bracket is therefore skipped, before any
+    fine-grid eigensolve, when the number of eigenvalues with Re > 1 is
+    known at both mesh ends and equal; a real crossing changes it by one.
+    Where either count is unknown the bracket is refined. Limitation: two
+    eigenvalues crossing 1 in opposite directions inside one mesh interval
+    leave the count unchanged, and that interval is skipped.
+
+    NoSolutionInRange names what became of every bracket.
     """
     if not e_hi > e_lo:
         raise ValueError("need e_hi > e_lo")
+    if mesh_points < 2:
+        raise ValueError(f"need mesh_points >= 2, got {mesh_points}")
     mesh_grid = scan_grid or grid
     energies = np.linspace(e_lo, e_hi, mesh_points)
 
-    def probe(e: float) -> float:
+    def probe(e: float) -> tuple[float, int | None]:
         try:
-            return float(_branch_value(model, e, mesh_grid, potential, k).real) - 1.0
+            lam, above = _branch_value(model, e, mesh_grid, potential, k)
         except (ArpackError, NoNearUnitEigenvalue):
-            return float("nan")
+            return float("nan"), None
+        return float(lam.real) - 1.0, above
 
-    h = [probe(e) for e in energies]
+    h, above = zip(*[probe(e) for e in energies])
 
     def fine(e: float) -> float:
-        return float(_branch_value(model, e, grid, potential, k).real) - 1.0
+        return float(_branch_value(model, e, grid, potential, k)[0].real) - 1.0
 
     reports = []
+    brackets = switches = stalls = high_residual = 0
+    rejected = []
     for i in range(len(energies) - 1):
         ha, hb = h[i], h[i + 1]
         if np.isnan(ha) or np.isnan(hb) or ha * hb > 0 or (ha == 0 and hb == 0):
+            continue
+        brackets += 1
+        if above[i] is not None and above[i] == above[i + 1]:
+            switches += 1
             continue
         ea, eb = float(energies[i]), float(energies[i + 1])
         fa, fb = (ha, hb) if mesh_grid is grid else (fine(ea), fine(eb))
@@ -279,14 +324,29 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
             ea, fa = eb, fb
             eb, fb = e_new, fine(e_new)
         if not converged and abs(fb) > RESIDUAL_LIMIT:
+            stalls += 1
             continue
         try:
             rep = solve_state(model, eb, grid, potential, k=max(k, 16))
-        except NoNearUnitEigenvalue:
+        except NoNearUnitEigenvalue as exc:
+            rejected.append(exc.distance)
             continue
         if rep.fixed_point_residual < RESIDUAL_LIMIT:
             reports.append(rep)
+        else:
+            high_residual += 1
     if not reports:
-        raise NoSolutionInRange(f"no fixed point in ({e_lo:g}, {e_hi:g})")
+        parts = [_plural(brackets, "sign change", "sign changes")]
+        if switches:
+            parts.append(_plural(switches, "branch switch", "branch switches"))
+        if stalls:
+            parts.append(_plural(stalls, "secant stall", "secant stalls"))
+        if rejected:
+            dists = ", ".join("?" if d is None else f"{d:.3g}" for d in rejected)
+            parts.append(f"{len(rejected)} rejected by solve_state (|lambda - 1| = {dists})")
+        if high_residual:
+            parts.append(f"{high_residual} with residual >= {RESIDUAL_LIMIT:g}")
+        raise NoSolutionInRange(f"no fixed point in ({e_lo:g}, {e_hi:g}): "
+                                + ", ".join(parts))
     reports.sort(key=lambda r: r.energy)
     return reports

@@ -178,6 +178,69 @@ def test_grid_bad_arguments_exit_usage(capsys, command, bad, flag):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1", "--scale", "0.9"],
+    ["scan", "--param", "scale", "--range", "0.9:1.1:3",
+     "--gamma", "0.5", "--nu", "0.7", "--mu", "1"],
+], ids=["bic-verify", "scan"])
+@pytest.mark.parametrize("mesh", ["-3", "0", "1"])
+def test_mesh_points_below_two_exit_usage(capsys, command, mesh):
+    rc = cli.main([*command, "--mesh-points", mesh])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"bicforge: --mesh-points must be >= 2, got {mesh}\n"
+
+
+def test_missing_model_file_exit_usage(tmp_path, capsys):
+    rc = cli.main(["bic-verify", "--model-file", str(tmp_path / "nope.json"),
+                   "--e-window", "0:1"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.err.startswith(f"bicforge: model file {tmp_path / 'nope.json'}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_model_file_not_utf8_exit_usage(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    rc = cli.main(["bic-verify", "--model-file", str(path), "--e-window", "0:1"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.err.startswith(f"bicforge: model file {path}: not UTF-8")
+    assert captured.err.count("\n") == 1
+
+
+def test_model_file_potentials_not_a_list_exit_usage(tmp_path, capsys):
+    path = _soc_model_file(tmp_path, {"variant": "soc_bic", "gamma": 0.5, "nu": 0.7})
+    rc = cli.main(["bic-verify", "--model-file", path, "--e-window", "0:1"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.err.startswith("bicforge: ")
+    assert "'potentials' must be a list" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+def test_tabulated_path_resolves_from_model_file(tmp_path, monkeypatch, capsys, absolute):
+    # mf/tab.json names its table by a path relative to mf/, and the run
+    # starts in mf's parent directory
+    folder = tmp_path / "mf"
+    folder.mkdir()
+    xs = np.linspace(-30.0, 30.0, 6001)
+    np.savetxt(folder / "tab.txt", np.column_stack([xs, bf.potential_soc_bic(0.5, 0.7, xs)]))
+    table = str(folder / "tab.txt") if absolute else "tab.txt"
+    bf.save_model(folder / "tab.json", bf.soc_model(gamma=0.5, mu=1.0),
+                  [{"variant": "tabulated", "path": table}, None])
+    monkeypatch.chdir(tmp_path)
+    e0 = bf.e_bic_analytic(0.5, 0.7, 1.0)
+    rc = cli.main(["bic-verify", "--model-file", "mf/tab.json", "--n-points", "1024",
+                   "--mesh-points", "3", "--e-window", f"{e0 - 0.02}:{e0 + 0.02}"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK, captured.err
+    assert json.loads(captured.out)["results"]["energy"] == pytest.approx(e0, abs=1e-3)
+
+
 def test_scan_ignores_jobs_environment(monkeypatch, capsys):
     # worker counts are gone: neither a malformed BICFORGE_JOBS nor --jobs
     # changes what scan does

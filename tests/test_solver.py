@@ -133,3 +133,129 @@ def test_tabulated_potential_matches_analytic_route(soc, socbic_pot, e_bic):
     r1 = bf.find_energy(soc, grid, tab, 0.65, 0.73, mesh_points=5)
     r2 = bf.find_energy(soc, grid, socbic_pot, 0.65, 0.73, mesh_points=5)
     assert r1[0].energy == pytest.approx(r2[0].energy, abs=2e-4)
+
+
+# --- bracket rejection: eigenvalue counts above Re(lambda) = 1 ---------------
+
+SCALED_WELL = bf.Scaled(bf.SocBic(0.5, 0.7), 0.9)
+
+
+def _scaled_window(e_bic):
+    # the window bic-verify searches for a rescaled well at mu = 1
+    return max(e_bic - 0.3, -0.98), min(e_bic + 0.2, 0.98)
+
+
+def test_find_energy_skips_branch_switch_bracket(monkeypatch, soc, e_bic):
+    # the eigenvalue nearest 1 jumps from about 1.5 to 0.5 between two mesh
+    # points near E = 0.82; no eigenvalue crosses 1 there, so that bracket
+    # costs no fine-grid eigensolve
+    from bicforge import solver
+    grid, scan_grid = bf.Grid.symmetric(30.0, 768), bf.Grid.symmetric(30.0, 512)
+    fine = []
+    eigs = solver.eigs
+
+    def counted(op, *args, **kwargs):
+        if op.shape[0] == 2 * grid.n_points:
+            fine.append(op.kernel.energy)
+        return eigs(op, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "eigs", counted)
+    lo, hi = _scaled_window(e_bic)
+    mesh = np.linspace(lo, hi, 12)
+    reps = bf.find_energy(soc, grid, SCALED_WELL, lo, hi, mesh_points=12,
+                          scan_grid=scan_grid)
+    assert [r.energy for r in reps] == [pytest.approx(0.72998, abs=5e-4)]
+    assert not [e for e in fine if mesh[9] <= e <= mesh[10]]
+    assert len(fine) <= 8   # root bracket: 2 ends, secant steps, solve_state
+
+
+def test_branch_switch_named_when_no_root(soc):
+    grid = bf.Grid.symmetric(30.0, 512)
+    with pytest.raises(NoSolutionInRange) as info:
+        bf.find_energy(soc, grid, SCALED_WELL, 0.78, 0.88, mesh_points=5)
+    assert str(info.value) == ("no fixed point in (0.78, 0.88): "
+                               "1 sign change, 1 branch switch")
+
+
+def test_unknown_count_refines_and_names_rejection(monkeypatch, soc):
+    # with the counts unknown the branch-switch bracket is refined as before
+    # and solve_state rejects its end point
+    from bicforge import solver
+    branch_value = solver._branch_value
+    monkeypatch.setattr(solver, "_branch_value",
+                        lambda *a: (branch_value(*a)[0], None))
+    grid = bf.Grid.symmetric(30.0, 512)
+    with pytest.raises(NoSolutionInRange) as info:
+        bf.find_energy(soc, grid, SCALED_WELL, 0.78, 0.88, mesh_points=5)
+    msg = str(info.value)
+    assert msg.startswith("no fixed point in (0.78, 0.88): 1 sign change, "
+                          "1 rejected by solve_state (|lambda - 1| = 0.")
+    assert "branch switch" not in msg
+
+
+def test_no_solution_message_counts_zero_brackets():
+    model = bf.two_band_model(mu=0.0, g=1.0)
+    grid = bf.Grid.symmetric(20.0, 256)
+    with pytest.raises(NoSolutionInRange, match=r"^no fixed point in \(-0\.5, 0\.5\): "
+                                                r"0 sign changes$"):
+        bf.find_energy(model, grid, None, -0.5, 0.5, mesh_points=4)
+
+
+@pytest.mark.parametrize("mesh_points", [-3, 0, 1])
+def test_find_energy_rejects_short_mesh(mesh_points):
+    model = bf.single_band_model(lam=-1.0)
+    grid = bf.Grid.symmetric(40.0, 256)
+    with pytest.raises(ValueError, match="mesh_points"):
+        bf.find_energy(model, grid, UNIT_DELTA, -0.9, -0.1, mesh_points=mesh_points)
+
+
+def _dense_count_above_one(model, energy, grid, pot):
+    vals = np.linalg.eigvals(bf.assemble_map(model, energy, grid, pot))
+    return int(np.count_nonzero(vals.real > 1.0))
+
+
+@pytest.mark.parametrize("energy, count", [(-0.3, 1), (-0.8, 0)])
+def test_count_exact_on_support_matrix_path(energy, count):
+    # one delta site: the map has the single nonzero eigenvalue 1/kappa
+    from bicforge.solver import _near_one
+    model = bf.single_band_model(lam=-1.0)
+    grid = bf.Grid.symmetric(40.0, 513)
+    op = _ConvMap(model, energy, grid, UNIT_DELTA)
+    _, _, above = _near_one(op, 12, want_vectors=False)
+    assert above == _dense_count_above_one(model, energy, grid, UNIT_DELTA) == count
+
+
+def test_count_exact_after_converged_arnoldi(soc):
+    from bicforge.solver import _near_one
+    grid = bf.Grid.symmetric(22.0, 400)
+    nearest, counts = [], []
+    for energy in (0.8, 0.85):
+        op = _ConvMap(soc, energy, grid, SCALED_WELL)
+        assert op.support.size * op.n_bands > 512   # not the direct path
+        lam, _, above = _near_one(op, 12, want_vectors=False)
+        assert above == _dense_count_above_one(soc, energy, grid, SCALED_WELL)
+        nearest.append(lam.real)
+        counts.append(above)
+    # the nearest eigenvalue jumps across 1 and the count stays put
+    assert nearest[0] > 1.0 > nearest[1]
+    assert counts[0] == counts[1] >= 1
+
+
+@pytest.mark.parametrize("outcome", ["all_outside_unit_circle", "no_convergence"])
+def test_count_unknown_when_set_may_be_partial(monkeypatch, soc, outcome):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from bicforge import solver
+    vals = {"all_outside_unit_circle": np.array([1.5, 2.0 + 0.5j, -1.2]),
+            "no_convergence": np.array([1.5, 0.3])}[outcome]
+
+    def fake_eigs(op, k, **kwargs):
+        if outcome == "no_convergence":
+            raise ArpackNoConvergence("not converged", vals, None)
+        return vals
+
+    monkeypatch.setattr(solver, "eigs", fake_eigs)
+    op = _ConvMap(soc, 0.8, bf.Grid.symmetric(30.0, 512), SCALED_WELL)
+    lam, _, above = solver._near_one(op, 12, want_vectors=False)
+    assert lam == 1.5
+    assert above is None
