@@ -2,7 +2,9 @@
 """Green kernels three ways: residues, closed forms, and defining identity.
 
 The generic route evaluates adj(E - H0(p))/f'(p) at the momentum poles and
-folds +/- partners into standing and evanescent profiles. The closed-form
+keeps one term per pole: real poles give standing waves on both sides of the
+source, complex poles an evanescent tail on the side where they decay. The
+closed-form
 constructors for the constant-coupling and spin-orbit models are derived
 independently; agreement to ~1e-15 is the cross-check this module lives for.
 """
@@ -42,7 +44,8 @@ ka, kb = bf.residue_green(soc, e_bic), bf.soc_kernel(soc, e_bic)
 dev = max(np.abs(ka(d) - kb(d)).max() for d in seps)
 print(f"residues vs closed form at the embedded energy: {dev:.2e}")
 for t in kb.terms:
-    print(f"  term {t.mode.value:20s} pole {t.pole:+.4f}")
+    side = "both sides" if t.pole.imag == 0 else ("dx > 0" if t.pole.imag > 0 else "dx < 0")
+    print(f"  term pole {t.pole:+.4f}  lives on {side}")
 
 print("\n=== defining identity (E - H0) G = 0 away from the source ===")
 for label, model, e in (("single band", m1, -0.5),

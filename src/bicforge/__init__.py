@@ -18,7 +18,7 @@ from .delta import (DeltaSolution, bare_extended_mode, boundary_residual,
                     extended_green_1d, general_b_kappa, general_b_solution,
                     lambda_critical, single_band_bound, two_band_bound_energy,
                     two_band_solution)
-from .green import (GreenKernel, KernelMode, KernelTerm, constantA_kernel,
+from .green import (GreenKernel, KernelTerm, constantA_kernel,
                     derivative_jump, residue_green, soc_kernel)
 from .grids import Grid, SpinorField
 from .potentials import (Delta, PotentialSpec, Scaled, SocBic, Tabulated,

@@ -24,7 +24,7 @@ from .errors import (BicforgeError, CheckFailure, DegeneratePoles, GridTooLarge,
                      ModelError, NoBoundState, NoNearUnitEigenvalue, NoSolutionInRange)
 from .green import constantA_kernel, derivative_jump, residue_green, soc_kernel
 from .grids import MIN_POINTS, Grid
-from .models import (BandModel, general_b_model, load_model, single_band_model,
+from .models import (BandModel, general_b_model, load_model, sigma_y, single_band_model,
                      soc_model, two_band_model)
 from .potentials import Delta, Scaled, SocBic, e_bic_analytic, spec_from_dict
 from .solver import find_energy
@@ -180,6 +180,11 @@ def _decode_potentials(docs: list, base_dir: Path) -> list:
 
 def _cmd_bic_verify(args) -> int:
     grid = _checked_grid(args.half_width, args.n_points)
+    if args.mesh_points is None:
+        # the analytic window at scale 1 is narrow; a rescaled or given
+        # window needs the finer mesh
+        narrow = not args.model_file and args.scale == 1.0 and args.e_window is None
+        args.mesh_points = 7 if narrow else 48
     _check_mesh(args.mesh_points)
     scan_grid = Grid.symmetric(half_width=args.half_width,
                                n_points=max(1024, args.n_points // 4))
@@ -192,7 +197,6 @@ def _cmd_bic_verify(args) -> int:
         if args.e_window is None:
             raise BicforgeError("--model-file mode needs --e-window lo:hi")
         lo, hi = _parse_window(args.e_window)
-        mesh = args.mesh_points
     else:
         model, pot = _soc_setup(args)
         e0 = e_bic_analytic(args.gamma, args.nu, args.mu)
@@ -204,8 +208,8 @@ def _cmd_bic_verify(args) -> int:
             margin = 0.02 * abs(args.mu)
             lo = max(e0 - 0.3, -abs(args.mu) + margin)
             hi = min(e0 + 0.2, abs(args.mu) - margin)
-        mesh = args.mesh_points if args.scale != 1.0 or args.e_window else 7
-    reports = find_energy(model, grid, pot, lo, hi, mesh_points=mesh, scan_grid=scan_grid)
+    reports = find_energy(model, grid, pot, lo, hi, mesh_points=args.mesh_points,
+                          scan_grid=scan_grid)
     scored = [(rep, classify(model, rep.state, pot, rep.energy)) for rep in reports]
 
     rep, br = min(scored, key=lambda t: t[1].residual_rel)
@@ -399,19 +403,30 @@ def _cmd_kernel_check(args) -> int:
                                          soc_kernel(ms, e), seps))
     add("soc_residue_vs_closed_form", dev, 1e-10)
 
-    # defining identity (E - H0) G = 0 away from the source
+    # models whose poles are not symmetric under p -> -p: a Rashba wire with a
+    # parallel Zeeman field, and a fixed three-band model with a1 != 0
+    rz = BandModel(2, 1.0, 0.3 * sigma_y(), 0.5 * sigma_y(), np.eye(2))
+    three = BandModel(3, 1.0, np.array([[0.4, 0.2, 0.0], [0.2, -0.3, 0.1j],
+                                        [0.0, -0.1j, 0.1]]),
+                      np.array([[0.2, 0.0, 0.3], [0.0, -0.1, 0.0], [0.3, 0.0, 0.0]]),
+                      np.eye(3))
+
+    # defining identity (E - H0) G = 0 away from the source, on both sides
     dev = 0.0
     for model, e in ((m1, -0.5), (m1, 0.5),
-                     (two_band_model(0.3, 0.8, lam=-1.0), 0.1), (ms, 0.6917497)):
+                     (two_band_model(0.3, 0.8, lam=-1.0), 0.1), (ms, 0.6917497),
+                     (rz, 0.05), (three, 0.15)):
         k = residue_green(model, e)
-        r = apply_inverse_operator(model, k, 1.3, step=1e-3)
-        dev = max(dev, np.abs(r).max() / np.abs(k(1.3)).max())
+        for d in (1.3, -1.3):
+            r = apply_inverse_operator(model, k, d, step=1e-3)
+            dev = max(dev, np.abs(r).max() / np.abs(k(d)).max())
     add("defining_identity_fd", dev, 1e-5)
 
     # derivative jump 2m I
     dev = 0.0
     for model, e in ((m1, -0.5), (m1, 0.5),
-                     (two_band_model(0.3, 0.8, lam=-1.0), 0.1), (ms, 0.2)):
+                     (two_band_model(0.3, 0.8, lam=-1.0), 0.1), (ms, 0.2),
+                     (rz, 0.05), (three, 0.15)):
         j = derivative_jump(residue_green(model, e))
         dev = max(dev, np.abs(j - 2.0 * model.mass * np.eye(model.n_bands)).max())
     add("derivative_jump_2m", dev, 1e-8)
@@ -419,27 +434,23 @@ def _cmd_kernel_check(args) -> int:
     # spin-orbit bare-coefficient variant (role-mapped poles): its gamma-odd
     # pieces agree with the residue derivation exactly; its bare sigma_z
     # pieces lack the residue denominators and are reported, not gated.
+    # The per-pole residues are folded back into the sine, cos*sign and odd
+    # exponential matrices the variant quotes.
     e = 0.6917497
     kern = soc_kernel(ms, e)
-    q = float(kern.real_momenta.max())
-    kap = float(min(t.pole.imag for t in kern.terms
-                    if t.mode.value == "ExpDecay"))
+    q, kap = float(kern.real_momenta.max()), kern.decay_rate
+    res = {t.pole: t.residue for t in kern.terms}
+    r_q, r_mq, r_up, r_lo = res[q], res[-q], res[1j * kap], res[-1j * kap]
     denom = q * q + kap * kap
     isy = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    sz = np.diag([1.0, -1.0])
     variant_cs = 2.0 * 0.5 * isy / denom  # 2 m^2 gamma (i sigma_y) / (q^2+kap^2)
-    dev_gamma = 0.0
-    dev_sz = 0.0
-    for t in kern.terms:
-        if t.mode.value == "StandingCosineSign":
-            dev_gamma = max(dev_gamma, np.abs(t.matrix - variant_cs).max())
-        if t.mode.value == "ExpDecay" and t.matrix_odd is not None:
-            dev_gamma = max(dev_gamma, np.abs(t.matrix_odd + variant_cs).max())
-        if t.mode.value == "StandingSine":
-            # sigma_z coefficient of the sine matrix vs the bare -2 m^2 mu variant
-            mine_sz = float((t.matrix[0, 0] - t.matrix[1, 1]).real) / 2.0
-            variant_sz = -2.0 * ms.mass**2 * 1.0
-            dev_sz = max(dev_sz, abs(mine_sz - variant_sz))
+    m_sin = -(r_q - r_mq) / 2.0
+    m_cs = 0.5j * (r_q + r_mq)
+    m_odd = 0.5j * (r_up + r_lo)
+    dev_gamma = max(np.abs(m_cs - variant_cs).max(), np.abs(m_odd + variant_cs).max())
+    # sigma_z coefficient of the sine matrix vs the bare -2 m^2 mu variant
+    mine_sz = float((m_sin[0, 0] - m_sin[1, 1]).real) / 2.0
+    dev_sz = abs(mine_sz - (-2.0 * ms.mass**2 * 1.0))
     add("soc_gamma_terms_vs_quoted_variant", dev_gamma, 1e-10)
     add("soc_sigma_z_terms_vs_quoted_variant", dev_sz, None, status="info")
 
@@ -511,7 +522,8 @@ def build_parser() -> _Parser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--half-width", type=float, default=30.0)
     p.add_argument("--n-points", type=int, default=4096)
-    p.add_argument("--mesh-points", type=int, default=48)
+    p.add_argument("--mesh-points", type=int,
+                   help="energy mesh size (default: 7 at scale 1 without --e-window, else 48)")
     p.add_argument("--e-window", help="lo:hi energy window override")
     p.add_argument("--spectrum-out")
     p.add_argument("--wave-out")

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BicforgeError, GridTooCoarse, WindowTooShort
-from .green import KernelMode, residue_green
+from .green import residue_green
 from .grids import Grid, SpinorField
 from .models import BandModel
 from .potentials import PotentialSpec, coupling_terms, sample_potential
@@ -112,18 +112,14 @@ def fourier_residual(state: SpinorField, potential: PotentialSpec | Sequence,
     return np.array(comps).reshape(qs.shape + src.shape[1:])
 
 
-def _fourier_many(src: np.ndarray, grid: Grid, qs: np.ndarray) -> np.ndarray:
-    phases = np.exp(-1j * np.outer(qs, grid.x))
-    return phases @ (src * grid.weights[:, None])
-
-
 def peak_fourier_norm(state: SpinorField, potential: PotentialSpec | Sequence,
                       b: np.ndarray | None, q_max: float,
                       samples: int = PEAK_SAMPLES) -> float:
     """Scale-free normalizer: max |F_q| over q in [0, q_max]."""
     src = _source_values(state, potential, b)
     qs = np.linspace(0.0, q_max, samples)
-    vals = _fourier_many(src, state.grid, qs)
+    phases = np.exp(-1j * np.outer(qs, state.grid.x))
+    vals = phases @ (src * state.grid.weights[:, None])
     return float(np.linalg.norm(vals, axis=1).max())
 
 
@@ -168,16 +164,41 @@ def tail_metrics(state: SpinorField, p_real: float, window_start: float
 
 
 def _standing_projectors(model: BandModel, energy: float) -> dict[float, list[np.ndarray]]:
-    """Unit-norm standing-wave residue matrices per positive real pole."""
+    """Unit-norm standing-wave residue matrices per real pole magnitude |p|.
+
+    The real poles +p and -p (a missing partner counts as zero) give the
+    sine matrix S = -(R_+ - R_-)/2 and the cos*sign matrix
+    C = (i/2)(R_+ + R_-). C is dropped when it is roundoff next to S, and
+    always without a linear-in-p term: then R(-p) = -R(p) exactly, and what
+    remains of C is the mismatch of the computed roots +p and -p, which
+    close pole pairs amplify far above roundoff.
+    """
     kernel = residue_green(model, energy)
+    real = sorted((t for t in kernel.terms if t.pole.imag == 0), key=lambda t: abs(t.pole))
+    groups: list[list] = []
+    for t in real:
+        if groups and abs(t.pole) - abs(groups[-1][0].pole) < 1e-8 * (1.0 + abs(t.pole)):
+            groups[-1].append(t)
+        else:
+            groups.append([t])
     out: dict[float, list[np.ndarray]] = {}
-    for term in kernel.terms:
-        if term.mode is KernelMode.EXP_DECAY:
-            continue
-        mat = term.matrix
-        nrm = np.linalg.norm(mat, 2)
-        if nrm > 0:
-            out.setdefault(float(term.pole.real), []).append(mat / nrm)
+    scale = 0.0
+    zero = np.zeros((kernel.n_bands, kernel.n_bands), dtype=complex)
+    for group in groups:
+        r_plus = next((t.residue for t in group if t.pole.real > 0), zero)
+        r_minus = next((t.residue for t in group if t.pole.real < 0), zero)
+        m_sin = -(r_plus - r_minus) / 2.0
+        m_cs = 0.5j * (r_plus + r_minus)
+        scale = max(scale, np.abs(m_sin).max())
+        mats = [m_sin]
+        if (model.has_linear_term
+                and np.abs(m_cs).max() > 1e-12 * max(scale, np.abs(m_cs).max())):
+            mats.append(m_cs)
+        key = float(abs(group[0].pole))
+        for mat in mats:
+            nrm = np.linalg.norm(mat, 2)
+            if nrm > 0:
+                out.setdefault(key, []).append(mat / nrm)
     return out
 
 
@@ -190,7 +211,6 @@ def classify(model: BandModel, state: SpinorField,
     A single spec couples through b (default: the model's B matrix); a
     per-channel list couples channel by channel, and b is not used.
     """
-    src = _source_values(state, potential, model.b if b is None else b)
     region = classify_region(model, energy)
     if region.tag is not RegionTag.MIXED:
         verdict = (Verdict.CONVENTIONAL if region.tag is RegionTag.ALL_COMPLEX
@@ -207,16 +227,12 @@ def classify(model: BandModel, state: SpinorField,
     pos_poles = np.array(sorted({abs(p) for p in signed_poles}))
     projectors = _standing_projectors(model, energy)
 
-    q_max = 4.0 * pos_poles.max()
-    qs = np.linspace(0.0, q_max, PEAK_SAMPLES)
-    peak = float(np.linalg.norm(_fourier_many(src, grid, qs), axis=1).max())
+    b = model.b if b is None else b
+    peak = peak_fourier_norm(state, potential, b, q_max=4.0 * pos_poles.max())
 
-    raw = []
+    raw = list(fourier_residual(state, potential, b, signed_poles))
     projected = []
-    for p in signed_poles:
-        f_p = np.sum(np.exp(-1j * p * grid.x)[:, None] * src
-                     * grid.weights[:, None], axis=0)
-        raw.append(f_p)
+    for p, f_p in zip(signed_poles, raw):
         mats = []
         if projectors:
             nearest = min(projectors, key=lambda k: abs(k - abs(p)))
@@ -256,7 +272,9 @@ def multiband_criterion(model: BandModel, state: SpinorField,
     """Verdict for diagonal per-channel potentials diag(V_1, ..., V_N).
 
     classify() with the per-channel list, after checking that the model
-    has N >= 2 channels and the list one entry per channel. The components
+    has N >= 2 channels and the list one entry per channel. It stays a
+    separate public entry point because classify() also accepts a single
+    spec coupled through b, where these checks do not apply. The components
     F_{+/-p}(diag(V) psi) must vanish, pole by pole, after propagation
     through the standing-wave residue matrices; channels the pole does not
     touch contribute exactly zero.

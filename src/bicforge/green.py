@@ -2,14 +2,18 @@
 
 G_E(dx) = (1/2pi) Int (E - H0(p))^{-1} exp(i p dx) dp. The integrand is
 adj(E - H0(p)) exp(i p dx) / f(p) with f the dispersion determinant, so the
-integral is a sum over the momentum poles:
+integral is a sum over the momentum poles, one term per pole with residue
+R_p = adj(E - H0(p)) / f'(p). Which side of the source a term lives on
+follows from the sign of Im p alone:
 
-* non-real poles are collected by closing the contour in the half-plane
-  matching sign(dx), giving evanescent exp(i p |dx|) terms;
-* real poles are taken as principal values (the standing-wave
-  prescription), giving half residues from each side. Folding the +p/-p
-  partners together turns each real pair into a sin(p |dx|) matrix term
-  plus, when the model has a linear-in-p term, a cos(p dx) sign(dx) term.
+* Im p > 0: i R_p exp(i p dx) for dx > 0 (contour closed above);
+* Im p < 0: -i R_p exp(i p dx) for dx < 0 (contour closed below);
+* real p: +/-(i/2) R_p exp(i p dx) with the sign of dx, the principal value
+  (standing-wave prescription).
+
+At dx = 0 each term takes the mean of its two sides. No pairing of poles is
+needed, so a pole set without p -> -p symmetry (a linear-in-p term next to
+a parallel constant term, or N > 2 bands) takes the same path.
 
 For a single band this reproduces (m/p0) sin(p0 dx) sign(dx) above the band
 and -(m/kappa) exp(-kappa |dx|) below it. The derivative jump
@@ -25,7 +29,6 @@ fails it -- the kernel-check table reports that comparison).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -39,26 +42,18 @@ from .spectral import PoleLabel, dispersion_coeffs, poles, soc_poles
 DEGENERATE_POLE_TOL = 1e-7
 
 
-class KernelMode(str, Enum):
-    EXP_DECAY = "ExpDecay"
-    STANDING_SINE = "StandingSine"
-    STANDING_COSINE_SIGN = "StandingCosineSign"
-
-
 @dataclass(frozen=True)
 class KernelTerm:
-    """One residue term of the kernel.
+    """The residue term of one momentum pole.
 
-    Profiles per mode (p = pole):
-      EXP_DECAY            (matrix + matrix_odd * sign(dx)) * exp(i p |dx|), Im p > 0
-      STANDING_SINE        matrix * sin(p |dx|),  p real > 0
-      STANDING_COSINE_SIGN matrix * cos(p dx) * sign(dx),  p real > 0
+    A real pole has imag exactly 0; its profile is (i/2) sign(dx) R e^{ipdx}.
+    A pole with Im p > 0 contributes i R e^{ipdx} on dx > 0, one with
+    Im p < 0 contributes -i R e^{ipdx} on dx < 0, and both half of that at
+    dx = 0.
     """
 
-    matrix: np.ndarray
     pole: complex
-    mode: KernelMode
-    matrix_odd: np.ndarray | None = None
+    residue: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,18 +68,16 @@ class GreenKernel:
         """Kernel matrices for an array of separations, shape (len, N, N)."""
         dx = np.atleast_1d(np.asarray(dx, dtype=float))
         out = np.zeros((dx.size, self.n_bands, self.n_bands), dtype=complex)
-        adx = np.abs(dx)
         sgn = np.sign(dx)
         for t in self.terms:
-            if t.mode is KernelMode.EXP_DECAY:
-                prof = np.exp(1j * t.pole * adx)
-                out += prof[:, None, None] * t.matrix
-                if t.matrix_odd is not None:
-                    out += (prof * sgn)[:, None, None] * t.matrix_odd
-            elif t.mode is KernelMode.STANDING_SINE:
-                out += np.sin(t.pole.real * adx)[:, None, None] * t.matrix
-            else:
-                out += (np.cos(t.pole.real * dx) * sgn)[:, None, None] * t.matrix
+            # (i/2)(sign(dx) + sign(Im p)) is zero on the side a term does not
+            # live on; its exponential is not evaluated there, where an
+            # evanescent one overflows and inf * 0 would give NaN
+            weight = 0.5j * (sgn + np.sign(t.pole.imag))
+            live = weight != 0
+            prof = np.zeros(dx.size, dtype=complex)
+            prof[live] = weight[live] * np.exp(1j * t.pole * dx[live])
+            out += prof[:, None, None] * t.residue
         return out
 
     def __call__(self, dx: float) -> np.ndarray:
@@ -92,22 +85,14 @@ class GreenKernel:
 
     @property
     def decay_rate(self) -> float:
-        """Slowest evanescent rate (min Im pole over EXP_DECAY terms)."""
-        rates = [t.pole.imag for t in self.terms if t.mode is KernelMode.EXP_DECAY]
+        """Slowest evanescent rate (min Im p over the upper poles)."""
+        rates = [t.pole.imag for t in self.terms if t.pole.imag > 0]
         return min(rates) if rates else float("inf")
 
     @property
     def real_momenta(self) -> np.ndarray:
-        ps = sorted({t.pole.real for t in self.terms if t.mode is not KernelMode.EXP_DECAY})
-        return np.array(ps)
-
-    @property
-    def standing_matrices(self) -> list[tuple[float, np.ndarray, np.ndarray | None]]:
-        """(p, sine matrix, cos-sign matrix or None) per real pole pair."""
-        sines = {t.pole.real: t.matrix for t in self.terms if t.mode is KernelMode.STANDING_SINE}
-        coss = {t.pole.real: t.matrix
-                for t in self.terms if t.mode is KernelMode.STANDING_COSINE_SIGN}
-        return [(p, sines[p], coss.get(p)) for p in sorted(sines)]
+        """The real poles, signed and sorted."""
+        return np.array(sorted(t.pole.real for t in self.terms if t.pole.imag == 0))
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
@@ -125,32 +110,12 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return cof.T
 
 
-def _pair_by_negation(values: np.ndarray, tol: float):
-    """Match each entry with its -p partner; returns index pairs (i, j)."""
-    used = np.zeros(len(values), dtype=bool)
-    pairs = []
-    for i, v in enumerate(values):
-        if used[i]:
-            continue
-        best, best_d = -1, np.inf
-        for j in range(len(values)):
-            if j == i or used[j]:
-                continue
-            d = abs(values[j] + v)
-            if d < best_d:
-                best, best_d = j, d
-        if best < 0 or best_d > tol * (1.0 + abs(v)):
-            return None
-        used[i] = used[best] = True
-        pairs.append((i, best) if v.real >= values[best].real else (best, i))
-    return pairs
-
-
 def residue_green(model: BandModel, energy: float) -> GreenKernel:
-    """Generic kernel for any model with a +/- symmetric pole multiset.
+    """Generic kernel for any model: one term per momentum pole.
 
-    Residue matrices are adj(E - H0(p)) / f'(p) at each pole. Coincident
-    poles (band edges) raise DegeneratePoles.
+    Residue matrices are adj(E - H0(p)) / f'(p) at each pole; a pole labeled
+    real keeps its real part only. Coincident poles (band edges) raise
+    DegeneratePoles.
     """
     ps = poles(model, energy)
     roots = ps.roots
@@ -161,54 +126,27 @@ def residue_green(model: BandModel, energy: float) -> GreenKernel:
                 raise DegeneratePoles(
                     f"poles {roots[i]:.6g} and {roots[j]:.6g} coincide at E={energy:g}; "
                     "offset the energy")
-    coeffs = dispersion_coeffs(model, energy)
-    dcoeffs = npoly.polyder(coeffs)
+    dcoeffs = npoly.polyder(dispersion_coeffs(model, energy))
     eye = np.eye(model.n_bands)
-
-    def residue_at(p: complex) -> np.ndarray:
-        fprime = npoly.polyval(p, dcoeffs)
-        return _adjugate(energy * eye - model.h0(p)) / fprime
-
-    real_idx = [i for i, lab in enumerate(ps.labels) if lab is PoleLabel.REAL]
-    cplx_idx = [i for i, lab in enumerate(ps.labels) if lab is not PoleLabel.REAL]
-
-    terms: list[KernelTerm] = []
-    scale = 0.0
-
-    real_vals = np.array([roots[i].real for i in real_idx], dtype=complex)
-    pairs = _pair_by_negation(real_vals, 1e-8)
-    if pairs is None:
-        raise ModelError("real poles are not +/- symmetric; model outside supported families")
-    for ip, im in pairs:
-        p = float(real_vals[ip].real)
-        r_plus = residue_at(p)
-        r_minus = residue_at(-p)
-        m_sin = -(r_plus - r_minus) / 2.0
-        m_cs = 0.5j * (r_plus + r_minus)
-        scale = max(scale, np.abs(m_sin).max())
-        terms.append(KernelTerm(matrix=m_sin, pole=complex(p), mode=KernelMode.STANDING_SINE))
-        if np.abs(m_cs).max() > 1e-12 * max(scale, np.abs(m_cs).max()):
-            terms.append(KernelTerm(matrix=m_cs, pole=complex(p),
-                                    mode=KernelMode.STANDING_COSINE_SIGN))
-
-    cplx_vals = np.array([roots[i] for i in cplx_idx])
-    pairs = _pair_by_negation(cplx_vals, 1e-8)
-    if pairs is None:
-        raise ModelError("complex poles are not +/- symmetric; model outside supported families")
-    for iu, il in pairs:
-        up, lo = cplx_vals[iu], cplx_vals[il]
-        if up.imag < 0:
-            up, lo = lo, up
-        r_u = residue_at(up)
-        r_l = residue_at(lo)
-        m_even = 0.5j * (r_u - r_l)
-        m_odd = 0.5j * (r_u + r_l)
-        scale = max(scale, np.abs(m_even).max())
-        odd = m_odd if np.abs(m_odd).max() > 1e-12 * scale else None
-        terms.append(KernelTerm(matrix=m_even, pole=complex(up),
-                                mode=KernelMode.EXP_DECAY, matrix_odd=odd))
-
+    terms = []
+    for root, label in zip(roots, ps.labels):
+        p = complex(root.real) if label is PoleLabel.REAL else complex(root)
+        residue = _adjugate(energy * eye - model.h0(p)) / npoly.polyval(p, dcoeffs)
+        terms.append(KernelTerm(pole=p, residue=residue))
     return GreenKernel(energy=energy, n_bands=model.n_bands, terms=tuple(terms))
+
+
+def _standing_terms(q: float, m_sin: np.ndarray, m_cs: np.ndarray) -> list[KernelTerm]:
+    """Real-pole terms +/-q whose sum is m_sin sin(q|dx|) + m_cs cos(q dx) sign(dx)."""
+    return [KernelTerm(pole=complex(q), residue=-m_sin - 1j * m_cs),
+            KernelTerm(pole=complex(-q), residue=m_sin - 1j * m_cs)]
+
+
+def _evanescent_terms(kappa: float, m_even: np.ndarray,
+                      m_odd: np.ndarray) -> list[KernelTerm]:
+    """Poles +/-i kappa whose sum is (m_even + m_odd sign(dx)) exp(-kappa |dx|)."""
+    return [KernelTerm(pole=1j * kappa, residue=-1j * (m_even + m_odd)),
+            KernelTerm(pole=-1j * kappa, residue=1j * (m_even - m_odd))]
 
 
 def _constant_a_params(model: BandModel) -> tuple[float, float]:
@@ -250,13 +188,11 @@ def constantA_kernel(model: BandModel, energy: float) -> GreenKernel:
     b = -m / (2.0 * s * p1)
     v1 = np.array([mu + s, g])
     v2 = np.array([mu - s, g])
-    b1_mat = a * np.column_stack([v1, c0 * v1]).astype(complex)
-    b2_mat = b * np.column_stack([v2, d0 * v2]).astype(complex)
-    terms = (
-        KernelTerm(matrix=b1_mat, pole=1j * kappa, mode=KernelMode.EXP_DECAY),
-        KernelTerm(matrix=b2_mat, pole=complex(p1), mode=KernelMode.STANDING_SINE),
-    )
-    return GreenKernel(energy=energy, n_bands=2, terms=terms)
+    b1_mat = a * np.column_stack([v1, c0 * v1])
+    b2_mat = b * np.column_stack([v2, d0 * v2])
+    zero = np.zeros((2, 2))
+    terms = _evanescent_terms(kappa, b1_mat, zero) + _standing_terms(p1, b2_mat, zero)
+    return GreenKernel(energy=energy, n_bands=2, terms=tuple(terms))
 
 
 def _soc_params(model: BandModel) -> tuple[float, float]:
@@ -281,7 +217,8 @@ def soc_kernel(model: BandModel, energy: float) -> GreenKernel:
       sine term  -(m/(2 q S)) (w(q) I + mu sigma_z)
       cos*sign   +(m/(2S)) i g sigma_y
 
-    Derived by evaluating adj/f' at the four poles and folding +/- partners.
+    Derived by evaluating adj/f' at the four poles and folding +/- partners;
+    the kernel stores them unfolded again, one term per pole.
     The gamma-odd pieces coincide with the commonly quoted variant of this
     kernel; the mu sigma_z pieces here carry the 1/(pole * (q^2 + kap^2))
     residue weights that the bare variant omits (compared in kernel-check).
@@ -307,15 +244,7 @@ def soc_kernel(model: BandModel, energy: float) -> GreenKernel:
     m_cs = (m / (2.0 * s_root)) * gamma * isy
     m_even = -(m / (2.0 * kap * s_root)) * (w_e * eye + mu * sz)
     m_odd = -(m / (2.0 * s_root)) * gamma * isy
-    terms = [
-        KernelTerm(matrix=m_even.astype(complex), pole=1j * kap, mode=KernelMode.EXP_DECAY,
-                   matrix_odd=m_odd.astype(complex) if gamma != 0.0 else None),
-        KernelTerm(matrix=m_sin.astype(complex), pole=complex(q),
-                   mode=KernelMode.STANDING_SINE),
-    ]
-    if gamma != 0.0:
-        terms.append(KernelTerm(matrix=m_cs.astype(complex), pole=complex(q),
-                                mode=KernelMode.STANDING_COSINE_SIGN))
+    terms = _evanescent_terms(kap, m_even, m_odd) + _standing_terms(q, m_sin, m_cs)
     return GreenKernel(energy=energy, n_bands=2, terms=tuple(terms))
 
 
@@ -341,13 +270,9 @@ def apply_inverse_operator(model: BandModel, kernel: GreenKernel, dx_at: float,
 def derivative_jump(kernel: GreenKernel) -> np.ndarray:
     """G'(0+) - G'(0-), exact from the term structure; equals +2m I.
 
-    Per term: exp contributes 2 i p M, sine contributes 2 p M, the
-    cos*sign profile has zero slope on both sides.
+    Every term, on either side and real or not, contributes -p R_p.
     """
     jump = np.zeros((kernel.n_bands, kernel.n_bands), dtype=complex)
     for t in kernel.terms:
-        if t.mode is KernelMode.EXP_DECAY:
-            jump += 2j * t.pole * t.matrix
-        elif t.mode is KernelMode.STANDING_SINE:
-            jump += 2.0 * t.pole.real * t.matrix
+        jump -= t.pole * t.residue
     return jump

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +59,7 @@ def _source_factors(grid: Grid, terms: list, n_bands: int) -> np.ndarray:
 
 def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
     kernel = residue_green(model, energy)
-    ps = kernel.real_momenta
+    ps = np.abs(kernel.real_momenta)
     if ps.size and grid.dx * ps.max() > MAX_PHASE_STEP:
         raise GridTooCoarse(
             f"dx*p = {grid.dx * ps.max():.3g} rad/step exceeds {MAX_PHASE_STEP}")
@@ -114,11 +115,15 @@ class _ConvMap(LinearOperator):
         self.kernel = kernel
         self.factors = _source_factors(grid, terms, model.n_bands)
         self.support = np.flatnonzero(np.abs(self.factors).max(axis=(1, 2)) > 0)
-        samples = _kernel_samples(kernel, grid)
         self._fft_len = next_fast_len(2 * n - 1)
-        self._kf = fft(samples, n=self._fft_len, axis=0)
         dim = n * model.n_bands
         super().__init__(dtype=complex, shape=(dim, dim))
+
+    @cached_property
+    def _kf(self) -> np.ndarray:
+        """FFT of the kernel samples, taken at the first convolution: the
+        support-matrix path probes the mesh without convolving at all."""
+        return fft(_kernel_samples(self.kernel, self.grid), n=self._fft_len, axis=0)
 
     def _convolve(self, u: np.ndarray) -> np.ndarray:
         """Sum_j K(x_i - x_j) u_j for a per-site source u of shape (n, N)."""

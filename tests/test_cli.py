@@ -9,6 +9,7 @@ import pytest
 
 import bicforge as bf
 from bicforge import cli
+from bicforge.errors import NoSolutionInRange
 
 
 def run_cli(*argv):
@@ -190,6 +191,35 @@ def test_mesh_points_below_two_exit_usage(capsys, command, mesh):
     assert rc == cli.EXIT_USAGE
     assert captured.out == ""
     assert captured.err == f"bicforge: --mesh-points must be >= 2, got {mesh}\n"
+
+
+@pytest.mark.parametrize("extra, mesh", [
+    ([], 7),
+    (["--mesh-points", "3"], 3),
+    (["--scale", "0.9"], 48),
+    (["--e-window", "0.67:0.71"], 48),
+    (["--scale", "0.9", "--mesh-points", "5"], 5),
+], ids=["default", "explicit", "rescaled", "window", "rescaled_explicit"])
+def test_bic_verify_mesh_points_honoured(monkeypatch, extra, mesh):
+    seen = []
+
+    def stub(*args, mesh_points, **kwargs):
+        seen.append(mesh_points)
+        raise NoSolutionInRange("stub")
+
+    monkeypatch.setattr(cli, "find_energy", stub)
+    rc = cli.main(["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1",
+                   "--n-points", "1024", *extra])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert seen == [mesh]
+
+
+def test_bic_verify_reports_mesh_points_used(capsys):
+    rc = cli.main(["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1",
+                   "--n-points", "1024"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK, captured.err
+    assert check_report(captured.out)["params"]["mesh_points"] == 7
 
 
 def test_missing_model_file_exit_usage(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bicforge as bf
-from bicforge.criterion import Verdict
+from bicforge.criterion import Verdict, _standing_projectors
 from bicforge.errors import GridTooCoarse, WindowTooShort
 
 Q = 2.0632495726496685
@@ -158,6 +158,21 @@ def test_multiband_coupled_quasi_bic():
     assert br.verdict is Verdict.QUASI_BIC
     assert br.projected_residuals.max() > 0.0
     assert br.residual_rel > 1e-3
+
+
+def test_standing_projectors_close_pole_pairs_without_linear_term(soc, e_bic):
+    # two real pole pairs 0.01 apart: the computed roots +p and -p differ
+    # by about 2e-13, and (i/2)(R_+ + R_-) picks that up at about 1e-11 of
+    # the sine matrix although it vanishes exactly without a linear term
+    a0 = np.array([[-0.37132696136002763, 0.4945804911271288, 0.039918676391265256],
+                   [0.4945804911271288, -0.5236610873611787, 0.0406087068297624],
+                   [0.039918676391265256, 0.0406087068297624, -0.9521790498980919]])
+    model = bf.BandModel(3, 1.0, a0, np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0]))
+    projectors = _standing_projectors(model, -0.21089568642655498)
+    assert sorted(projectors) == pytest.approx([1.21214, 1.22216], abs=1e-5)
+    assert all(len(mats) == 1 for mats in projectors.values())
+    # with the linear term the cos*sign matrix is genuine and stays
+    assert [len(mats) for mats in _standing_projectors(soc, e_bic).values()] == [2]
 
 
 def test_refinement_monotonicity(bic_state_2048, bic_state_4096, soc, socbic_pot):

@@ -3,13 +3,19 @@ import pytest
 
 import bicforge as bf
 from bicforge.errors import DegeneratePoles, GapViolation, SingularG
-from bicforge.green import KernelMode, apply_inverse_operator
+from bicforge.green import apply_inverse_operator
 
 SEPS = (-2.0, -0.7, -0.3, 0.0, 0.3, 0.7, 2.0)
 
 
 def kernel_dev(k1, k2, seps=SEPS):
     return max(np.abs(k1(d) - k2(d)).max() for d in seps)
+
+
+def residue_at(kernel, pole, tol=1e-10):
+    """Residue of the one kernel term whose pole is within tol of `pole`."""
+    (term,) = [t for t in kernel.terms if abs(t.pole - pole) < tol]
+    return term.residue
 
 
 def test_single_band_bound_kernel():
@@ -32,12 +38,11 @@ def test_single_band_extended_matches_standing_form():
 def test_two_band_mixed_kernel_structure():
     model = bf.two_band_model(mu=0.0, g=1.0)
     k = bf.residue_green(model, 0.875)
-    modes = sorted(t.mode for t in k.terms)
-    assert modes == sorted([KernelMode.EXP_DECAY, KernelMode.STANDING_SINE])
-    exp = next(t for t in k.terms if t.mode is KernelMode.EXP_DECAY)
-    sine = next(t for t in k.terms if t.mode is KernelMode.STANDING_SINE)
-    assert exp.pole == pytest.approx(0.5j, abs=1e-10)
-    assert sine.pole.real == pytest.approx(np.sqrt(3.75), abs=1e-10)
+    poles = sorted((t.pole for t in k.terms), key=lambda p: (p.imag, p.real))
+    want = [-0.5j, -np.sqrt(3.75), np.sqrt(3.75), 0.5j]
+    assert np.allclose(poles, want, atol=1e-10)
+    # real poles carry exactly zero imaginary part: that selects their profile
+    assert sum(t.pole.imag == 0 for t in k.terms) == 2
 
 
 def test_constant_coupling_closed_form_coefficients():
@@ -45,13 +50,17 @@ def test_constant_coupling_closed_form_coefficients():
     k = bf.constantA_kernel(model, 0.5)
     p1 = np.sqrt(3.0)
     kappa = 1.0
-    exp = next(t for t in k.terms if t.mode is KernelMode.EXP_DECAY)
-    sine = next(t for t in k.terms if t.mode is KernelMode.STANDING_SINE)
-    # a [v1 | c0 v1] with v1 = (1, 1), c0 = 1, a = -1/(2 kappa)
-    assert np.allclose(exp.matrix, -np.ones((2, 2)) / (2 * kappa), atol=1e-12)
-    # b [v2 | d0 v2] with v2 = (-1, 1), d0 = -1, b = -1/(2 p1)
-    want = -np.array([[-1.0, 1.0], [1.0, -1.0]]) / (2 * p1)
-    assert np.allclose(sine.matrix, want, atol=1e-12)
+    assert len(k.terms) == 4
+    # a [v1 | c0 v1] with v1 = (1, 1), c0 = 1, a = -1/(2 kappa): the even
+    # exp(-kappa|dx|) matrix, split as R = -i M at +i kappa and +i M at -i kappa
+    m_exp = -np.ones((2, 2)) / (2 * kappa)
+    assert np.allclose(residue_at(k, 1j * kappa), -1j * m_exp, atol=1e-12)
+    assert np.allclose(residue_at(k, -1j * kappa), 1j * m_exp, atol=1e-12)
+    # b [v2 | d0 v2] with v2 = (-1, 1), d0 = -1, b = -1/(2 p1): the sine
+    # matrix, split as R = -M at +p1 and +M at -p1
+    m_sin = -np.array([[-1.0, 1.0], [1.0, -1.0]]) / (2 * p1)
+    assert np.allclose(residue_at(k, p1), -m_sin, atol=1e-12)
+    assert np.allclose(residue_at(k, -p1), m_sin, atol=1e-12)
 
 
 def test_constant_coupling_agrees_with_residues():
@@ -85,19 +94,23 @@ def test_soc_closed_form_agrees_with_residues(e_bic):
 
 def test_soc_kernel_term_structure(e_bic):
     k = bf.soc_kernel(bf.soc_model(gamma=0.5, mu=1.0), e_bic)
-    poles = {t.mode: t.pole for t in k.terms}
-    assert poles[KernelMode.EXP_DECAY] == pytest.approx(0.7j, abs=1e-6)
-    assert poles[KernelMode.STANDING_SINE].real == pytest.approx(2.06325, abs=1e-4)
-    assert poles[KernelMode.STANDING_COSINE_SIGN].real == pytest.approx(2.06325, abs=1e-4)
-    # the cos*sign and odd-exponential weights are the gamma-driven pieces
-    cs = next(t.matrix for t in k.terms if t.mode is KernelMode.STANDING_COSINE_SIGN)
+    poles = sorted((t.pole for t in k.terms), key=lambda p: (p.imag, p.real))
+    assert [poles[0], poles[3]] == pytest.approx([-0.7j, 0.7j], abs=1e-6)
+    assert [poles[1], poles[2]] == pytest.approx([-2.06325, 2.06325], abs=1e-4)
+    r_mq, r_q = residue_at(k, poles[1]), residue_at(k, poles[2])
+    # the cos*sign weight (i/2)(R_q + R_-q) and the odd exponential weight
+    # (i/2)(R_up + R_low) are the gamma-driven pieces
+    cs = 0.5j * (r_q + r_mq)
+    assert np.abs(cs).max() > 0.1
     assert np.abs(cs + cs.T).max() < 1e-14  # antisymmetric (i sigma_y structure)
 
 
 def test_soc_gamma_to_zero_drops_cosine_term():
     model = bf.soc_model(gamma=0.0, mu=1.0)
     k = bf.soc_kernel(model, 0.3)
-    assert all(t.mode is not KernelMode.STANDING_COSINE_SIGN for t in k.terms)
+    q = float(k.real_momenta.max())
+    # R_q = -R_-q: the cos*sign weight (i/2)(R_q + R_-q) vanishes
+    assert np.abs(residue_at(k, q) + residue_at(k, -q)).max() < 1e-15
     # and it still matches the generic route
     assert kernel_dev(bf.residue_green(model, 0.3), k) < 1e-12
 
@@ -153,3 +166,36 @@ def test_sign_odd_parts_flip_for_linear_term(e_bic):
     k0 = bf.soc_kernel(bf.soc_model(gamma=0.0, mu=1.0), 0.3)
     for d in (0.4, 1.3):
         assert np.abs(k0(d) - k0(-d)).max() < 1e-13
+
+
+def test_random_three_band_kernels_with_linear_term():
+    # pole sets without p -> -p symmetry: one term per pole, no pairing
+    rng = np.random.default_rng(3)
+
+    def herm():
+        a = rng.uniform(-0.5, 0.5, (3, 3)) + 1j * rng.uniform(-0.5, 0.5, (3, 3))
+        return (a + a.conj().T) / 2
+
+    for _ in range(30):
+        model = bf.BandModel(3, 1.0, herm(), herm(), np.eye(3))
+        e = rng.uniform(-0.3, 0.3)
+        roots = bf.poles(model, e).roots
+        assert max(min(abs(r + s) for s in roots) for r in roots) > 0.1
+        k = bf.residue_green(model, e)
+        assert len(k.terms) == 6
+        for d in (1.3, -1.3):
+            r = apply_inverse_operator(model, k, d, step=1e-3)
+            assert np.abs(r).max() < 1e-5 * np.abs(k(d)).max()
+        assert np.abs(bf.derivative_jump(k) - 2.0 * np.eye(3)).max() < 1e-8
+
+
+def test_evanescent_terms_do_not_overflow_on_the_growing_side():
+    # e^{kappa |dx|} overflows past kappa |dx| ~ 709; each exponential must
+    # be evaluated on its decaying side only, or inf * 0 gives NaN
+    e = -50.0
+    kappa = np.sqrt(2.0 * abs(e))
+    k = bf.residue_green(bf.single_band_model(), e)
+    dx = np.linspace(-80.0, 80.0, 1601)
+    g = k.evaluate(dx)[:, 0, 0]
+    assert np.all(np.isfinite(g))
+    assert np.allclose(g, -np.exp(-kappa * np.abs(dx)) / kappa, rtol=1e-12, atol=0)

@@ -191,3 +191,22 @@ def test_eigen_near_rejects_k_below_one():
     h = oracle.assemble(bf.single_band_model(), bf.Grid.symmetric(10.0, 64), None)
     with pytest.raises(ValueError):
         oracle.eigen_near(h, 0.0, 0)
+
+
+def test_rashba_zeeman_wire_bound_state_solves_and_embeds():
+    # a0 = 0.3 sigma_y, a1 = 0.5 sigma_y: the sigma_y = +1 band is
+    # (p + 1/2)^2/2 + 0.175 and the delta on it binds at 0.175 - 0.125 = 0.05,
+    # inside the sigma_y = -1 band that starts at -0.175. The poles are not
+    # symmetric under p -> -p.
+    model = bf.BandModel(2, 1.0, 0.3 * bf.sigma_y(), 0.5 * bf.sigma_y(),
+                         (np.eye(2) + bf.sigma_y()) / 2.0)
+    pot = bf.Delta(-0.5)
+    grid = bf.Grid.symmetric(80.0, 2049)
+    reps = bf.find_energy(model, grid, pot, -0.4, 0.17, mesh_points=48)
+    assert [r.energy for r in reps] == pytest.approx([0.05], abs=1e-9)
+    br = bf.classify(model, reps[0].state, pot, reps[0].energy)
+    assert br.verdict is bf.Verdict.EXACT_BIC
+    near = [(e, st) for e, st in oracle.eigen_near(oracle.assemble(model, grid, pot), 0.05, 5)
+            if abs(e - 0.05) < 1e-3]
+    assert len(near) == 1
+    assert oracle.localization(near[0][1], 40.0).tail_mass < 1e-3
