@@ -115,11 +115,16 @@ def fourier_residual(state: SpinorField, potential: PotentialSpec | Sequence,
 def peak_fourier_norm(state: SpinorField, potential: PotentialSpec | Sequence,
                       b: np.ndarray | None, q_max: float,
                       samples: int = PEAK_SAMPLES) -> float:
-    """Scale-free normalizer: max |F_q| over q in [0, q_max]."""
+    """Scale-free normalizer: max |F_q| over q in [0, q_max].
+
+    The sum runs over the grid points where the source is nonzero only, so
+    a compact source (a delta, a finite box) costs its support, not the grid.
+    """
     src = _source_values(state, potential, b)
+    live = np.flatnonzero(np.abs(src).max(axis=1) > 0)
     qs = np.linspace(0.0, q_max, samples)
-    phases = np.exp(-1j * np.outer(qs, state.grid.x))
-    vals = phases @ (src * state.grid.weights[:, None])
+    phases = np.exp(-1j * np.outer(qs, state.grid.x[live]))
+    vals = phases @ (src[live] * state.grid.weights[live, None])
     return float(np.linalg.norm(vals, axis=1).max())
 
 

@@ -35,7 +35,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DegeneratePoles, GapViolation, ModelError, SingularG
 from .models import BandModel
-from .spectral import PoleLabel, dispersion_coeffs, poles, soc_poles
+from .spectral import PoleLabel, poles, soc_poles
 
 # Poles closer than this trigger DegeneratePoles: the residue weight 1/f'(p)
 # blows up. Callers should offset the energy (e.g. by 1e-6 * gap).
@@ -95,27 +95,27 @@ class GreenKernel:
         return np.array(sorted(t.pole.real for t in self.terms if t.pole.imag == 0))
 
 
-def _adjugate(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
+def _adjugates(m: np.ndarray) -> np.ndarray:
+    """adj(m[k]) for a stack of square matrices, shape (K, N, N)."""
+    k, n = m.shape[0], m.shape[1]
     if n == 1:
-        return np.ones((1, 1), dtype=complex)
+        return np.ones((k, 1, 1), dtype=complex)
     if n == 2:
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-    cof = np.empty((n, n), dtype=complex)
-    idx = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = m[np.ix_(idx != i, idx != j)]
-            cof[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return cof.T
+        return np.stack([np.stack([m[:, 1, 1], -m[:, 0, 1]], axis=-1),
+                         np.stack([-m[:, 1, 0], m[:, 0, 0]], axis=-1)], axis=1)
+    # keep[i] lists the indices other than i; minors[:, i, j] drops row i, column j
+    keep = np.array([[c for c in range(n) if c != i] for i in range(n)])
+    minors = m[:, keep[:, None, :, None], keep[None, :, None, :]]
+    sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    return (sign * np.linalg.det(minors)).transpose(0, 2, 1)
 
 
 def residue_green(model: BandModel, energy: float) -> GreenKernel:
     """Generic kernel for any model: one term per momentum pole.
 
-    Residue matrices are adj(E - H0(p)) / f'(p) at each pole; a pole labeled
-    real keeps its real part only. Coincident poles (band edges) raise
-    DegeneratePoles.
+    Residue matrices are adj(E - H0(p)) / f'(p) at each pole, all adjugates
+    built in one batched pass; a pole labeled real keeps its real part only.
+    Coincident poles (band edges) raise DegeneratePoles.
     """
     ps = poles(model, energy)
     roots = ps.roots
@@ -126,14 +126,13 @@ def residue_green(model: BandModel, energy: float) -> GreenKernel:
                 raise DegeneratePoles(
                     f"poles {roots[i]:.6g} and {roots[j]:.6g} coincide at E={energy:g}; "
                     "offset the energy")
-    dcoeffs = npoly.polyder(dispersion_coeffs(model, energy))
-    eye = np.eye(model.n_bands)
-    terms = []
-    for root, label in zip(roots, ps.labels):
-        p = complex(root.real) if label is PoleLabel.REAL else complex(root)
-        residue = _adjugate(energy * eye - model.h0(p)) / npoly.polyval(p, dcoeffs)
-        terms.append(KernelTerm(pole=p, residue=residue))
-    return GreenKernel(energy=energy, n_bands=model.n_bands, terms=tuple(terms))
+    dcoeffs = npoly.polyder(ps.coeffs)
+    moms = [complex(root.real) if label is PoleLabel.REAL else complex(root)
+            for root, label in zip(roots, ps.labels)]
+    adj = _adjugates(energy * np.eye(model.n_bands) - model.h0_many(moms))
+    terms = tuple(KernelTerm(pole=p, residue=a / npoly.polyval(p, dcoeffs))
+                  for p, a in zip(moms, adj))
+    return GreenKernel(energy=energy, n_bands=model.n_bands, terms=terms)
 
 
 def _standing_terms(q: float, m_sin: np.ndarray, m_cs: np.ndarray) -> list[KernelTerm]:

@@ -67,7 +67,15 @@ class BandModel:
 
     def h0(self, p: complex) -> np.ndarray:
         """Free Hamiltonian matrix at (possibly complex) momentum p."""
-        return (p * p / (2.0 * self.mass)) * np.eye(self.n_bands) + self.a0 + self.a1 * p
+        return self.h0_many([p])[0]
+
+    def h0_many(self, ps) -> np.ndarray:
+        """Free Hamiltonian matrices at a sequence of momenta, shape (K, N, N)."""
+        # each p is squared as a scalar: numpy's vectorised complex multiply
+        # rounds differently, and the pole energies would move in the last bits
+        kinetic = np.array([p * p / (2.0 * self.mass) for p in ps], dtype=complex)
+        moms = np.asarray(ps, dtype=complex)[:, None, None]
+        return kinetic[:, None, None] * np.eye(self.n_bands) + self.a0 + self.a1 * moms
 
     @property
     def has_linear_term(self) -> bool:

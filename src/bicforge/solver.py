@@ -269,7 +269,8 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     """Scan [e_lo, e_hi], bracket crossings of Re(eigenvalue) = 1, refine.
 
     The mesh phase may run on a coarser scan_grid; refinement always runs
-    on the main grid. Returns every converged solution, ordered by energy.
+    on the main grid. Returns every converged solution, ordered by energy;
+    solutions within refine_tol of each other are one root, reported once.
 
     The tracked eigenvalue is the one nearest 1, so its Re - 1 also changes
     sign where the selection jumps from one branch to another without any
@@ -354,4 +355,9 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
         raise NoSolutionInRange(f"no fixed point in ({e_lo:g}, {e_hi:g}): "
                                 + ", ".join(parts))
     reports.sort(key=lambda r: r.energy)
-    return reports
+    # a mesh point that lands on a root closes both adjacent brackets on it
+    merged = reports[:1]
+    for rep in reports[1:]:
+        if rep.energy - merged[-1].energy >= refine_tol:
+            merged.append(rep)
+    return merged

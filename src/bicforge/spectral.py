@@ -54,8 +54,7 @@ def dispersion_coeffs(model: BandModel, energy: float) -> np.ndarray:
     radius = 1.0 + np.sqrt(2.0 * model.mass * (abs(energy) + scale))
     k = np.arange(deg + 1)
     pts = radius * np.exp(2j * np.pi * k / (deg + 1))
-    eye = np.eye(n)
-    vals = np.array([np.linalg.det(energy * eye - model.h0(p)) for p in pts])
+    vals = np.linalg.det(energy * np.eye(n) - model.h0_many(pts))
     coeffs = np.fft.fft(vals) / (deg + 1)
     coeffs = coeffs / radius ** k
     coeffs = coeffs.real  # imaginary parts are pure roundoff
@@ -70,6 +69,7 @@ class PoleSet:
     energy: float
     roots: np.ndarray           # complex, sorted by (|Im|, Re, Im)
     labels: tuple[PoleLabel, ...]
+    coeffs: np.ndarray          # the dispersion polynomial they are roots of
 
     @property
     def real_poles(self) -> np.ndarray:
@@ -106,7 +106,7 @@ def poles(model: BandModel, energy: float) -> PoleSet:
     order = np.lexsort((roots.imag, roots.real, np.abs(roots.imag)))
     roots = roots[order]
     labels = tuple(_label(r) for r in roots)
-    return PoleSet(energy=energy, roots=roots, labels=labels)
+    return PoleSet(energy=energy, roots=roots, labels=labels, coeffs=coeffs)
 
 
 @dataclass(frozen=True)

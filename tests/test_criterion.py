@@ -265,3 +265,46 @@ def test_scan_empty():
                               e_window=(0.0, 1.0))
     assert table.rows == ()
     assert table.to_csv().strip() == "param,energy,residual_rel,tail_rel,verdict"
+
+
+def _full_grid_peak(state, potential, b, q_max, samples=512):
+    """max |F_q| with the phase sum over every grid point."""
+    from bicforge.criterion import _source_values
+    src = _source_values(state, potential, b)
+    qs = np.linspace(0.0, q_max, samples)
+    phases = np.exp(-1j * np.outer(qs, state.grid.x))
+    return float(np.linalg.norm(phases @ (src * state.grid.weights[:, None]), axis=1).max())
+
+
+def test_peak_fourier_norm_of_delta_is_bit_equal_to_full_grid_sum(quasi_state_2049):
+    _, state = quasi_state_2049
+    b = bf.two_band_model(mu=0.0, g=1.0, lam=-1.0).b
+    for q_max in (0.5, 4 * Q, 20.0):
+        got = bf.peak_fourier_norm(state, UNIT_DELTA, b, q_max)
+        assert got > 0
+        assert got == _full_grid_peak(state, UNIT_DELTA, b, q_max)
+
+
+def test_peak_fourier_norm_of_compact_box_matches_full_grid_sum():
+    grid = bf.Grid.symmetric(30.0, 2048)
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        lo = rng.uniform(-20.0, 15.0)
+        xs = np.linspace(lo, lo + rng.uniform(0.5, 5.0), 40)
+        vs = rng.normal(size=40)
+        vs[0] = vs[-1] = 0.0
+        # zero out to beyond the grid on both sides
+        box = bf.Tabulated(np.r_[-31.0, xs, 31.0], np.r_[0.0, vs, 0.0])
+        values = rng.normal(size=(grid.n_points, 2)) + 1j * rng.normal(size=(grid.n_points, 2))
+        state = bf.SpinorField(grid=grid, values=values)
+        b = np.array([[1.0, 0.3], [0.3, 0.0]], dtype=complex)
+        want = _full_grid_peak(state, box, b, 8.0)
+        assert bf.peak_fourier_norm(state, box, b, 8.0) == pytest.approx(want, rel=1e-14)
+
+
+def test_peak_fourier_norm_of_socbic_source_sums_every_row(bic_state_4096, soc, socbic_pot):
+    from bicforge.criterion import _source_values
+    state = bic_state_4096.state
+    assert (np.abs(_source_values(state, socbic_pot, soc.b)).max(axis=1) > 0).all()
+    got = bf.peak_fourier_norm(state, socbic_pot, soc.b, 4 * Q)
+    assert got == _full_grid_peak(state, socbic_pot, soc.b, 4 * Q)

@@ -199,3 +199,56 @@ def test_evanescent_terms_do_not_overflow_on_the_growing_side():
     g = k.evaluate(dx)[:, 0, 0]
     assert np.all(np.isfinite(g))
     assert np.allclose(g, -np.exp(-kappa * np.abs(dx)) / kappa, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjugates_equal_det_times_inverse(n):
+    from bicforge.green import _adjugates
+    rng = np.random.default_rng(40 + n)
+    m = rng.normal(size=(25, n, n)) + 1j * rng.normal(size=(25, n, n))
+    want = np.linalg.det(m)[:, None, None] * np.linalg.inv(m)
+    got = _adjugates(m)
+    assert got.shape == (25, n, n)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
+
+
+def test_residues_are_annihilated_at_every_pole():
+    # (E - H0(p)) adj(E - H0(p)) = f(p) I vanishes at a root of f
+    rng = np.random.default_rng(3)
+
+    def herm():
+        a = rng.uniform(-0.5, 0.5, (3, 3)) + 1j * rng.uniform(-0.5, 0.5, (3, 3))
+        return (a + a.conj().T) / 2
+
+    for _ in range(30):
+        model = bf.BandModel(3, 1.0, herm(), herm(), np.eye(3))
+        e = rng.uniform(-0.3, 0.3)
+        for t in bf.residue_green(model, e).terms:
+            lhs = (e * np.eye(3) - model.h0(t.pole)) @ t.residue
+            assert np.abs(lhs).max() < 1e-11 * np.abs(t.residue).max()
+
+
+def test_residue_green_computes_the_dispersion_polynomial_once(monkeypatch):
+    import sys
+    from bicforge import spectral
+    calls = []
+    coeffs = spectral.dispersion_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return coeffs(*args)
+
+    # count through every module that binds the function, not spectral alone
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bicforge") and getattr(mod, "dispersion_coeffs", None) is coeffs:
+            monkeypatch.setattr(mod, "dispersion_coeffs", counted)
+    rng = np.random.default_rng(8)
+    herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    models = [bf.single_band_model(), bf.two_band_model(mu=0.3, g=1.0),
+              bf.soc_model(gamma=0.5, mu=1.0),
+              bf.BandModel(3, 1.0, (herm + herm.conj().T) / 4, np.zeros((3, 3)), np.eye(3))]
+    for model in models:
+        calls.clear()
+        bf.residue_green(model, 0.2)
+        assert len(calls) == 1

@@ -259,3 +259,17 @@ def test_count_unknown_when_set_may_be_partial(monkeypatch, soc, outcome):
     lam, _, above = solver._near_one(op, 12, want_vectors=False)
     assert lam == 1.5
     assert above is None
+
+
+def test_root_on_a_mesh_point_is_reported_once(monkeypatch):
+    # the mesh point 0.25 is the root itself: both adjacent brackets close on
+    # it, and the two reports are one root
+    from bicforge import solver
+    monkeypatch.setattr(solver, "_branch_value",
+                        lambda model, e, *a: (complex(1.0 + (e - 0.25)), None))
+    monkeypatch.setattr(solver, "solve_state", lambda model, e, *a, **kw: solver.SolveReport(
+        energy=float(e), operator_eigenvalue=1.0, state=None, fixed_point_residual=0.0))
+    model = bf.single_band_model(lam=-1.0)
+    reps = bf.find_energy(model, bf.Grid.symmetric(20.0, 256), UNIT_DELTA, 0.0, 1.0,
+                          mesh_points=5)
+    assert [r.energy for r in reps] == [0.25]

@@ -173,3 +173,31 @@ def test_model_validation():
         bf.BandModel(2, -1.0, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ModelError):
         bf.two_band_model(mu=0.0, g=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_h0_many_is_bit_equal_to_stacked_h0(n):
+    # the kinetic term squares each momentum as a scalar; a vectorised
+    # complex square rounds differently in the last bit
+    rng = np.random.default_rng(20 + n)
+
+    def herm():
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return (a + a.conj().T) / 2
+
+    model = bf.BandModel(n, 0.7, herm(), herm(), np.eye(n))
+    for ps in (list(rng.normal(size=9) * 3),
+               list(rng.normal(size=9) * 3 + 1j * rng.normal(size=9) * 3),
+               list(3 * np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1)))):
+        stack = model.h0_many(ps)
+        assert stack.shape == (len(ps), n, n)
+        formula = np.array([(p * p / (2.0 * model.mass)) * np.eye(n) + model.a0 + model.a1 * p
+                            for p in ps])
+        assert np.array_equal(stack, formula)
+        assert np.array_equal(stack, np.array([model.h0(p) for p in ps]))
+
+
+def test_pole_set_keeps_its_dispersion_polynomial():
+    model = bf.soc_model(gamma=0.5, mu=1.0)
+    ps = bf.poles(model, 0.3)
+    assert np.array_equal(ps.coeffs, bf.dispersion_coeffs(model, 0.3))
