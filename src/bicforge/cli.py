@@ -10,6 +10,7 @@ converge, 4 resource limit, 5 cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -494,7 +495,10 @@ def _params_dict(args) -> dict:
             if k not in skip and v is not None}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built on the first call and shared by every later
+    main call in the process: parsing leaves it unchanged."""
     parser = _Parser(prog="bicforge", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -375,3 +375,15 @@ def test_main_entry_in_process(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["e_b"] == pytest.approx(-0.125)
+
+
+def test_consecutive_in_process_calls_match_fresh_processes(capsys):
+    # main reuses one parser: a flag given to the first call must not leak
+    # into the second, which relies on the defaults
+    argvs = [["delta-bound", "--two-band", "--mu", "0", "--g", "1", "--lambda", "-1"],
+             ["delta-bound", "--lambda", "-0.5"]]
+    outs = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == [run_cli(*argv)[1] for argv in argvs]

@@ -36,8 +36,8 @@ def test_socbic_map_has_unit_eigenvalue_at_analytic_energy(e_bic, soc, socbic_po
     m = bf.assemble_map(soc, e_bic, grid_30_2048, socbic_pot)
     assert m.shape == (4096, 4096)
     op = _ConvMap(soc, e_bic, grid_30_2048, socbic_pot)
-    from bicforge.solver import _eigs_near_one
-    lam, _ = _eigs_near_one(op, 16, want_vectors=False)
+    from bicforge.solver import _near_one
+    lam, _, _ = _near_one(op, 16, want_vectors=False)
     assert abs(lam - 1.0) < 1e-3
 
 
@@ -259,6 +259,75 @@ def test_count_unknown_when_set_may_be_partial(monkeypatch, soc, outcome):
     lam, _, above = solver._near_one(op, 12, want_vectors=False)
     assert lam == 1.5
     assert above is None
+
+
+# --- first Arnoldi pass: three eigenvalues, kept only when they certify ------
+
+def _recording_eigs(monkeypatch, fake=None):
+    """Patch solver.eigs to record (op, k) per call and answer with fake(k),
+    or with the real eigs when fake is None."""
+    from bicforge import solver
+    calls, eigs = [], solver.eigs
+
+    def recorded(op, k, **kwargs):
+        calls.append((op, k))
+        return eigs(op, k=k, **kwargs) if fake is None else fake(k)
+
+    monkeypatch.setattr(solver, "eigs", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("energy", [0.8, 0.85, 0.72998])
+def test_first_pass_matches_dense_reference(monkeypatch, soc, energy):
+    # both sides of the branch switch near 0.82, and next to the root
+    from bicforge.solver import _near_one
+    calls = _recording_eigs(monkeypatch)
+    grid = bf.Grid.symmetric(22.0, 400)
+    op = _ConvMap(soc, energy, grid, SCALED_WELL)
+    lam, _, above = _near_one(op, 12, want_vectors=False)
+    assert [k for _, k in calls] == [3]
+    vals = np.linalg.eigvals(bf.assemble_map(soc, energy, grid, SCALED_WELL))
+    assert lam == pytest.approx(vals[np.argmin(np.abs(vals - 1.0))], abs=1e-10)
+    assert above == int(np.count_nonzero(vals.real > 1.0))
+
+
+@pytest.mark.parametrize("first, lam, above, ks", [
+    (np.array([2.0, 1.1, 0.5]), 1.1, 2, [3]),          # certified
+    (np.array([3.0, 1.5, 1.2]), 0.9, 3, [3, 12]),      # may be partial: m >= 1
+    (np.array([3.0, 2.5, 0.6]), 0.9, 3, [3, 12]),      # pick not certified
+    ("no_convergence", 0.9, 3, [3, 12]),
+])
+def test_first_pass_falls_back_to_callers_k(monkeypatch, soc, first, lam, above, ks):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from bicforge import solver
+    full = np.array([3.0, 2.5, 1.2, 0.9, 0.6, 0.2])
+
+    def fake(k):
+        if k != 3:
+            return full
+        if isinstance(first, str):
+            raise ArpackNoConvergence("not converged", np.array([3.0]), None)
+        return first
+
+    calls = _recording_eigs(monkeypatch, fake)
+    op = _ConvMap(soc, 0.8, bf.Grid.symmetric(30.0, 512), SCALED_WELL)
+    got_lam, _, got_above = solver._near_one(op, 12, want_vectors=False)
+    assert [k for _, k in calls] == ks
+    assert (got_lam, got_above) == (lam, above)
+
+
+def test_find_energy_certifies_every_operator_on_first_pass(monkeypatch, soc, e_bic):
+    # bic-verify's rescaled window and mesh: one eigs call per operator, each
+    # with k=3, so no probe, secant step or final state pays the fallback
+    calls = _recording_eigs(monkeypatch)
+    lo, hi = _scaled_window(e_bic)
+    reps = bf.find_energy(soc, bf.Grid.symmetric(30.0, 2048), SCALED_WELL, lo, hi,
+                          mesh_points=48, scan_grid=bf.Grid.symmetric(30.0, 1024))
+    assert [r.energy for r in reps] == [pytest.approx(0.72998, abs=5e-4)]
+    ops = [op for op, _ in calls]
+    assert len({id(op) for op in ops}) == len(ops) > 48
+    assert {k for _, k in calls} == {3}
 
 
 def test_root_on_a_mesh_point_is_reported_once(monkeypatch):
