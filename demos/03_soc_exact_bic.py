@@ -56,7 +56,8 @@ print(f"\nscaled well (x1.1): verdict {worst.verdict.value}, residual "
 # plot data: component spectrum with zeros at +/-q, and the state profile
 q = float(np.abs(br.real_poles).max())
 qs = np.linspace(-2 * q, 2 * q, 801)
-write_spectrum(HERE / "fq_spectrum.tsv", qs, bf.fourier_residual(rep.state, pot, model.b, qs))
+write_spectrum(HERE / "fq_spectrum.tsv", qs,
+               bf.fourier_line(rep.state, pot, model.b, -2 * q, 2 * q, 801))
 write_wave_samples(HERE / "bic_profile.tsv", grid.x, rep.state.values)
 print(f"\nwrote {HERE / 'fq_spectrum.tsv'} (note the zeros at q = +/-{q:.5f})")
 print(f"wrote {HERE / 'bic_profile.tsv'}")

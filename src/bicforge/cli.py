@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .criterion import BicReport, classify, fourier_residual, scan_parameter
+from .criterion import BicReport, classify, fourier_line, scan_parameter
 from .delta import (boundary_residual, general_b_kappa, general_b_solution,
                     lambda_critical, single_band_bound, two_band_solution)
 from .errors import (BicforgeError, CheckFailure, DegeneratePoles, GridTooLarge,
@@ -228,9 +228,8 @@ def _cmd_bic_verify(args) -> int:
 
     if args.spectrum_out and br.real_poles.size:
         qmax = 2.0 * float(np.abs(br.real_poles).max())
-        qs = np.linspace(-qmax, qmax, 801)
-        write_spectrum(args.spectrum_out, qs,
-                       fourier_residual(rep.state, pot, model.b, qs))
+        write_spectrum(args.spectrum_out, np.linspace(-qmax, qmax, 801),
+                       fourier_line(rep.state, pot, model.b, -qmax, qmax, 801))
     if args.wave_out:
         write_wave_samples(args.wave_out, grid.x, rep.state.values)
     _emit({"command": "bic-verify", "status": "ok",

@@ -30,6 +30,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft  # by module: a bound `fft` is traced as solver.fft (bench/tracer.py)
 
 from .errors import BicforgeError, GridTooCoarse, WindowTooShort
 from .green import residue_green
@@ -92,19 +93,23 @@ def _source_values(state: SpinorField, potential: PotentialSpec | Sequence,
     return src
 
 
+def _check_resolved(grid: Grid, q_abs: float) -> None:
+    if q_abs * grid.dx > MAX_Q_STEP:
+        raise GridTooCoarse(f"q*dx = {q_abs * grid.dx:.3g} exceeds {MAX_Q_STEP}")
+
+
 def fourier_residual(state: SpinorField, potential: PotentialSpec | Sequence,
                      b: np.ndarray | None, q: float | np.ndarray) -> np.ndarray:
     """Per-channel Fourier component F_q of the source, trapezoid-quadratured.
 
     q is an arbitrary real frequency (no FFT grid constraint), or an array
     of them: the result then has shape q.shape + (N,). The grid must
-    resolve every q: |q|*dx <= 0.5.
+    resolve every q: |q|*dx <= 0.5. Each q is a direct sum over the grid;
+    fourier_line computes equally spaced q faster.
     """
     grid = state.grid
     qs = np.asarray(q, dtype=float)
-    q_abs = float(np.max(np.abs(qs), initial=0.0))
-    if q_abs * grid.dx > MAX_Q_STEP:
-        raise GridTooCoarse(f"q*dx = {q_abs * grid.dx:.3g} exceeds {MAX_Q_STEP}")
+    _check_resolved(grid, float(np.max(np.abs(qs), initial=0.0)))
     src = _source_values(state, potential, b)
     w = grid.weights
     comps = [np.sum(np.exp(-1j * qi * grid.x)[:, None] * src * w[:, None], axis=0)
@@ -112,20 +117,66 @@ def fourier_residual(state: SpinorField, potential: PotentialSpec | Sequence,
     return np.array(comps).reshape(qs.shape + src.shape[1:])
 
 
+def _fourier_line(src: np.ndarray, grid: Grid, q_lo: float, q_hi: float,
+                  count: int) -> np.ndarray:
+    """sum_j w_j src_j exp(-i q x_j) at q = np.linspace(q_lo, q_hi, count).
+
+    Bluestein's chirp-z transform over the span of live rows, from the first
+    to the last where src is nonzero (a delta is one row). With x_j = x_c +
+    t dx about the span's centre c and q_k = q_lo + k dq, the identity
+    k t = (k^2 + t^2 - (k - t)^2) / 2 turns the sum into one convolution
+    with the chirp exp(i a (k - t)^2 / 2), a = dq dx, done by three FFTs
+    of length >= span + count - 1. Indexing t from the centre keeps the
+    chirp's phases, and so their rounding, small.
+    """
+    live = np.flatnonzero(np.abs(src).max(axis=1) > 0)
+    if count == 0 or live.size == 0:
+        return np.zeros((count, src.shape[1]), dtype=complex)
+    first, last = int(live[0]), int(live[-1])
+    span = last - first + 1
+    centre = (first + last) // 2
+    t = np.arange(first - centre, last - centre + 1)
+    half_a = 0.5 * grid.dx * ((q_hi - q_lo) / (count - 1) if count > 1 else 0.0)
+    a = (src[first:last + 1] * grid.weights[first:last + 1, None]
+         * np.exp(-1j * (q_lo * grid.dx * t + half_a * (t * t)))[:, None])
+    d = np.arange(-t[-1], count - t[0])  # every k - t, in convolution order
+    chirp = np.exp(1j * half_a * (d * d))
+    n_fft = scipy.fft.next_fast_len(span + count - 1)
+    conv = scipy.fft.ifft(scipy.fft.fft(a, n_fft, axis=0)
+                          * scipy.fft.fft(chirp, n_fft)[:, None], axis=0)
+    k = np.arange(count)
+    qs = np.linspace(q_lo, q_hi, count)
+    return conv[span - 1:span - 1 + count] * np.exp(
+        -1j * (qs * grid.x[centre] + half_a * (k * k)))[:, None]
+
+
+def fourier_line(state: SpinorField, potential: PotentialSpec | Sequence,
+                 b: np.ndarray | None, q_lo: float, q_hi: float,
+                 count: int) -> np.ndarray:
+    """Per-channel components F_q at q = np.linspace(q_lo, q_hi, count).
+
+    The trapezoid sum of fourier_residual, for a whole line of equally
+    spaced q at once: shape (count, N), in O((span + count) log(span +
+    count)) for a source whose nonzero rows span `span` grid points. The
+    grid must resolve every q: max(|q_lo|, |q_hi|)*dx <= 0.5.
+    """
+    _check_resolved(state.grid, max(abs(q_lo), abs(q_hi)))
+    return _fourier_line(_source_values(state, potential, b), state.grid,
+                         q_lo, q_hi, count)
+
+
 def peak_fourier_norm(state: SpinorField, potential: PotentialSpec | Sequence,
                       b: np.ndarray | None, q_max: float,
                       samples: int = PEAK_SAMPLES) -> float:
     """Scale-free normalizer: max |F_q| over q in [0, q_max].
 
-    The sum runs over the grid points where the source is nonzero only, so
-    a compact source (a delta, a finite box) costs its support, not the grid.
+    The components come from the chirp-z line over the source's nonzero
+    span, so a compact source (a delta, a finite box) costs its support,
+    not the grid. q_max is not checked against the grid.
     """
     src = _source_values(state, potential, b)
-    live = np.flatnonzero(np.abs(src).max(axis=1) > 0)
-    qs = np.linspace(0.0, q_max, samples)
-    phases = np.exp(-1j * np.outer(qs, state.grid.x[live]))
-    vals = phases @ (src[live] * state.grid.weights[live, None])
-    return float(np.linalg.norm(vals, axis=1).max())
+    comps = _fourier_line(src, state.grid, 0.0, q_max, samples)
+    return float(np.linalg.norm(comps, axis=1).max())
 
 
 def tail_metrics(state: SpinorField, p_real: float, window_start: float

@@ -55,13 +55,25 @@ class SolveReport:
     fixed_point_residual: float
 
 
-def _source_factors(grid: Grid, terms: list, n_bands: int) -> np.ndarray:
-    """Per-site matrix factors F_j = sum_k V_k(x_j) w_j B_k."""
+@dataclass(frozen=True)
+class _Coupling:
+    """The energy-independent half of the map on one grid: the coupling
+    terms (V_k, B_k), the per-site factors F_j = sum_k V_k(x_j) w_j B_k,
+    and the support, the sites where F_j is nonzero. find_energy builds one
+    per grid and hands it to every operator on that grid."""
+
+    terms: list
+    factors: np.ndarray
+    support: np.ndarray
+
+
+def _coupling(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence) -> _Coupling:
+    terms = coupling_terms(potential, model.b)
     w = grid.weights
-    f = np.zeros((grid.n_points, n_bands, n_bands), dtype=complex)
+    f = np.zeros((grid.n_points, model.n_bands, model.n_bands), dtype=complex)
     for spec, bk in terms:
         f += (sample_potential(spec, grid) * w)[:, None, None] * bk
-    return f
+    return _Coupling(terms, f, np.flatnonzero(np.abs(f).max(axis=(1, 2)) > 0))
 
 
 def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
@@ -98,30 +110,31 @@ def assemble_map(model: BandModel, energy: float, grid: Grid,
     same map matrix-free and scale to much larger grids.
     """
     kernel = _kernel_checked(model, energy, grid)
-    terms = coupling_terms(potential, model.b)
-    _coverage_warning(grid, kernel, terms)
+    coupling = _coupling(model, grid, potential)
+    _coverage_warning(grid, kernel, coupling.terms)
     n, nb = grid.n_points, model.n_bands
     samples = _kernel_samples(kernel, grid)
-    factors = _source_factors(grid, terms, nb)
     idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
-    blocks = np.einsum("ijab,jbc->iajc", samples[idx], factors)
+    blocks = np.einsum("ijab,jbc->iajc", samples[idx], coupling.factors)
     return blocks.reshape(n * nb, n * nb)
 
 
 class _ConvMap(LinearOperator):
-    """Matrix-free application of the map via FFT convolution."""
+    """Matrix-free application of the map via FFT convolution; coupling is
+    the grid's prebuilt _Coupling, or None to build it from potential."""
 
     def __init__(self, model: BandModel, energy: float, grid: Grid,
-                 potential: PotentialSpec | Sequence):
+                 potential: PotentialSpec | Sequence, coupling: _Coupling | None = None):
         self.grid = grid
         self.n_bands = model.n_bands
         n = grid.n_points
         kernel = _kernel_checked(model, energy, grid)
-        terms = coupling_terms(potential, model.b)
-        _coverage_warning(grid, kernel, terms)
+        if coupling is None:
+            coupling = _coupling(model, grid, potential)
+        _coverage_warning(grid, kernel, coupling.terms)
         self.kernel = kernel
-        self.factors = _source_factors(grid, terms, model.n_bands)
-        self.support = np.flatnonzero(np.abs(self.factors).max(axis=(1, 2)) > 0)
+        self.factors = coupling.factors
+        self.support = coupling.support
         self._fft_len = next_fast_len(2 * n - 1)
         dim = n * model.n_bands
         super().__init__(dtype=complex, shape=(dim, dim))
@@ -251,13 +264,16 @@ def _fix_phase(values: np.ndarray) -> np.ndarray:
 
 
 def solve_state(model: BandModel, energy: float, grid: Grid,
-                potential: PotentialSpec | Sequence, *, k: int = 16) -> SolveReport:
+                potential: PotentialSpec | Sequence, *, k: int = 16,
+                coupling: _Coupling | None = None) -> SolveReport:
     """Eigenvector of the map for the eigenvalue nearest 1.
 
     The state is rescaled so its peak channel amplitude is 1 and its global
     phase makes the peak real; fixed_point_residual = |psi - M psi|/|psi|.
+    coupling is find_energy's prebuilt coupling of potential on grid; None
+    builds it here.
     """
-    op = _ConvMap(model, energy, grid, potential)
+    op = _ConvMap(model, energy, grid, potential, coupling)
     lam, vec, _ = _near_one(op, k, want_vectors=True)
     if abs(lam - 1.0) > ACCEPT_EIG_DISTANCE:
         raise NoNearUnitEigenvalue(
@@ -272,9 +288,9 @@ def solve_state(model: BandModel, energy: float, grid: Grid,
 
 
 def _branch_value(model: BandModel, energy: float, grid: Grid,
-                  potential, k: int) -> tuple[complex, int | None]:
+                  potential, k: int, coupling: _Coupling) -> tuple[complex, int | None]:
     """Eigenvalue nearest 1 and the count of eigenvalues with Re > 1 (or None)."""
-    op = _ConvMap(model, energy, grid, potential)
+    op = _ConvMap(model, energy, grid, potential, coupling)
     lam, _, above = _near_one(op, k, want_vectors=False)
     return lam, above
 
@@ -310,10 +326,13 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
         raise ValueError(f"need mesh_points >= 2, got {mesh_points}")
     mesh_grid = scan_grid or grid
     energies = np.linspace(e_lo, e_hi, mesh_points)
+    fine_coupling = _coupling(model, grid, potential)
+    mesh_coupling = (fine_coupling if mesh_grid is grid
+                     else _coupling(model, mesh_grid, potential))
 
     def probe(e: float) -> tuple[float, int | None]:
         try:
-            lam, above = _branch_value(model, e, mesh_grid, potential, k)
+            lam, above = _branch_value(model, e, mesh_grid, potential, k, mesh_coupling)
         except (ArpackError, NoNearUnitEigenvalue):
             return float("nan"), None
         return float(lam.real) - 1.0, above
@@ -321,7 +340,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     h, above = zip(*[probe(e) for e in energies])
 
     def fine(e: float) -> float:
-        return float(_branch_value(model, e, grid, potential, k)[0].real) - 1.0
+        return float(_branch_value(model, e, grid, potential, k, fine_coupling)[0].real) - 1.0
 
     reports = []
     brackets = switches = stalls = high_residual = 0
@@ -354,7 +373,8 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
             stalls += 1
             continue
         try:
-            rep = solve_state(model, eb, grid, potential, k=max(k, 16))
+            rep = solve_state(model, eb, grid, potential, k=max(k, 16),
+                              coupling=fine_coupling)
         except NoNearUnitEigenvalue as exc:
             rejected.append(exc.distance)
             continue

@@ -90,6 +90,31 @@ def test_bic_verify_small_grid(tmp_path):
     assert at_pole < 5e-3 * f1.max()
 
 
+def test_spectrum_out_matches_fourier_residual(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def spy(state, pot, b, *args):
+        seen.append((state, pot, b))
+        return bf.fourier_line(state, pot, b, *args)
+
+    monkeypatch.setattr(cli, "fourier_line", spy)
+    spec_file = tmp_path / "fq.tsv"
+    rc = cli.main(["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1",
+                   "--n-points", "1024", "--spectrum-out", str(spec_file)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK, captured.err
+    (state, pot, b), = seen
+    q_max = 2.0 * max(abs(p) for p in check_report(captured.out)["results"]["real_poles"])
+    qs = np.linspace(-q_max, q_max, 801)
+    data = np.loadtxt(spec_file)
+    assert np.allclose(data[:, 0], qs, rtol=0, atol=1e-12 * q_max)
+    want = bf.fourier_residual(state, pot, b, qs)
+    got = data[:, 1::2] + 1j * data[:, 2::2]
+    assert got.shape == want.shape
+    # per channel: a real or imaginary part alone can be pure roundoff
+    assert (np.abs(got - want).max(axis=0) <= 1e-12 * np.abs(want).max(axis=0)).all()
+
+
 def test_bic_verify_usage_error():
     rc, _, err = run_cli("bic-verify", "--model", "soc", "--gamma", "0.5",
                          "--nu", "0.7")

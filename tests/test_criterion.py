@@ -276,13 +276,13 @@ def _full_grid_peak(state, potential, b, q_max, samples=512):
     return float(np.linalg.norm(phases @ (src * state.grid.weights[:, None]), axis=1).max())
 
 
-def test_peak_fourier_norm_of_delta_is_bit_equal_to_full_grid_sum(quasi_state_2049):
+def test_peak_fourier_norm_of_delta_matches_full_grid_sum(quasi_state_2049):
     _, state = quasi_state_2049
     b = bf.two_band_model(mu=0.0, g=1.0, lam=-1.0).b
     for q_max in (0.5, 4 * Q, 20.0):
         got = bf.peak_fourier_norm(state, UNIT_DELTA, b, q_max)
         assert got > 0
-        assert got == _full_grid_peak(state, UNIT_DELTA, b, q_max)
+        assert got == pytest.approx(_full_grid_peak(state, UNIT_DELTA, b, q_max), rel=1e-13)
 
 
 def test_peak_fourier_norm_of_compact_box_matches_full_grid_sum():
@@ -299,7 +299,7 @@ def test_peak_fourier_norm_of_compact_box_matches_full_grid_sum():
         state = bf.SpinorField(grid=grid, values=values)
         b = np.array([[1.0, 0.3], [0.3, 0.0]], dtype=complex)
         want = _full_grid_peak(state, box, b, 8.0)
-        assert bf.peak_fourier_norm(state, box, b, 8.0) == pytest.approx(want, rel=1e-14)
+        assert bf.peak_fourier_norm(state, box, b, 8.0) == pytest.approx(want, rel=1e-13)
 
 
 def test_peak_fourier_norm_of_socbic_source_sums_every_row(bic_state_4096, soc, socbic_pot):
@@ -307,4 +307,84 @@ def test_peak_fourier_norm_of_socbic_source_sums_every_row(bic_state_4096, soc, 
     state = bic_state_4096.state
     assert (np.abs(_source_values(state, socbic_pot, soc.b)).max(axis=1) > 0).all()
     got = bf.peak_fourier_norm(state, socbic_pot, soc.b, 4 * Q)
-    assert got == _full_grid_peak(state, socbic_pot, soc.b, 4 * Q)
+    assert got == pytest.approx(_full_grid_peak(state, socbic_pot, soc.b, 4 * Q), rel=1e-13)
+
+
+def _long_double_line(state, potential, b, q_lo, q_hi, count):
+    """F_q at np.linspace(q_lo, q_hi, count): the direct sum over every grid
+    point, phased and summed in long double."""
+    from bicforge.criterion import _source_values
+    ws = (_source_values(state, potential, b) * state.grid.weights[:, None]).astype(np.clongdouble)
+    x = state.grid.x.astype(np.longdouble)
+    qs = np.linspace(q_lo, q_hi, count).astype(np.longdouble)
+    return np.array([np.exp(-1j * (q * x).astype(np.clongdouble)) @ ws for q in qs])
+
+
+def _compact_boxes(grid, count):
+    """Random Tabulated boxes inside the grid, with random complex states."""
+    rng = np.random.default_rng(12)
+    for _ in range(count):
+        lo = rng.uniform(-20.0, 15.0)
+        xs = np.linspace(lo, lo + rng.uniform(0.5, 5.0), 40)
+        vs = rng.normal(size=40)
+        vs[0] = vs[-1] = 0.0
+        box = bf.Tabulated(np.r_[-31.0, xs, 31.0], np.r_[0.0, vs, 0.0])
+        values = rng.normal(size=(grid.n_points, 2)) + 1j * rng.normal(size=(grid.n_points, 2))
+        yield bf.SpinorField(grid=grid, values=values), box
+
+
+def _fourier_line_cases(bic_state_4096, soc, socbic_pot, quasi_state_2049):
+    # the SocBic line stops at 2Q, bic-verify's spectrum range: further out a
+    # smooth source's components fall toward the roundoff of any double sum
+    yield bic_state_4096.state, socbic_pot, soc.b, 2 * Q
+    yield quasi_state_2049[1], UNIT_DELTA, bf.two_band_model(mu=0.0, g=1.0, lam=-1.0).b, 4 * Q
+    b = np.array([[1.0, 0.3], [0.3, 0.0]], dtype=complex)
+    for state, box in _compact_boxes(bf.Grid.symmetric(30.0, 2048), 10):
+        yield state, box, b, 8.0
+
+
+def test_fourier_line_matches_long_double_direct_sum(bic_state_4096, soc, socbic_pot,
+                                                     quasi_state_2049):
+    for state, pot, b, q in _fourier_line_cases(bic_state_4096, soc, socbic_pot,
+                                                quasi_state_2049):
+        for q_lo in (0.0, -q):
+            for count in (1, 2, 801):
+                got = bf.fourier_line(state, pot, b, q_lo, q, count)
+                want = _long_double_line(state, pot, b, q_lo, q, count)
+                assert got.shape == want.shape == (count, 2)
+                scale = float(np.abs(want).max())
+                assert scale > 0
+                assert float(np.abs(got - want).max()) <= 1e-12 * scale
+                peak = float(np.sqrt((np.abs(want) ** 2).sum(axis=1)).max())
+                assert float(np.linalg.norm(got, axis=1).max()) == pytest.approx(peak, rel=1e-13)
+
+
+def test_fourier_line_of_zero_source_is_zero(quasi_state_2049):
+    _, state = quasi_state_2049
+    zero = bf.Tabulated(x=np.array([-50.0, 50.0]), v=np.array([0.0, 0.0]))
+    got = bf.fourier_line(state, zero, np.eye(2), -3.0, 3.0, 801)
+    assert got.shape == (801, 2)
+    assert not got.any()
+    assert bf.peak_fourier_norm(state, zero, np.eye(2), 8.0) == 0.0
+
+
+def test_fourier_line_grid_too_coarse(quasi_state_2049):
+    _, state = quasi_state_2049
+    q_bad = 0.6 / state.grid.dx
+    for q_lo, q_hi in ((0.0, q_bad), (-q_bad, 1.0), (-q_bad, q_bad)):
+        with pytest.raises(GridTooCoarse):
+            bf.fourier_line(state, UNIT_DELTA, np.eye(2), q_lo, q_hi, 5)
+    q_ok = 0.45 / state.grid.dx
+    assert bf.fourier_line(state, UNIT_DELTA, np.eye(2), -q_ok, q_ok, 5).shape == (5, 2)
+
+
+def test_peak_fourier_norm_allocates_little(bic_state_4096, soc, socbic_pot):
+    # the direct sum over 512 q x 4096 rows peaked at 64 MB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        bf.peak_fourier_norm(bic_state_4096.state, socbic_pot, soc.b, 4 * Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,6 +1,6 @@
 """Static guards on the package sources: modules use each other's public
-names only, and no thread or process pools come back without a measurement
-that shows they pay."""
+names only, no thread or process pools come back without a measurement
+that shows they pay, and no module pulls in an import that startup pays for."""
 import ast
 from pathlib import Path
 
@@ -36,4 +36,20 @@ def test_no_concurrent_futures():
             names = []
         bad += [f"{where} {name}" for name in names
                 if name == "concurrent" or name.startswith("concurrent.")]
+    assert not bad
+
+
+def test_no_scipy_signal():
+    # scipy.signal adds about 0.45 s to a ~0.7 s `import bicforge.cli`; the
+    # criterion's chirp-z transform is written on scipy.fft for that reason
+    bad = []
+    for where, node in _imports():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif node.level == 0 and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        bad += [f"{where} {name}" for name in names
+                if name == "scipy.signal" or name.startswith("scipy.signal.")]
     assert not bad
