@@ -26,8 +26,8 @@ from .potentials import (Delta, PotentialSpec, Scaled, SocBic, Tabulated,
                          sample_potential)
 from .solver import SolveReport, assemble_map, find_energy, solve_state
 from .criterion import (BicReport, ScanRow, ScanTable, Verdict, classify,
-                        fourier_line, fourier_residual, multiband_criterion,
-                        peak_fourier_norm, scan_parameter, tail_metrics)
+                        fourier_line, fourier_residual, peak_fourier_norm,
+                        scan_parameter, tail_metrics)
 from .oracle import (FdHamiltonian, LocalizationMetrics, assemble, eigen_near,
                      localization, spectrum)
 

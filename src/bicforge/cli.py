@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .criterion import BicReport, classify, fourier_line, scan_parameter
+from .criterion import classify, fourier_line, scan_parameter
 from .delta import (boundary_residual, general_b_kappa, general_b_solution,
                     lambda_critical, single_band_bound, two_band_solution)
 from .errors import (BicforgeError, CheckFailure, DegeneratePoles, GridTooLarge,
@@ -73,22 +73,15 @@ def _check_mesh(mesh_points: int) -> None:
         raise BicforgeError(f"--mesh-points must be >= 2, got {mesh_points}")
 
 
-def _num(x: float) -> float | None:
-    return None if (x != x) else float(x)  # NaN is not valid strict JSON
-
-
-def _report_dict(br: BicReport) -> dict:
-    return {
-        "verdict": br.verdict.value,
-        "real_poles": [float(p) for p in br.real_poles],
-        "residual_rel": _num(br.residual_rel),
-        "projected_residuals": [_num(r) for r in br.projected_residuals],
-        "peak_fourier": br.peak_fourier,
-        "tail_osc_amplitude": _num(br.tail_osc_amplitude),
-        "tail_decay_rate": _num(br.tail_decay_rate),
-        "tail_rel": _num(br.tail_rel),
-        "conflict": br.conflict,
-    }
+def _finite(text: str) -> float:
+    """argparse type of every float flag: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 # --- delta-bound ------------------------------------------------------------
@@ -102,9 +95,11 @@ def _cmd_delta_bound(args) -> int:
     if not general_b and args.lam is None:
         raise BicforgeError("--lambda is required")
 
+    # each model is built before its closed forms, so a bad mass or
+    # (mu, g) is a ModelError, not a failure inside them
     if not two_band:
-        sol = single_band_bound(args.lam, mass)
         model = single_band_model(mass=mass, lam=args.lam)
+        sol = single_band_bound(args.lam, mass)
         bmat = model.b
         extra = {}
     elif general_b:
@@ -112,13 +107,13 @@ def _cmd_delta_bound(args) -> int:
         b2 = args.b2 or 0.0
         b3 = args.b3 or 0.0
         bmat = np.array([[b1, b2], [b2, b3]])
+        model = general_b_model(args.mu, args.g, bmat, mass=mass)
         res = general_b_kappa(bmat, args.mu, args.g, mass)
         sol = general_b_solution(bmat, args.mu, args.g, mass)
-        model = general_b_model(args.mu, args.g, bmat, mass=mass)
         extra = {"net_attractive": res.net_attractive, "amp_ratio": res.amp_ratio}
     else:
-        sol = two_band_solution(args.mu, args.g, args.lam, mass)
         model = two_band_model(args.mu, args.g, lam=args.lam, mass=mass)
+        sol = two_band_solution(args.mu, args.g, args.lam, mass)
         bmat = model.b
         extra = {"lambda_c": lambda_critical(args.mu, args.g, mass)}
 
@@ -215,13 +210,12 @@ def _cmd_bic_verify(args) -> int:
 
     rep, br = min(scored, key=lambda t: t[1].residual_rel)
     results = {
-        "energy": rep.energy,
         "operator_eigenvalue": {"re": rep.operator_eigenvalue.real,
                                 "im": rep.operator_eigenvalue.imag},
         "fixed_point_residual": rep.fixed_point_residual,
         "all_energies": [r.energy for r, _ in scored],
         "poles": _pole_table(model, rep.energy),
-        **_report_dict(br),
+        **br.summary(),
     }
     if not args.model_file and args.scale == 1.0:
         results["e_analytic"] = e_bic_analytic(args.gamma, args.nu, args.mu)
@@ -503,14 +497,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("delta-bound", help="closed-form delta-potential solutions")
-    p.add_argument("--lambda", dest="lam", type=float, help="delta strength (< 0 binds)")
-    p.add_argument("--mass", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_finite, help="delta strength (< 0 binds)")
+    p.add_argument("--mass", type=_finite, default=1.0)
     p.add_argument("--two-band", action="store_true")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--b1", type=float, help="general coupling matrix entry (1,1)")
-    p.add_argument("--b2", type=float, help="general coupling matrix entry (1,2)")
-    p.add_argument("--b3", type=float, help="general coupling matrix entry (2,2)")
+    p.add_argument("--mu", type=_finite)
+    p.add_argument("--g", type=_finite)
+    p.add_argument("--b1", type=_finite, help="general coupling matrix entry (1,1)")
+    p.add_argument("--b2", type=_finite, help="general coupling matrix entry (1,2)")
+    p.add_argument("--b3", type=_finite, help="general coupling matrix entry (2,2)")
     p.add_argument("--wave-out")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_delta_bound)
@@ -518,12 +512,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bic-verify", help="solve and certify a BIC candidate")
     p.add_argument("--model", choices=["soc"], default="soc")
     p.add_argument("--model-file")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--half-width", type=float, default=30.0)
+    p.add_argument("--gamma", type=_finite)
+    p.add_argument("--nu", type=_finite)
+    p.add_argument("--mu", type=_finite)
+    p.add_argument("--mass", type=_finite, default=1.0)
+    p.add_argument("--scale", type=_finite, default=1.0)
+    p.add_argument("--half-width", type=_finite, default=30.0)
     p.add_argument("--n-points", type=int, default=4096)
     p.add_argument("--mesh-points", type=int,
                    help="energy mesh size (default: 7 at scale 1 without --e-window, else 48)")
@@ -536,11 +530,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan", help="parameter sweep with per-row verdicts (CSV)")
     p.add_argument("--param", required=True, choices=["scale", "nu", "gamma", "mu"])
     p.add_argument("--range", required=True, help="lo:hi:steps")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--half-width", type=float, default=30.0)
+    p.add_argument("--gamma", type=_finite)
+    p.add_argument("--nu", type=_finite)
+    p.add_argument("--mu", type=_finite)
+    p.add_argument("--mass", type=_finite, default=1.0)
+    p.add_argument("--half-width", type=_finite, default=30.0)
     p.add_argument("--n-points", type=int, default=2048)
     p.add_argument("--mesh-points", type=int, default=24)
     p.add_argument("--jobs", type=int,
@@ -552,25 +546,25 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=["soc"], default="soc")
     p.add_argument("--single-band", action="store_true")
     p.add_argument("--two-band", action="store_true")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--target", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite)
+    p.add_argument("--gamma", type=_finite)
+    p.add_argument("--nu", type=_finite)
+    p.add_argument("--mu", type=_finite)
+    p.add_argument("--g", type=_finite)
+    p.add_argument("--mass", type=_finite, default=1.0)
+    p.add_argument("--target", type=_finite, required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--half-width", type=float)
+    p.add_argument("--half-width", type=_finite)
     p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--x-cut", type=float)
+    p.add_argument("--x-cut", type=_finite)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("kernel-check", help="kernel cross-check table")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--g", type=float)
+    p.add_argument("--mu", type=_finite)
+    p.add_argument("--g", type=_finite)
     p.add_argument("--energies", help="comma-separated energies for the two-band form")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_kernel_check)

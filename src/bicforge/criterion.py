@@ -5,8 +5,9 @@ A state in the mixed-pole window keeps a standing-wave tail unless the
 Fourier components of its potential source sum_k V_k(x) B_k psi(x) vanish
 at every real pole +/-p. The coupling terms (V_k, B_k) come from
 potentials.coupling_terms, so a single potential spec (one term V B) and a
-per-channel list diag(V_1, ..., V_N) take the same path. The verdict
-machinery measures those components two ways:
+per-channel list diag(V_1, ..., V_N) take the same path. classify is the
+one way to a verdict: it samples the source once per state and measures its
+components two ways:
 
 * raw per-channel components F_q (what gets plotted against q), and
 * the tail actually propagated by the kernel: the standing-wave residue
@@ -15,11 +16,12 @@ machinery measures those components two ways:
   components of the closed channel can stay finite without producing any
   tail.
 
-Verdicts: ExactBIC needs small projected residuals AND a small fitted tail
-oscillation inside the mixed window; energies below the window (all poles
-complex) are ConventionalBound, above it (all poles real) Extended;
-anything else in the window is QuasiBIC, with a conflict flag when the two
-signals disagree.
+Verdicts: ExactBIC needs small projected residuals (below TOL_BIC of the
+peak component over PEAK_SAMPLES frequencies) AND a small fitted tail
+oscillation (below TOL_TAIL) inside the mixed window; energies below the
+window (all poles complex) are ConventionalBound, above it (all poles real)
+Extended; anything else in the window is QuasiBIC, with a conflict flag when
+the two signals disagree.
 """
 from __future__ import annotations
 
@@ -33,12 +35,12 @@ import numpy as np
 import scipy.fft  # by module: a bound `fft` is traced as solver.fft (bench/tracer.py)
 
 from .errors import BicforgeError, GridTooCoarse, WindowTooShort
-from .green import residue_green
+from .green import GreenKernel, residue_green
 from .grids import Grid, SpinorField
 from .models import BandModel
 from .potentials import PotentialSpec, coupling_terms, sample_potential
 from .solver import find_energy
-from .spectral import RegionTag, classify_region, poles
+from .spectral import RegionTag, classify_region
 
 TOL_BIC = 1e-3    # projected residual / peak, at the default grids
 TOL_TAIL = 1e-3   # fitted tail oscillation / peak amplitude
@@ -70,15 +72,23 @@ class BicReport:
     conflict: bool = False
 
     def summary(self) -> dict:
+        """The report as strict JSON: a NaN (uncertifiable tail) is None."""
         return {
             "energy": self.energy,
             "verdict": self.verdict.value,
             "real_poles": [float(p) for p in self.real_poles],
-            "residual_rel": self.residual_rel,
-            "tail_rel": self.tail_rel,
-            "tail_decay_rate": self.tail_decay_rate,
+            "residual_rel": _num(self.residual_rel),
+            "projected_residuals": [_num(r) for r in self.projected_residuals],
+            "peak_fourier": self.peak_fourier,
+            "tail_osc_amplitude": _num(self.tail_osc_amplitude),
+            "tail_decay_rate": _num(self.tail_decay_rate),
+            "tail_rel": _num(self.tail_rel),
             "conflict": self.conflict,
         }
+
+
+def _num(x: float) -> float | None:
+    return None if x != x else float(x)
 
 
 def _source_values(state: SpinorField, potential: PotentialSpec | Sequence,
@@ -107,10 +117,14 @@ def fourier_residual(state: SpinorField, potential: PotentialSpec | Sequence,
     resolve every q: |q|*dx <= 0.5. Each q is a direct sum over the grid;
     fourier_line computes equally spaced q faster.
     """
-    grid = state.grid
-    qs = np.asarray(q, dtype=float)
+    return _components(_source_values(state, potential, b), state.grid,
+                       np.asarray(q, dtype=float))
+
+
+def _components(src: np.ndarray, grid: Grid, qs: np.ndarray) -> np.ndarray:
+    """sum_j w_j src_j exp(-i q x_j) for each q in qs, shape qs.shape + (N,),
+    on a grid that resolves every q."""
     _check_resolved(grid, float(np.max(np.abs(qs), initial=0.0)))
-    src = _source_values(state, potential, b)
     w = grid.weights
     comps = [np.sum(np.exp(-1j * qi * grid.x)[:, None] * src * w[:, None], axis=0)
              for qi in qs.ravel()]
@@ -166,16 +180,18 @@ def fourier_line(state: SpinorField, potential: PotentialSpec | Sequence,
 
 
 def peak_fourier_norm(state: SpinorField, potential: PotentialSpec | Sequence,
-                      b: np.ndarray | None, q_max: float,
-                      samples: int = PEAK_SAMPLES) -> float:
-    """Scale-free normalizer: max |F_q| over q in [0, q_max].
+                      b: np.ndarray | None, q_max: float) -> float:
+    """Scale-free normalizer: max |F_q| over PEAK_SAMPLES q in [0, q_max].
 
     The components come from the chirp-z line over the source's nonzero
     span, so a compact source (a delta, a finite box) costs its support,
     not the grid. q_max is not checked against the grid.
     """
-    src = _source_values(state, potential, b)
-    comps = _fourier_line(src, state.grid, 0.0, q_max, samples)
+    return _peak(_source_values(state, potential, b), state.grid, q_max)
+
+
+def _peak(src: np.ndarray, grid: Grid, q_max: float) -> float:
+    comps = _fourier_line(src, grid, 0.0, q_max, PEAK_SAMPLES)
     return float(np.linalg.norm(comps, axis=1).max())
 
 
@@ -219,8 +235,9 @@ def tail_metrics(state: SpinorField, p_real: float, window_start: float
     return osc, decay_rate
 
 
-def _standing_projectors(model: BandModel, energy: float) -> dict[float, list[np.ndarray]]:
-    """Unit-norm standing-wave residue matrices per real pole magnitude |p|.
+def _standing_projectors(model: BandModel, kernel: GreenKernel
+                         ) -> dict[float, list[np.ndarray]]:
+    """Unit-norm standing-wave residue matrices of kernel per real |p|.
 
     The real poles +p and -p (a missing partner counts as zero) give the
     sine matrix S = -(R_+ - R_-)/2 and the cos*sign matrix
@@ -229,7 +246,6 @@ def _standing_projectors(model: BandModel, energy: float) -> dict[float, list[np
     remains of C is the mismatch of the computed roots +p and -p, which
     close pole pairs amplify far above roundoff.
     """
-    kernel = residue_green(model, energy)
     real = sorted((t for t in kernel.terms if t.pole.imag == 0), key=lambda t: abs(t.pole))
     groups: list[list] = []
     for t in real:
@@ -259,13 +275,13 @@ def _standing_projectors(model: BandModel, energy: float) -> dict[float, list[np
 
 
 def classify(model: BandModel, state: SpinorField,
-             potential: PotentialSpec | Sequence, energy: float, *,
-             b: np.ndarray | None = None, tol_bic: float = TOL_BIC,
-             tol_tail: float = TOL_TAIL) -> BicReport:
+             potential: PotentialSpec | Sequence, energy: float) -> BicReport:
     """Verdict for a state under a potential spec or a per-channel list.
 
-    A single spec couples through b (default: the model's B matrix); a
-    per-channel list couples channel by channel, and b is not used.
+    A single spec couples through the model's B matrix; a per-channel list
+    diag(V_1, ..., V_N) couples channel by channel. The source and the
+    kernel are built once: the signed real poles come from the kernel's
+    terms.
     """
     region = classify_region(model, energy)
     if region.tag is not RegionTag.MIXED:
@@ -279,14 +295,14 @@ def classify(model: BandModel, state: SpinorField,
             tail_decay_rate=0.0, tail_rel=0.0)
 
     grid = state.grid
-    signed_poles = poles(model, energy).real_poles
+    kernel = residue_green(model, energy)
+    signed_poles = kernel.real_momenta
     pos_poles = np.array(sorted({abs(p) for p in signed_poles}))
-    projectors = _standing_projectors(model, energy)
+    projectors = _standing_projectors(model, kernel)
 
-    b = model.b if b is None else b
-    peak = peak_fourier_norm(state, potential, b, q_max=4.0 * pos_poles.max())
-
-    raw = list(fourier_residual(state, potential, b, signed_poles))
+    src = _source_values(state, potential, model.b)
+    peak = _peak(src, grid, 4.0 * pos_poles.max())
+    raw = list(_components(src, grid, signed_poles))
     projected = []
     for p, f_p in zip(signed_poles, raw):
         mats = []
@@ -301,14 +317,14 @@ def classify(model: BandModel, state: SpinorField,
     try:
         osc, rate = tail_metrics(state, float(pos_poles.min()), grid.x_max / 2.0)
         tail_rel = osc / state.peak_amplitude() if state.peak_amplitude() > 0 else 0.0
-        tail_ok = tail_rel < tol_tail
+        tail_ok = tail_rel < TOL_TAIL
     except WindowTooShort:
         # oscillation period too long for the grid (energy hugging a band
         # edge); such a state cannot be certified, only rejected
         osc, rate, tail_rel = float("nan"), float("nan"), float("nan")
         tail_ok = False
 
-    residual_ok = residual_rel < tol_bic
+    residual_ok = residual_rel < TOL_BIC
     if residual_ok and tail_ok:
         verdict, conflict = Verdict.EXACT_BIC, False
     else:
@@ -319,28 +335,6 @@ def classify(model: BandModel, state: SpinorField,
         peak_fourier=peak, residual_rel=residual_rel,
         tail_osc_amplitude=float(osc), tail_decay_rate=float(rate),
         tail_rel=float(tail_rel), conflict=conflict)
-
-
-def multiband_criterion(model: BandModel, state: SpinorField,
-                        potentials: Sequence[PotentialSpec | None],
-                        energy: float, *, tol_bic: float = TOL_BIC,
-                        tol_tail: float = TOL_TAIL) -> BicReport:
-    """Verdict for diagonal per-channel potentials diag(V_1, ..., V_N).
-
-    classify() with the per-channel list, after checking that the model
-    has N >= 2 channels and the list one entry per channel. It stays a
-    separate public entry point because classify() also accepts a single
-    spec coupled through b, where these checks do not apply. The components
-    F_{+/-p}(diag(V) psi) must vanish, pole by pole, after propagation
-    through the standing-wave residue matrices; channels the pole does not
-    touch contribute exactly zero.
-    """
-    if model.n_bands < 2:
-        raise ValueError("multiband criterion needs N >= 2")
-    if len(potentials) != model.n_bands:
-        raise ValueError("need one potential entry per channel")
-    return classify(model, state, list(potentials), energy,
-                    tol_bic=tol_bic, tol_tail=tol_tail)
 
 
 # --- parameter scans --------------------------------------------------------
@@ -384,8 +378,7 @@ def scan_parameter(model_family: Callable[[float], BandModel],
                    potential_family: Callable[[float], PotentialSpec | Sequence],
                    param_name: str, lo: float, hi: float, steps: int, *,
                    grid: Grid, e_window: tuple[float, float] | Callable[[float], tuple[float, float]],
-                   scan_grid: Grid | None = None, mesh_points: int = 48,
-                   tol_bic: float = TOL_BIC, tol_tail: float = TOL_TAIL) -> ScanTable:
+                   scan_grid: Grid | None = None, mesh_points: int = 48) -> ScanTable:
     """Sweep a parameter, solving and classifying at each value.
 
     Each point runs find_energy over its window and classifies the solution
@@ -405,8 +398,7 @@ def scan_parameter(model_family: Callable[[float], BandModel],
                                   mesh_points=mesh_points, scan_grid=scan_grid)
             best = None
             for rep in reports:
-                br = classify(model, rep.state, potential, rep.energy,
-                              tol_bic=tol_bic, tol_tail=tol_tail)
+                br = classify(model, rep.state, potential, rep.energy)
                 if best is None or br.residual_rel < best[1].residual_rel:
                     best = (rep, br)
             rep, br = best

@@ -15,8 +15,8 @@ Each Arnoldi eigensolve first asks ARPACK for the 3 eigenvalues of largest
 modulus. That set certifies the answer when its eigenvalue nearest 1 lies
 closer than 1 - m, m being its smallest modulus (so m < 1): every eigenvalue
 not returned has modulus at most m, so it is farther from 1 and has Re < 1.
-Otherwise the solve reruns with the caller's k (12 on the energy mesh, 16
-for the final state).
+Otherwise the solve reruns with MESH_K eigenvalues on the energy mesh and in
+the secant steps, or STATE_K for the final state.
 
 M has block Toeplitz structure (the kernel depends on x_i - x_j only), so
 the solver applies it through FFT convolutions instead of materializing the
@@ -43,6 +43,9 @@ from .potentials import PotentialSpec, coupling_terms, decay_scale, sample_poten
 MAX_PHASE_STEP = 0.3          # dx * p_real above this cannot resolve the sine
 ACCEPT_EIG_DISTANCE = 0.5     # |lambda - 1| beyond this is "no solution here"
 RESIDUAL_LIMIT = 1e-6
+MESH_K = 12                   # Arnoldi fallback k for mesh probes and secant steps
+STATE_K = 16                  # Arnoldi fallback k for the accepted state
+REFINE_TOL = 1e-9             # secant step that ends refinement; roots closer are one
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class _Coupling:
     """The energy-independent half of the map on one grid: the coupling
     terms (V_k, B_k), the per-site factors F_j = sum_k V_k(x_j) w_j B_k,
     and the support, the sites where F_j is nonzero. find_energy builds one
-    per grid and hands it to every operator on that grid."""
+    per grid and hands it to every mesh and secant operator on that grid."""
 
     terms: list
     factors: np.ndarray
@@ -214,7 +217,7 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool):
     they certify the answer: the one nearest 1 lies closer than 1 - m, where
     m < 1 is their smallest modulus and 1 - m the least distance from 1 of
     any eigenvalue not returned, so the pick and the count are those of any
-    larger k. Otherwise, or if that pass fails, it reruns with the caller's k.
+    larger k. Otherwise, or if that pass fails, it reruns with k.
     """
     dim = op.shape[0]
     if op.is_null:
@@ -264,17 +267,14 @@ def _fix_phase(values: np.ndarray) -> np.ndarray:
 
 
 def solve_state(model: BandModel, energy: float, grid: Grid,
-                potential: PotentialSpec | Sequence, *, k: int = 16,
-                coupling: _Coupling | None = None) -> SolveReport:
+                potential: PotentialSpec | Sequence) -> SolveReport:
     """Eigenvector of the map for the eigenvalue nearest 1.
 
     The state is rescaled so its peak channel amplitude is 1 and its global
     phase makes the peak real; fixed_point_residual = |psi - M psi|/|psi|.
-    coupling is find_energy's prebuilt coupling of potential on grid; None
-    builds it here.
     """
-    op = _ConvMap(model, energy, grid, potential, coupling)
-    lam, vec, _ = _near_one(op, k, want_vectors=True)
+    op = _ConvMap(model, energy, grid, potential)
+    lam, vec, _ = _near_one(op, STATE_K, want_vectors=True)
     if abs(lam - 1.0) > ACCEPT_EIG_DISTANCE:
         raise NoNearUnitEigenvalue(
             f"nearest map eigenvalue {lam:.6g} is {abs(lam - 1):.3g} away from 1",
@@ -288,10 +288,10 @@ def solve_state(model: BandModel, energy: float, grid: Grid,
 
 
 def _branch_value(model: BandModel, energy: float, grid: Grid,
-                  potential, k: int, coupling: _Coupling) -> tuple[complex, int | None]:
+                  potential, coupling: _Coupling) -> tuple[complex, int | None]:
     """Eigenvalue nearest 1 and the count of eigenvalues with Re > 1 (or None)."""
     op = _ConvMap(model, energy, grid, potential, coupling)
-    lam, _, above = _near_one(op, k, want_vectors=False)
+    lam, _, above = _near_one(op, MESH_K, want_vectors=False)
     return lam, above
 
 
@@ -301,13 +301,12 @@ def _plural(n: int, noun: str, plural: str) -> str:
 
 def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence,
                 e_lo: float, e_hi: float, *, mesh_points: int = 200,
-                scan_grid: Grid | None = None, k: int = 12,
-                refine_tol: float = 1e-9) -> list[SolveReport]:
+                scan_grid: Grid | None = None) -> list[SolveReport]:
     """Scan [e_lo, e_hi], bracket crossings of Re(eigenvalue) = 1, refine.
 
     The mesh phase may run on a coarser scan_grid; refinement always runs
     on the main grid. Returns every converged solution, ordered by energy;
-    solutions within refine_tol of each other are one root, reported once.
+    solutions within REFINE_TOL of each other are one root, reported once.
 
     The tracked eigenvalue is the one nearest 1, so its Re - 1 also changes
     sign where the selection jumps from one branch to another without any
@@ -332,7 +331,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
 
     def probe(e: float) -> tuple[float, int | None]:
         try:
-            lam, above = _branch_value(model, e, mesh_grid, potential, k, mesh_coupling)
+            lam, above = _branch_value(model, e, mesh_grid, potential, mesh_coupling)
         except (ArpackError, NoNearUnitEigenvalue):
             return float("nan"), None
         return float(lam.real) - 1.0, above
@@ -340,7 +339,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     h, above = zip(*[probe(e) for e in energies])
 
     def fine(e: float) -> float:
-        return float(_branch_value(model, e, grid, potential, k, fine_coupling)[0].real) - 1.0
+        return float(_branch_value(model, e, grid, potential, fine_coupling)[0].real) - 1.0
 
     reports = []
     brackets = switches = stalls = high_residual = 0
@@ -363,7 +362,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
             lo, hi = min(ea, eb), max(ea, eb)
             if not (lo - abs(hi - lo) <= e_new <= hi + abs(hi - lo)):
                 e_new = 0.5 * (ea + eb)  # secant left the bracket; bisect
-            if abs(e_new - eb) < refine_tol:
+            if abs(e_new - eb) < REFINE_TOL:
                 eb = e_new
                 converged = True
                 break
@@ -373,8 +372,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
             stalls += 1
             continue
         try:
-            rep = solve_state(model, eb, grid, potential, k=max(k, 16),
-                              coupling=fine_coupling)
+            rep = solve_state(model, eb, grid, potential)
         except NoNearUnitEigenvalue as exc:
             rejected.append(exc.distance)
             continue
@@ -399,6 +397,6 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     # a mesh point that lands on a root closes both adjacent brackets on it
     merged = reports[:1]
     for rep in reports[1:]:
-        if rep.energy - merged[-1].energy >= refine_tol:
+        if rep.energy - merged[-1].energy >= REFINE_TOL:
             merged.append(rep)
     return merged

@@ -204,6 +204,38 @@ def test_grid_bad_arguments_exit_usage(capsys, command, bad, flag):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["delta-bound", "--lambda", "nan"], "--lambda"),
+    (["delta-bound", "--lambda", "-1", "--mass", "inf"], "--mass"),
+    (["delta-bound", "--two-band", "--mu", "0.3", "--g=-inf", "--lambda", "-1"], "--g"),
+    (["bic-verify", "--gamma", "0.5", "--nu", "nan", "--mu", "1"], "--nu"),
+    (["scan", "--param", "scale", "--range", "0.9:1.1:3", "--gamma", "0.5",
+      "--nu", "0.7", "--mu", "1", "--half-width", "inf"], "--half-width"),
+    (["oracle", "--single-band", "--lambda", "-1", "--target", "NaN"], "--target"),
+], ids=["lambda_nan", "mass_inf", "g_neg_inf", "nu_nan", "half_width_inf", "target_nan"])
+def test_non_finite_float_exit_usage(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert f"argument {flag}: must be finite" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lambda", "-1", "--mass", "0"),
+    ("--b1", "-1", "--mu", "1", "--g", "1", "--mass", "-2"),
+    ("--two-band", "--mu", "1", "--g", "1", "--lambda", "-1", "--mass", "0"),
+], ids=["single_band", "general_b", "two_band"])
+def test_delta_bound_bad_mass_exit_usage(argv):
+    # the model is built before the closed forms: no traceback, no warning
+    rc, out, err = run_cli("delta-bound", *argv)
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "bicforge: mass must be positive\n"
+
+
 @pytest.mark.parametrize("command", [
     ["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1", "--scale", "0.9"],
     ["scan", "--param", "scale", "--range", "0.9:1.1:3",

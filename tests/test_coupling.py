@@ -65,8 +65,6 @@ def test_list_and_scalar_give_the_same_report(bic_state_2048):
     for f_list, f_scalar in zip(via_list.fourier_residuals, via_scalar.fourier_residuals,
                                 strict=True):
         assert np.array_equal(f_list, f_scalar)
-    multi = bf.multiband_criterion(model, state, [spec, None], energy)
-    assert multi.summary() == via_list.summary()
 
 
 def test_full_list_sums_channel_projectors():

@@ -119,10 +119,38 @@ def test_classify_extended_region():
 
 def test_multiband_matches_scalar_route(bic_state_4096, soc, socbic_pot):
     scalar = bf.classify(soc, bic_state_4096.state, socbic_pot, bic_state_4096.energy)
-    diag = bf.multiband_criterion(soc, bic_state_4096.state, [socbic_pot, None],
-                                  bic_state_4096.energy)
+    diag = bf.classify(soc, bic_state_4096.state, [socbic_pot, None],
+                       bic_state_4096.energy)
     assert diag.verdict is scalar.verdict is Verdict.EXACT_BIC
     assert diag.residual_rel == pytest.approx(scalar.residual_rel, rel=1e-9)
+
+
+@pytest.mark.parametrize("two_terms", [False, True], ids=["spec", "list"])
+def test_classify_builds_source_and_kernel_once(monkeypatch, bic_state_2048, soc,
+                                                socbic_pot, two_terms):
+    # the source is sampled once per coupling term, and the dispersion
+    # polynomial is solved twice: once for the region, once for the kernel
+    import sys
+
+    from bicforge import criterion, spectral
+    from bicforge.potentials import coupling_terms
+    pot = [socbic_pot, socbic_pot] if two_terms else socbic_pot
+    counts = {"sample_potential": 0, "poles": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(criterion, "sample_potential",
+                        counted("sample_potential", criterion.sample_potential))
+    poles = spectral.poles
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bicforge") and getattr(mod, "poles", None) is poles:
+            monkeypatch.setattr(mod, "poles", counted("poles", poles))
+    bf.classify(soc, bic_state_2048.state, pot, bic_state_2048.energy)
+    assert counts == {"sample_potential": len(coupling_terms(pot, soc.b)), "poles": 2}
 
 
 def _three_band_model(eps: float) -> bf.BandModel:
@@ -140,7 +168,7 @@ def test_multiband_decoupled_exact_bic():
     reps = bf.find_energy(model, grid, pots, 1.2, 1.8, mesh_points=15)
     rep = reps[0]
     assert rep.energy == pytest.approx(1.5, abs=1e-9)
-    br = bf.multiband_criterion(model, rep.state, pots, rep.energy)
+    br = bf.classify(model, rep.state, pots, rep.energy)
     assert br.verdict is Verdict.EXACT_BIC
     # open-channel source components are identically zero; the propagated
     # residual only carries machine noise from the pole locations
@@ -154,7 +182,7 @@ def test_multiband_coupled_quasi_bic():
     grid = bf.Grid.symmetric(40.0, 1025)
     pots = [bf.Delta(-1.0), None, None]
     reps = bf.find_energy(model, grid, pots, 1.2, 1.8, mesh_points=15)
-    br = bf.multiband_criterion(model, reps[0].state, pots, reps[0].energy)
+    br = bf.classify(model, reps[0].state, pots, reps[0].energy)
     assert br.verdict is Verdict.QUASI_BIC
     assert br.projected_residuals.max() > 0.0
     assert br.residual_rel > 1e-3
@@ -168,11 +196,12 @@ def test_standing_projectors_close_pole_pairs_without_linear_term(soc, e_bic):
                    [0.4945804911271288, -0.5236610873611787, 0.0406087068297624],
                    [0.039918676391265256, 0.0406087068297624, -0.9521790498980919]])
     model = bf.BandModel(3, 1.0, a0, np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0]))
-    projectors = _standing_projectors(model, -0.21089568642655498)
+    projectors = _standing_projectors(model, bf.residue_green(model, -0.21089568642655498))
     assert sorted(projectors) == pytest.approx([1.21214, 1.22216], abs=1e-5)
     assert all(len(mats) == 1 for mats in projectors.values())
     # with the linear term the cos*sign matrix is genuine and stays
-    assert [len(mats) for mats in _standing_projectors(soc, e_bic).values()] == [2]
+    assert [len(mats) for mats in
+            _standing_projectors(soc, bf.residue_green(soc, e_bic)).values()] == [2]
 
 
 def test_refinement_monotonicity(bic_state_2048, bic_state_4096, soc, socbic_pot):
