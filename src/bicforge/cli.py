@@ -157,9 +157,9 @@ def _soc_setup(args):
 
 def _parse_window(text: str) -> tuple[float, float]:
     try:
-        lo, hi = (float(t) for t in text.split(":"))
-    except ValueError as exc:
-        raise BicforgeError(f"--e-window must be lo:hi, got {text!r}") from exc
+        lo, hi = (_finite(t) for t in text.split(":"))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise BicforgeError(f"--e-window must be lo:hi, two finite numbers, got {text!r}") from exc
     if not hi > lo:
         raise BicforgeError("--e-window needs lo < hi")
     return lo, hi
@@ -238,10 +238,11 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise BicforgeError("--range must be lo:hi:steps")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = _finite(parts[0]), _finite(parts[1])
         steps = int(parts[2])
-    except ValueError as exc:
-        raise BicforgeError(f"--range must be numeric lo:hi:steps, got {text!r}") from exc
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise BicforgeError(f"--range must be lo:hi:steps, finite lo and hi and an "
+                            f"integer step count, got {text!r}") from exc
     if steps < 0:
         raise BicforgeError("--range step count must be >= 0")
     return lo, hi, steps

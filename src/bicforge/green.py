@@ -64,10 +64,14 @@ class GreenKernel:
     n_bands: int
     terms: tuple[KernelTerm, ...]
 
-    def evaluate(self, dx) -> np.ndarray:
-        """Kernel matrices for an array of separations, shape (len, N, N)."""
+    def evaluate(self, dx, rows=None, cols=None) -> np.ndarray:
+        """Kernel matrices for an array of separations, shape (len, N, N);
+        channel index arrays rows and cols, given together, evaluate only
+        that block."""
         dx = np.atleast_1d(np.asarray(dx, dtype=float))
-        out = np.zeros((dx.size, self.n_bands, self.n_bands), dtype=complex)
+        block = slice(None) if rows is None else np.ix_(rows, cols)
+        shape = (self.n_bands, self.n_bands) if rows is None else (len(rows), len(cols))
+        out = np.zeros((dx.size,) + shape, dtype=complex)
         sgn = np.sign(dx)
         for t in self.terms:
             # (i/2)(sign(dx) + sign(Im p)) is zero on the side a term does not
@@ -77,7 +81,7 @@ class GreenKernel:
             live = weight != 0
             prof = np.zeros(dx.size, dtype=complex)
             prof[live] = weight[live] * np.exp(1j * t.pole * dx[live])
-            out += prof[:, None, None] * t.residue
+            out += prof[:, None, None] * t.residue[block]
         return out
 
     def __call__(self, dx: float) -> np.ndarray:

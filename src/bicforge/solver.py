@@ -3,29 +3,43 @@
 The coupling U(x) = sum_k V_k(x) B_k comes from potentials.coupling_terms:
 one term V(x) B for a single potential spec, one channel projector per
 entry for a per-channel list. Discretized on a uniform grid with trapezoid
-weights, the right-hand side becomes a dense (nN x nN) map M(E); solutions
-are fixed points, found by tracking the eigenvalue of M(E) nearest 1 and
-root-finding its crossing of 1 as the energy sweeps the mixed-pole window.
-That eigenvalue's real part also jumps across 1 where the selection switches
-from one branch to another; find_energy tells the two apart by counting the
-eigenvalues with Re > 1 at each mesh point and refines only brackets where
-the count changes or is unknown (see find_energy for the limitation).
+weights, the right-hand side becomes a dense (nN x nN) map M(E) = K F, K
+the block Toeplitz kernel and F the block diagonal of the per-site factors
+F_j = sum_k V_k(x_j) w_j B_k; solutions are fixed points, found by tracking
+the eigenvalue of M(E) nearest 1 and root-finding its crossing of 1 as the
+energy sweeps the mixed-pole window. That eigenvalue's real part also jumps
+across 1 where the selection switches from one branch to another;
+find_energy tells the two apart by counting the eigenvalues with Re > 1 at
+each mesh point and refines only brackets where the count changes or is
+unknown (see find_energy for the limitation).
+
+The potential reaches only its support sites S, and there only the channels
+R where the F_j have nonzero rows and C where they have nonzero columns;
+with psi_j = F_j[R, C], M factors as A B with B v = psi_j v_j[C] on S and
+A = K[:, R] applied to a source on S x R. Because spec(AB) and spec(BA)
+agree away from 0, every eigensolve runs on the coupled subspace S x R,
+where BA acts as u -> psi_j sum_j' K[C, R](x_j - x_j') u_j' through one FFT
+convolution across the support's span (_ConvMap). One full-grid convolution
+with K[:, R], the lift, gives back both the eigenvector v = A w / lambda of
+an eigenvector w of BA and the full map M v = A (B v) for the residual. A
+dense B keeps R = C = every channel and S every site where V is nonzero.
 
 Each Arnoldi eigensolve first asks ARPACK for the 3 eigenvalues of largest
 modulus. That set certifies the answer when its eigenvalue nearest 1 lies
 closer than 1 - m, m being its smallest modulus (so m < 1): every eigenvalue
 not returned has modulus at most m, so it is farther from 1 and has Re < 1.
 Otherwise the solve reruns with MESH_K eigenvalues on the energy mesh and in
-the secant steps, or STATE_K for the final state.
+the secant steps, or STATE_K for the final state. A small support takes the
+direct path instead: the dense form of the same operator (support_matrix).
 
-M has block Toeplitz structure (the kernel depends on x_i - x_j only), so
-the solver applies it through FFT convolutions instead of materializing the
-matrix; assemble_map builds the explicit dense matrix for inspection and
-cross-checks. Both paths share the same kernel samples and weights.
+assemble_map builds the explicit dense (nN x nN) matrix for inspection and
+cross-checks. Every path shares the same kernel samples and weights.
 """
 from __future__ import annotations
 
+import functools
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -61,13 +75,18 @@ class SolveReport:
 @dataclass(frozen=True)
 class _Coupling:
     """The energy-independent half of the map on one grid: the coupling
-    terms (V_k, B_k), the per-site factors F_j = sum_k V_k(x_j) w_j B_k,
-    and the support, the sites where F_j is nonzero. find_energy builds one
-    per grid and hands it to every mesh and secant operator on that grid."""
+    terms (V_k, B_k), the per-site factors F_j = sum_k V_k(x_j) w_j B_k, the
+    support (the sites where F_j is nonzero), the channels rows (R) and cols
+    (C) where the F_j have nonzero rows and columns, and psi_j = F_j[R, C]
+    on the support. find_energy builds one per grid and hands it to every
+    mesh and secant operator on that grid."""
 
     terms: list
     factors: np.ndarray
     support: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    psi: np.ndarray
 
 
 def _coupling(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence) -> _Coupling:
@@ -76,7 +95,11 @@ def _coupling(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence)
     f = np.zeros((grid.n_points, model.n_bands, model.n_bands), dtype=complex)
     for spec, bk in terms:
         f += (sample_potential(spec, grid) * w)[:, None, None] * bk
-    return _Coupling(terms, f, np.flatnonzero(np.abs(f).max(axis=(1, 2)) > 0))
+    nonzero = np.abs(f) > 0
+    support = np.flatnonzero(nonzero.any(axis=(1, 2)))
+    rows = np.flatnonzero(nonzero.any(axis=(0, 2)))
+    cols = np.flatnonzero(nonzero.any(axis=(0, 1)))
+    return _Coupling(terms, f, support, rows, cols, f[np.ix_(support, rows, cols)])
 
 
 def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
@@ -88,23 +111,62 @@ def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
     return kernel
 
 
-def _coverage_warning(grid: Grid, kernel: GreenKernel, terms: list) -> None:
-    rates = [decay_scale(spec) for spec, _ in terms]
-    rates.append(kernel.decay_rate)
-    slowest = min(rates)
-    if np.isfinite(slowest) and grid.x_max * slowest < 10.0:
-        warnings.warn(
-            f"grid half-width {grid.x_max:g} is under 10 decay lengths (rate {slowest:g})",
-            stacklevel=3)
+# (half-width, slowest decay rate) of every operator built inside the
+# outermost public call in flight, which warns once for all of them
+_COVERAGE: ContextVar[list | None] = ContextVar("coverage", default=None)
 
 
-def _kernel_samples(kernel: GreenKernel, grid: Grid) -> np.ndarray:
-    """Kernel matrices at all separations, index d = i - j + (n-1)."""
-    n = grid.n_points
-    diffs = grid.dx * np.arange(-(n - 1), n)
-    return kernel.evaluate(diffs)
+def _record_coverage(grid: Grid, kernel: GreenKernel, terms: list) -> None:
+    seen = _COVERAGE.get()
+    if seen is not None:
+        seen.append((grid.x_max, min([kernel.decay_rate] + [decay_scale(s) for s, _ in terms])))
 
 
+def _warns_coverage_once(fn):
+    """Warn at most once per call of fn, nested public calls included, when
+    a kernel or potential it met decays over more than a tenth of the grid
+    half-width; the warning quotes the slowest rate seen."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _COVERAGE.get() is not None:
+            return fn(*args, **kwargs)
+        seen = []
+        token = _COVERAGE.set(seen)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _COVERAGE.reset(token)
+            if seen:
+                x_max, slowest = min(seen, key=lambda s: s[0] * s[1])
+                if np.isfinite(slowest) and x_max * slowest < 10.0:
+                    warnings.warn(f"grid half-width {x_max:g} is under 10 decay "
+                                  f"lengths (rate {slowest:g})", stacklevel=2)
+
+    return wrapper
+
+
+def _kernel_samples(kernel: GreenKernel, n: int, dx: float, rows=None, cols=None) -> np.ndarray:
+    """Kernel blocks at the separations of n sites, index d = i - j + (n-1)."""
+    return kernel.evaluate(dx * np.arange(-(n - 1), n), rows, cols)
+
+
+def _convolve(kf: np.ndarray, m: int, sites: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sum_j K(x_i - x_j) u_j at all i of a range of m sites, for a source u
+    of shape (len(sites), channels) at the given offsets into that range;
+    kf is the FFT of _kernel_samples on m sites."""
+    src = np.zeros((m, u.shape[1]), dtype=complex)
+    src[sites] = u
+    uf = fft(src, n=kf.shape[0], axis=0)
+    yf = np.einsum("dab,db->da", kf, uf)
+    return ifft(yf, axis=0)[m - 1:2 * m - 1]
+
+
+def _sample_fft(kernel: GreenKernel, n: int, dx: float, rows=None, cols=None) -> np.ndarray:
+    return fft(_kernel_samples(kernel, n, dx, rows, cols), n=next_fast_len(2 * n - 1), axis=0)
+
+
+@_warns_coverage_once
 def assemble_map(model: BandModel, energy: float, grid: Grid,
                  potential: PotentialSpec | Sequence) -> np.ndarray:
     """Dense (nN x nN) matrix of the discretized self-consistency map.
@@ -114,77 +176,88 @@ def assemble_map(model: BandModel, energy: float, grid: Grid,
     """
     kernel = _kernel_checked(model, energy, grid)
     coupling = _coupling(model, grid, potential)
-    _coverage_warning(grid, kernel, coupling.terms)
+    _record_coverage(grid, kernel, coupling.terms)
     n, nb = grid.n_points, model.n_bands
-    samples = _kernel_samples(kernel, grid)
+    samples = _kernel_samples(kernel, n, grid.dx)
     idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
     blocks = np.einsum("ijab,jbc->iajc", samples[idx], coupling.factors)
     return blocks.reshape(n * nb, n * nb)
 
 
 class _ConvMap(LinearOperator):
-    """Matrix-free application of the map via FFT convolution; coupling is
-    the grid's prebuilt _Coupling, or None to build it from potential."""
+    """The map on its coupled subspace (support sites x R channels),
+    u -> psi_j sum_j' K[C, R](x_j - x_j') u_j', applied by one FFT
+    convolution across the span of the support; lift and full_matvec
+    return to the full grid. coupling is the grid's prebuilt _Coupling, or
+    None to build it from potential."""
 
     def __init__(self, model: BandModel, energy: float, grid: Grid,
                  potential: PotentialSpec | Sequence, coupling: _Coupling | None = None):
         self.grid = grid
         self.n_bands = model.n_bands
-        n = grid.n_points
-        kernel = _kernel_checked(model, energy, grid)
+        self.kernel = _kernel_checked(model, energy, grid)
         if coupling is None:
             coupling = _coupling(model, grid, potential)
-        _coverage_warning(grid, kernel, coupling.terms)
-        self.kernel = kernel
-        self.factors = coupling.factors
+        _record_coverage(grid, self.kernel, coupling.terms)
+        self.coupling = coupling
         self.support = coupling.support
-        self._fft_len = next_fast_len(2 * n - 1)
-        dim = n * model.n_bands
+        dim = coupling.support.size * coupling.rows.size
         super().__init__(dtype=complex, shape=(dim, dim))
-
-    @cached_property
-    def _kf(self) -> np.ndarray:
-        """FFT of the kernel samples, taken at the first convolution: the
-        support-matrix path probes the mesh without convolving at all."""
-        return fft(_kernel_samples(self.kernel, self.grid), n=self._fft_len, axis=0)
-
-    def _convolve(self, u: np.ndarray) -> np.ndarray:
-        """Sum_j K(x_i - x_j) u_j for a per-site source u of shape (n, N)."""
-        n = self.grid.n_points
-        uf = fft(u, n=self._fft_len, axis=0)
-        yf = np.einsum("dab,db->da", self._kf, uf)
-        return ifft(yf, axis=0)[n - 1:2 * n - 1]
-
-    def _matvec(self, v: np.ndarray) -> np.ndarray:
-        n, nb = self.grid.n_points, self.n_bands
-        u = np.einsum("jbc,jc->jb", self.factors, v.reshape(n, nb))
-        return self._convolve(u).reshape(n * nb)
 
     @property
     def is_null(self) -> bool:
         return self.support.size == 0
 
+    @cached_property
+    def _at(self) -> np.ndarray:
+        """The support sites as offsets into their span."""
+        return self.support - self.support[0]
+
+    @cached_property
+    def _span(self) -> int:
+        return int(self._at[-1]) + 1
+
+    @cached_property
+    def _kf(self) -> np.ndarray:
+        """FFT of K[C, R] across the support's span, taken at the first
+        matvec: the direct path probes the mesh without convolving at all."""
+        c = self.coupling
+        return _sample_fft(self.kernel, self._span, self.grid.dx, c.cols, c.rows)
+
+    def _matvec(self, u: np.ndarray) -> np.ndarray:
+        c = self.coupling
+        y = _convolve(self._kf, self._span, self._at, u.reshape(-1, c.rows.size))
+        return np.einsum("jrc,jc->jr", c.psi, y[self._at]).reshape(-1)
+
     def support_matrix(self) -> np.ndarray:
-        """Map restricted to the potential support.
-
-        The nonzero spectrum of the full map equals that of
-        T[(j,a),(j',b)] = [F_j K(x_j - x_j')]_{ab} over support sites j, j';
-        for compact potentials (a handful of delta sites) this is a tiny
-        dense eigenproblem instead of an Arnoldi iteration.
-        """
+        """Dense form of this operator,
+        T[(j,r),(j',s)] = [psi_j K[C, R](x_j - x_j')]_{rs} over support
+        sites j, j': for compact potentials (a handful of delta sites) a
+        tiny dense eigenproblem instead of an Arnoldi iteration."""
+        c = self.coupling
         xs = self.grid.x[self.support]
-        ks = self.kernel.evaluate((xs[:, None] - xs[None, :]).reshape(-1))
-        ks = ks.reshape(len(xs), len(xs), self.n_bands, self.n_bands)
-        t = np.einsum("jab,jpbc->japc", self.factors[self.support], ks)
-        m = len(xs) * self.n_bands
-        return t.reshape(m, m)
+        ks = self.kernel.evaluate((xs[:, None] - xs[None, :]).reshape(-1), c.cols, c.rows)
+        ks = ks.reshape(len(xs), len(xs), c.cols.size, c.rows.size)
+        t = np.einsum("jrc,jpcs->jrps", c.psi, ks)
+        return t.reshape(self.shape)
 
-    def lift_support_vector(self, u_small: np.ndarray, lam: complex) -> np.ndarray:
-        """Full-grid eigenvector from its potential-support restriction."""
-        n, nb = self.grid.n_points, self.n_bands
-        u = np.zeros((n, nb), dtype=complex)
-        u[self.support] = u_small.reshape(len(self.support), nb)
-        return (self._convolve(u) / lam).reshape(n * nb)
+    def lift(self, w: np.ndarray) -> np.ndarray:
+        """K[:, R] applied to a source w on the coupled subspace, on the full
+        grid: lift(w) / lambda is the map's eigenvector for an eigenvector w
+        of this operator, and lift of the restriction is the full map."""
+        u = w.reshape(-1, self.coupling.rows.size)
+        return _convolve(self._lift_kf, self.grid.n_points, self.support, u).reshape(-1)
+
+    @cached_property
+    def _lift_kf(self) -> np.ndarray:
+        return _sample_fft(self.kernel, self.grid.n_points, self.grid.dx,
+                           np.arange(self.n_bands), self.coupling.rows)
+
+    def full_matvec(self, v: np.ndarray) -> np.ndarray:
+        """The full (nN) map applied to v: the lift of psi_j v_j[C]."""
+        c = self.coupling
+        vs = v.reshape(self.grid.n_points, self.n_bands)[np.ix_(self.support, c.cols)]
+        return self.lift(np.einsum("jrc,jc->jr", c.psi, vs))
 
 
 # Potential support (sites x channels) small enough for a direct dense eig.
@@ -204,14 +277,18 @@ def _arnoldi(op: _ConvMap, k: int, want_vectors: bool, v0: np.ndarray):
 
 
 def _near_one(op: _ConvMap, k: int, want_vectors: bool):
-    """Eigenvalue nearest 1, its eigenvector (None unless asked for), and the
-    number of eigenvalues with Re(lambda) > 1, or None where it is unknown.
+    """Eigenvalue nearest 1, its eigenvector on the coupled subspace (None
+    unless asked for, or for lambda = 0), and the number of eigenvalues with
+    Re(lambda) > 1, or None where it is unknown.
 
     Re(lambda) > 1 implies |lambda| > 1, so the count is exact whenever the
     computed set holds every eigenvalue of modulus above 1: on the direct
     support-matrix path, which returns the whole nonzero spectrum, and after
     a converged Arnoldi run whose smallest returned |lambda| is below 1. A
-    partial set from a non-converged run leaves it unknown.
+    partial set from a non-converged run leaves it unknown. The direct path
+    adds the full map's structural 0 to its candidates whenever the coupled
+    subspace is smaller than support x channels, so a far nonzero spectrum
+    still gives Re(lambda) - 1 = -1.
 
     Arnoldi first asks for FIRST_PASS_K eigenvalues and keeps them only when
     they certify the answer: the one nearest 1 lies closer than 1 - m, where
@@ -221,18 +298,23 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool):
     """
     dim = op.shape[0]
     if op.is_null:
-        return 0.0 + 0.0j, (np.zeros(dim, dtype=complex) if want_vectors else None), 0
-    direct = op.support.size * op.n_bands <= DIRECT_SUPPORT_LIMIT
-    if direct:
+        return 0.0 + 0.0j, None, 0
+    if op.support.size * op.n_bands <= DIRECT_SUPPORT_LIMIT:
         t = op.support_matrix()
         if want_vectors:
             vals, vecs = np.linalg.eig(t)
         else:
             vals, vecs = np.linalg.eigvals(t), None
+        if op.support.size * op.n_bands > dim:
+            vals = np.append(vals, 0.0)
         complete = True
     else:
         k = min(k, dim - 2)
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))  # deterministic Arnoldi start
+        # deterministic Arnoldi start: B applied to the full map's flat vector,
+        # so the Krylov spaces are B times the full map's; flat where B kills it
+        v0 = op.coupling.psi.sum(axis=2).reshape(-1)
+        norm = np.linalg.norm(v0)
+        v0 = v0 / norm if norm > 0 else np.full(dim, 1.0 / np.sqrt(dim))
         complete = False
         if FIRST_PASS_K < k:
             try:
@@ -251,9 +333,7 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool):
                     raise NoNearUnitEigenvalue("Arnoldi iteration found no eigenvalues") from exc
     best = int(np.argmin(np.abs(vals - 1.0)))
     lam = complex(vals[best])
-    vec = vecs[:, best] if vecs is not None else None
-    if direct and vec is not None:
-        vec = np.zeros(dim, dtype=complex) if lam == 0.0 else op.lift_support_vector(vec, lam)
+    vec = vecs[:, best] if vecs is not None and lam != 0.0 else None
     above = int(np.count_nonzero(vals.real > 1.0)) if complete else None
     return lam, vec, above
 
@@ -266,6 +346,7 @@ def _fix_phase(values: np.ndarray) -> np.ndarray:
     return values / peak if abs(peak) else values
 
 
+@_warns_coverage_once
 def solve_state(model: BandModel, energy: float, grid: Grid,
                 potential: PotentialSpec | Sequence) -> SolveReport:
     """Eigenvector of the map for the eigenvalue nearest 1.
@@ -274,13 +355,13 @@ def solve_state(model: BandModel, energy: float, grid: Grid,
     phase makes the peak real; fixed_point_residual = |psi - M psi|/|psi|.
     """
     op = _ConvMap(model, energy, grid, potential)
-    lam, vec, _ = _near_one(op, STATE_K, want_vectors=True)
+    lam, w, _ = _near_one(op, STATE_K, want_vectors=True)
     if abs(lam - 1.0) > ACCEPT_EIG_DISTANCE:
         raise NoNearUnitEigenvalue(
             f"nearest map eigenvalue {lam:.6g} is {abs(lam - 1):.3g} away from 1",
             distance=abs(lam - 1.0))
-    values = _fix_phase(vec.reshape(grid.n_points, model.n_bands))
-    resid = np.linalg.norm(op.matvec(values.reshape(-1)) - values.reshape(-1))
+    values = _fix_phase((op.lift(w) / lam).reshape(grid.n_points, model.n_bands))
+    resid = np.linalg.norm(op.full_matvec(values.reshape(-1)) - values.reshape(-1))
     resid /= np.linalg.norm(values)
     return SolveReport(energy=float(energy), operator_eigenvalue=lam,
                        state=SpinorField(grid=grid, values=values),
@@ -299,6 +380,7 @@ def _plural(n: int, noun: str, plural: str) -> str:
     return f"{n} {noun if n == 1 else plural}"
 
 
+@_warns_coverage_once
 def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence,
                 e_lo: float, e_hi: float, *, mesh_points: int = 200,
                 scan_grid: Grid | None = None) -> list[SolveReport]:

@@ -223,6 +223,23 @@ def test_non_finite_float_exit_usage(capsys, argv, flag):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1", "--n-points", "1024",
+      "--e-window", "0.6:inf"],
+     "bicforge: --e-window must be lo:hi, two finite numbers, got '0.6:inf'\n"),
+    (["scan", "--param", "scale", "--range", "0.9:inf:2", "--gamma", "0.5", "--nu", "0.7",
+      "--mu", "1", "--n-points", "1024"],
+     "bicforge: --range must be lo:hi:steps, finite lo and hi and an integer step "
+     "count, got '0.9:inf:2'\n"),
+], ids=["e_window_inf", "range_inf"])
+def test_non_finite_window_and_range_exit_usage(capsys, argv, message):
+    # was a LinAlgError traceback (window) and rows with param nan and inf (range)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 @pytest.mark.parametrize("argv", [
     ("--lambda", "-1", "--mass", "0"),
     ("--b1", "-1", "--mu", "1", "--g", "1", "--mass", "-2"),

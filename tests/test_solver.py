@@ -18,17 +18,40 @@ def test_assembled_map_shape_and_delta_fixed_point():
     assert abs(lam[np.argmin(np.abs(lam - 1))] - 1.0) < 2e-3
 
 
+def _spectra_match(small, full, atol):
+    """full holds small's eigenvalues plus len(full) - len(small) zeros."""
+    top = full[np.argsort(np.abs(full))[::-1]]
+    zeros, top = top[len(small):], top[:len(small)]
+    assert np.abs(small[:, None] - top[None, :]).min(axis=1).max() < atol
+    assert np.abs(top[:, None] - small[None, :]).min(axis=1).max() < atol
+    assert np.abs(zeros).max(initial=0.0) < atol
+
+
+@pytest.mark.filterwarnings("ignore:grid half-width")
 def test_operator_matches_dense_matrix():
     model = bf.soc_model(gamma=0.5, mu=1.0)
+    dense_b = bf.soc_model(gamma=0.5, mu=1.0, b=np.array([[1.0, 0.3], [0.3, 0.5]]))
     grid = bf.Grid.symmetric(20.0, 384)
     rng = np.random.default_rng(0)
     v = rng.normal(size=768) + 1j * rng.normal(size=768)
     well = bf.SocBic(0.5, 0.7)
-    # a single spec through B, and per-channel lists of one and two terms
-    for pot in (well, [well, None], [bf.Scaled(well, 0.9), well]):
-        dense = bf.assemble_map(model, 0.55, grid, pot)
-        op = _ConvMap(model, 0.55, grid, pot)
-        assert np.allclose(op.matvec(v), dense @ v, atol=1e-11 * np.abs(dense @ v).max())
+    spikes = np.zeros(384)
+    spikes[[60, 300]] = [-0.8, -1.3]   # two point sites far apart
+    two_sites = bf.Tabulated(x=grid.x.copy(), v=spikes)
+    # a single spec through B, per-channel lists of one and two terms, a
+    # dense B (R = C = both channels) and a support that is not contiguous
+    cases = [(model, well, 384), (model, [well, None], 384),
+             (model, [bf.Scaled(well, 0.9), well], 768), (dense_b, well, 768),
+             (model, two_sites, 2)]
+    for mod, pot, dim in cases:
+        dense = bf.assemble_map(mod, 0.55, grid, pot)
+        op = _ConvMap(mod, 0.55, grid, pot)
+        assert op.shape == (dim, dim)
+        assert np.allclose(op.full_matvec(v), dense @ v, atol=1e-11 * np.abs(dense @ v).max())
+        small = op.matmat(np.eye(dim))
+        assert np.allclose(small, op.support_matrix(), atol=1e-11 * np.abs(small).max())
+        full = np.linalg.eigvals(dense)
+        _spectra_match(np.linalg.eigvals(small), full, 1e-11 * np.abs(full).max())
 
 
 def test_socbic_map_has_unit_eigenvalue_at_analytic_energy(e_bic, soc, socbic_pot,
@@ -155,7 +178,7 @@ def test_find_energy_skips_branch_switch_bracket(monkeypatch, soc, e_bic):
     eigs = solver.eigs
 
     def counted(op, *args, **kwargs):
-        if op.shape[0] == 2 * grid.n_points:
+        if op.grid is grid:
             fine.append(op.kernel.energy)
         return eigs(op, *args, **kwargs)
 
@@ -342,3 +365,52 @@ def test_root_on_a_mesh_point_is_reported_once(monkeypatch):
     reps = bf.find_energy(model, bf.Grid.symmetric(20.0, 256), UNIT_DELTA, 0.0, 1.0,
                           mesh_points=5)
     assert [r.energy for r in reps] == [0.25]
+
+
+# --- coupled subspace: the structural zero and one coverage warning ---------
+
+@pytest.mark.filterwarnings("ignore:grid half-width")
+def test_direct_path_keeps_the_structural_zero():
+    # a delta on one channel of three: the coupled subspace is one site and
+    # one channel, and its only eigenvalue lies farther than 1 from 1, so
+    # the pick is the full map's structural zero, Re(lambda) - 1 = -1
+    from bicforge.solver import _near_one
+    a0 = np.array([[2.0, 0.15, 0.0], [0.15, 0.0, 0.0], [0.0, 0.0, -0.5]])
+    model = bf.BandModel(3, 1.0, a0, np.zeros((3, 3)), np.zeros((3, 3)))
+    pots = [bf.Delta(-1.0), None, None]
+    grid = bf.Grid.symmetric(10.0, 257)
+    op = _ConvMap(model, 1.9, grid, pots)
+    assert op.shape == (1, 1) and abs(op.support_matrix()[0, 0] - 1.0) > 1.0
+    lam, _, above = _near_one(op, 12, want_vectors=False)
+    vals = np.linalg.eigvals(bf.assemble_map(model, 1.9, grid, pots))
+    assert lam == vals[np.argmin(np.abs(vals - 1.0))]
+    assert above == int(np.count_nonzero(vals.real > 1.0)) == 1
+
+
+def test_one_coverage_warning_per_call():
+    # each of this find_energy's 25 operators used to warn, quoting its own
+    # rate; the call now warns once with the slowest, kappa at E = -0.1
+    model = bf.single_band_model(lam=-1.0)
+    grid = bf.Grid.symmetric(5.0, 257)
+    message = "grid half-width 5 is under 10 decay lengths (rate 0.447214)"
+    with pytest.warns(UserWarning) as record:
+        reps = bf.find_energy(model, grid, UNIT_DELTA, -0.9, -0.1, mesh_points=20)
+    assert [str(w.message) for w in record] == [message]
+    assert reps[0].energy == pytest.approx(-0.5, abs=1e-12)
+    with pytest.warns(UserWarning) as record:
+        bf.solve_state(model, -0.5, grid, UNIT_DELTA)
+    assert len(record) == 1
+
+
+def test_arnoldi_start_when_the_coupling_annuls_the_flat_vector():
+    # B = (1 - sigma_x)/2 maps the flat vector to 0, so Arnoldi starts from
+    # the flat vector of the coupled subspace instead
+    from bicforge.solver import _near_one
+    model = bf.soc_model(gamma=0.5, mu=1.0, b=np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    grid = bf.Grid.symmetric(20.0, 384)
+    op = _ConvMap(model, 0.8, grid, bf.SocBic(0.5, 0.7))
+    assert op.shape == (768, 768) and not op.coupling.psi.sum(axis=2).any()
+    lam, _, above = _near_one(op, 12, want_vectors=False)
+    vals = np.linalg.eigvals(bf.assemble_map(model, 0.8, grid, bf.SocBic(0.5, 0.7)))
+    assert lam == pytest.approx(vals[np.argmin(np.abs(vals - 1.0))], abs=1e-10)
+    assert above == int(np.count_nonzero(vals.real > 1.0))
