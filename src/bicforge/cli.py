@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -41,6 +42,11 @@ EXIT_CHECK = 5
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-9.6e-05" as an option, not a negative number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on usage errors by default; the documented map says 1
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

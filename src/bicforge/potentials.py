@@ -173,14 +173,23 @@ def load_tabulated(path) -> Tabulated:
 
 
 def decay_scale(spec: PotentialSpec) -> float:
-    """Inverse decay length of the potential (inf for a point interaction)."""
+    """Inverse decay length of the potential (inf for a point interaction).
+
+    A table's rate is that of its own envelope: ln(peak |v| / larger |v|
+    at the two ends) over the half-span, 0 for a flat table and inf for
+    one that falls to 0 at both ends or is 0 throughout.
+    """
     if isinstance(spec, Delta):
         return float("inf")
     if isinstance(spec, SocBic):
         return 2.0 * spec.nu
     if isinstance(spec, Tabulated):
         span = max(abs(spec.x[0]), abs(spec.x[-1]))
-        return 1.0 / span if span > 0 else float("inf")
+        peak = np.abs(spec.v).max()
+        end = max(abs(spec.v[0]), abs(spec.v[-1]))
+        if span == 0 or end == 0:
+            return float("inf")
+        return float(np.log(peak / end)) / span
     if isinstance(spec, Scaled):
         return decay_scale(spec.base)
     raise TypeError(f"unknown potential spec {type(spec).__name__}")

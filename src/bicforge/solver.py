@@ -32,11 +32,22 @@ Otherwise the solve reruns with MESH_K eigenvalues on the energy mesh and in
 the secant steps, or STATE_K for the final state. A small support takes the
 direct path instead: the dense form of the same operator (support_matrix).
 
+At strength s the map of Scaled(base, s) is s times the map of base, so its
+spectrum is s times base's. Inside a shared_mesh block (every
+criterion.scan_parameter call), find_energy calls share their mesh probes
+when they have the same model object, an equal hashable base, an equal
+window and mesh size, an equal scan grid apart from the main grid, and
+s != 0: each mesh energy builds one operator of base, solves each
+eigenvalue set it is asked for once, and every call reads it times s.
+Secant steps and solve_state run on the call's own operator, so every
+result keeps its bits.
+
 assemble_map builds the explicit dense (nN x nN) matrix for inspection and
 cross-checks. Every path shares the same kernel samples and weights.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import warnings
 from contextvars import ContextVar
@@ -52,7 +63,7 @@ from .errors import GridTooCoarse, NoNearUnitEigenvalue, NoSolutionInRange
 from .green import GreenKernel, residue_green
 from .grids import Grid, SpinorField
 from .models import BandModel
-from .potentials import PotentialSpec, coupling_terms, decay_scale, sample_potential
+from .potentials import PotentialSpec, Scaled, coupling_terms, decay_scale, sample_potential
 
 MAX_PHASE_STEP = 0.3          # dx * p_real above this cannot resolve the sine
 ACCEPT_EIG_DISTANCE = 0.5     # |lambda - 1| beyond this is "no solution here"
@@ -201,6 +212,7 @@ class _ConvMap(LinearOperator):
         _record_coverage(grid, self.kernel, coupling.terms)
         self.coupling = coupling
         self.support = coupling.support
+        self.sets = {}  # eigenvalue sets solved on this operator, see _near_one
         dim = coupling.support.size * coupling.rows.size
         super().__init__(dtype=complex, shape=(dim, dim))
 
@@ -269,17 +281,33 @@ DIRECT_SUPPORT_LIMIT = 512
 FIRST_PASS_K = 3
 
 
-def _arnoldi(op: _ConvMap, k: int, want_vectors: bool, v0: np.ndarray):
-    """The k eigenvalues of largest modulus, with eigenvectors if asked for."""
-    if want_vectors:
-        return eigs(op, k=k, which="LM", v0=v0, tol=1e-11)
-    return eigs(op, k=k, which="LM", v0=v0, tol=1e-11, return_eigenvectors=False), None
+def _arnoldi(op: _ConvMap, k: int, want_vectors: bool):
+    """The k eigenvalues of largest modulus, their eigenvectors if asked for
+    (else None), and whether ARPACK converged: a run that did not returns
+    the eigenvalues that did. Each set is solved once and kept on op, so
+    the rows that share a mesh operator share its sets."""
+    key = (k, want_vectors)
+    if key not in op.sets:
+        # deterministic Arnoldi start: B applied to the full map's flat vector,
+        # so the Krylov spaces are B times the full map's; flat where B kills it
+        dim = op.shape[0]
+        v0 = op.coupling.psi.sum(axis=2).reshape(-1)
+        norm = np.linalg.norm(v0)
+        v0 = v0 / norm if norm > 0 else np.full(dim, 1.0 / np.sqrt(dim))
+        try:
+            out = eigs(op, k=k, which="LM", v0=v0, tol=1e-11,
+                       return_eigenvectors=want_vectors)
+            op.sets[key] = (*out, True) if want_vectors else (out, None, True)
+        except ArpackNoConvergence as exc:
+            op.sets[key] = exc.eigenvalues, exc.eigenvectors if want_vectors else None, False
+    return op.sets[key]
 
 
-def _near_one(op: _ConvMap, k: int, want_vectors: bool):
-    """Eigenvalue nearest 1, its eigenvector on the coupled subspace (None
-    unless asked for, or for lambda = 0), and the number of eigenvalues with
-    Re(lambda) > 1, or None where it is unknown.
+def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0):
+    """Eigenvalue nearest 1 of s times op, its eigenvector on the coupled
+    subspace (None unless asked for, or for lambda = 0), and the number of
+    eigenvalues with Re(lambda) > 1, or None where it is unknown. The
+    spectrum of s op is s times that of op; s = 1 reads op as it is.
 
     Re(lambda) > 1 implies |lambda| > 1, so the count is exact whenever the
     computed set holds every eigenvalue of modulus above 1: on the direct
@@ -296,41 +324,39 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool):
     any eigenvalue not returned, so the pick and the count are those of any
     larger k. Otherwise, or if that pass fails, it reruns with k.
     """
+    def scaled(vals):
+        return vals if s == 1.0 or vals is None else s * vals
+
     dim = op.shape[0]
     if op.is_null:
         return 0.0 + 0.0j, None, 0
     if op.support.size * op.n_bands <= DIRECT_SUPPORT_LIMIT:
-        t = op.support_matrix()
-        if want_vectors:
-            vals, vecs = np.linalg.eig(t)
-        else:
-            vals, vecs = np.linalg.eigvals(t), None
+        key = ("direct", want_vectors)
+        if key not in op.sets:
+            t = op.support_matrix()
+            op.sets[key] = np.linalg.eig(t) if want_vectors else (np.linalg.eigvals(t), None)
+        vals, vecs = op.sets[key]
         if op.support.size * op.n_bands > dim:
             vals = np.append(vals, 0.0)
+        vals = scaled(vals)
         complete = True
     else:
         k = min(k, dim - 2)
-        # deterministic Arnoldi start: B applied to the full map's flat vector,
-        # so the Krylov spaces are B times the full map's; flat where B kills it
-        v0 = op.coupling.psi.sum(axis=2).reshape(-1)
-        norm = np.linalg.norm(v0)
-        v0 = v0 / norm if norm > 0 else np.full(dim, 1.0 / np.sqrt(dim))
         complete = False
         if FIRST_PASS_K < k:
             try:
-                vals, vecs = _arnoldi(op, FIRST_PASS_K, want_vectors, v0)
-                complete = bool(np.abs(vals - 1.0).min() < 1.0 - np.abs(vals).min())
-            except ArpackError:  # ArpackNoConvergence included
+                vals, vecs, converged = _arnoldi(op, FIRST_PASS_K, want_vectors)
+                vals = scaled(vals)
+                complete = converged and bool(
+                    np.abs(vals - 1.0).min() < 1.0 - np.abs(vals).min())
+            except ArpackError:
                 pass
         if not complete:
-            try:
-                vals, vecs = _arnoldi(op, k, want_vectors, v0)
-                complete = bool(np.abs(vals).min() < 1.0)
-            except ArpackNoConvergence as exc:
-                vals = exc.eigenvalues
-                vecs = exc.eigenvectors if want_vectors else None
-                if vals is None or len(vals) == 0:
-                    raise NoNearUnitEigenvalue("Arnoldi iteration found no eigenvalues") from exc
+            vals, vecs, converged = _arnoldi(op, k, want_vectors)
+            if vals is None or len(vals) == 0:
+                raise NoNearUnitEigenvalue("Arnoldi iteration found no eigenvalues")
+            vals = scaled(vals)
+            complete = converged and bool(np.abs(vals).min() < 1.0)
     best = int(np.argmin(np.abs(vals - 1.0)))
     lam = complex(vals[best])
     vec = vecs[:, best] if vecs is not None and lam != 0.0 else None
@@ -376,6 +402,51 @@ def _branch_value(model: BandModel, energy: float, grid: Grid,
     return lam, above
 
 
+# mesh operators of unscaled potentials, shared by the rows of the
+# shared_mesh block in flight
+_MESH: ContextVar[dict | None] = ContextVar("mesh", default=None)
+
+
+@contextlib.contextmanager
+def shared_mesh():
+    """Let the find_energy calls inside the block share their mesh probes
+    (see the module docstring); the operators live until the block exits."""
+    token = _MESH.set({})
+    try:
+        yield
+    finally:
+        _MESH.reset(token)
+
+
+def _shared_probe(model: BandModel, grid: Grid, potential):
+    """e -> (eigenvalue nearest 1, count above 1) of the mesh map at e, read
+    from the shared operator of the unscaled base (see shared_mesh), or None
+    where the call shares nothing."""
+    memo = _MESH.get()
+    if memo is None or not isinstance(potential, Scaled) or potential.factor == 0:
+        return None
+    # the entry holds the model, so its id names no other object meanwhile
+    key = (id(model), grid, potential.base)
+    try:
+        entry = memo.get(key)
+    except TypeError:  # an unhashable base: a Tabulated table
+        return None
+    if entry is None:
+        entry = memo[key] = model, _coupling(model, grid, potential.base), {}
+    _, coupling, ops = entry
+
+    def probe(e: float) -> tuple[complex, int | None]:
+        op = ops.get(e)
+        if op is None:
+            op = ops[e] = _ConvMap(model, e, grid, potential.base, coupling)
+        else:
+            _record_coverage(grid, op.kernel, coupling.terms)
+        lam, _, above = _near_one(op, MESH_K, False, potential.factor)
+        return lam, above
+
+    return probe
+
+
 def _plural(n: int, noun: str, plural: str) -> str:
     return f"{n} {noun if n == 1 else plural}"
 
@@ -408,12 +479,17 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     mesh_grid = scan_grid or grid
     energies = np.linspace(e_lo, e_hi, mesh_points)
     fine_coupling = _coupling(model, grid, potential)
-    mesh_coupling = (fine_coupling if mesh_grid is grid
-                     else _coupling(model, mesh_grid, potential))
+    # on the main grid the probe values seed the secant steps, so only a
+    # separate scan grid is shared
+    shared = None if mesh_grid is grid else _shared_probe(model, mesh_grid, potential)
+    if shared is None:
+        mesh_coupling = (fine_coupling if mesh_grid is grid
+                         else _coupling(model, mesh_grid, potential))
 
     def probe(e: float) -> tuple[float, int | None]:
         try:
-            lam, above = _branch_value(model, e, mesh_grid, potential, mesh_coupling)
+            lam, above = (_branch_value(model, e, mesh_grid, potential, mesh_coupling)
+                          if shared is None else shared(e))
         except (ArpackError, NoNearUnitEigenvalue):
             return float("nan"), None
         return float(lam.real) - 1.0, above

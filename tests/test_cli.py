@@ -223,6 +223,21 @@ def test_non_finite_float_exit_usage(capsys, argv, flag):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, dest, value", [
+    (["delta-bound", "--two-band", "--mu", "-9.6e-05", "--g", "1", "--lambda", "-1"],
+     "mu", -9.6e-05),
+    (["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1", "--scale", "-1E-1"],
+     "scale", -0.1),
+    (["scan", "--param", "scale", "--range", "0.9:1.1:3", "--gamma", "-5e-1",
+      "--nu", "0.7", "--mu", "1"], "gamma", -0.5),
+    (["oracle", "--single-band", "--lambda", "-1", "--target", "-.5e+0"], "target", -0.5),
+], ids=["delta-bound", "bic-verify", "scan", "oracle"])
+def test_negative_exponent_notation_is_a_value(argv, dest, value):
+    # argparse took "-9.6e-05" for an option and exited 1 with "expected
+    # one argument"
+    assert getattr(cli.build_parser().parse_args(argv), dest) == value
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1", "--n-points", "1024",
       "--e-window", "0.6:inf"],

@@ -296,6 +296,112 @@ def test_scan_empty():
     assert table.to_csv().strip() == "param,energy,residual_rel,tail_rel,verdict"
 
 
+
+# --- scale scans share their mesh eigensolves -------------------------------
+
+def _recorded_eigs(monkeypatch):
+    """Patch solver.eigs to record (grid points, k) of every call."""
+    from bicforge import solver
+    calls, eigs = [], solver.eigs
+
+    def recorded(op, k, **kwargs):
+        calls.append((op.grid.n_points, k))
+        return eigs(op, k=k, **kwargs)
+
+    monkeypatch.setattr(solver, "eigs", recorded)
+    return calls
+
+
+def _rows_outside_scan(model, family, values, **kw):
+    """Each row as scan_parameter builds it, from its own find_energy."""
+    from bicforge.criterion import ScanRow
+    from bicforge.errors import BicforgeError
+    rows = []
+    for v in values:
+        try:
+            reports = bf.find_energy(model, kw["grid"], family(v), *kw["e_window"],
+                                     mesh_points=kw["mesh_points"],
+                                     scan_grid=kw["scan_grid"])
+            rep, br = min(((r, bf.classify(model, r.state, family(v), r.energy))
+                           for r in reports), key=lambda t: t[1].residual_rel)
+            rows.append(ScanRow(float(v), rep.energy, br.residual_rel, br.tail_rel,
+                                br.verdict.value))
+        except BicforgeError as exc:
+            rows.append(ScanRow(float(v), None, None, None, "Error", str(exc)))
+    return tuple(rows)
+
+
+def _scan_and_reference(monkeypatch, model, family, lo, hi, steps, **kw):
+    """The scan's rows and mesh-grid k's, then the same of per-row solves."""
+    calls = _recorded_eigs(monkeypatch)
+    table = bf.scan_parameter(lambda v: model, family, "p", lo, hi, steps, **kw)
+    mesh_n = kw["scan_grid"].n_points
+    in_scan = [k for n, k in calls if n == mesh_n]
+    calls.clear()
+    rows = _rows_outside_scan(model, family, np.linspace(lo, hi, steps), **kw)
+    return table.rows, in_scan, rows, [k for n, k in calls if n == mesh_n]
+
+
+@pytest.mark.filterwarnings("ignore:grid half-width")
+def test_scale_scan_solves_each_mesh_energy_once(monkeypatch, capsys):
+    from bicforge import cli
+    calls = _recorded_eigs(monkeypatch)
+    assert cli.main(["scan", "--param", "scale", "--range", "0.9:1.1:3",
+                     "--gamma", "0.5", "--nu", "0.7", "--mu", "1"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert len([k for n, k in calls if n == 1024]) == 24   # was 72, 24 per row
+
+
+def test_shared_mesh_rows_equal_per_row_solves(monkeypatch, soc):
+    # factors -0.5, 0, 0.5, 1, 1.5: the zero row has no potential, and only
+    # the negative row needs the MESH_K fallback at every mesh energy, so
+    # the scan asks for each set once per energy and every row is unchanged
+    family = lambda v: bf.Scaled(bf.SocBic(0.5, 0.7), v)
+    rows, in_scan, expected, per_row = _scan_and_reference(
+        monkeypatch, soc, family, -0.5, 1.5, 5, grid=bf.Grid.symmetric(30.0, 1024),
+        e_window=(0.45, 0.9), scan_grid=bf.Grid.symmetric(30.0, 512), mesh_points=12)
+    assert rows == expected
+    assert [r.verdict for r in rows] == ["Error", "Error", "QuasiBIC", "ExactBIC",
+                                         "QuasiBIC"]
+    assert sorted(per_row) == [3] * 48 + [12] * 12
+    assert sorted(in_scan) == [3] * 12 + [12] * 12
+
+
+@pytest.mark.parametrize("case", ["nu", "tabulated"])
+def test_unshared_scans_solve_every_row(monkeypatch, soc, case):
+    # a nu scan changes the well itself, and a table's arrays have no hash:
+    # neither shares a mesh eigensolve, and neither raises
+    if case == "nu":
+        family, lo, hi = (lambda v: bf.SocBic(0.5, v)), 0.65, 0.75
+    else:
+        xs = np.linspace(-30.0, 30.0, 6001)
+        table = bf.Tabulated(x=xs, v=bf.potential_soc_bic(0.5, 0.7, xs))
+        family, lo, hi = (lambda v: bf.Scaled(table, v)), 0.95, 1.05
+    rows, in_scan, expected, per_row = _scan_and_reference(
+        monkeypatch, soc, family, lo, hi, 3, grid=bf.Grid.symmetric(30.0, 1024),
+        e_window=(0.6, 0.78), scan_grid=bf.Grid.symmetric(30.0, 512), mesh_points=7)
+    assert rows == expected
+    assert all(r.error is None for r in rows)
+    assert in_scan == per_row and len(in_scan) >= 21
+
+
+def test_shared_mesh_keeps_the_coverage_warning(soc):
+    # the slowest rate of every row is its mesh kernel's at the window edge
+    # 0.95: rows that read the shared mesh record it as the first row did
+    import warnings
+    kw = dict(grid=bf.Grid.symmetric(30.0, 1024), e_window=(0.1, 0.95),
+              scan_grid=bf.Grid.symmetric(30.0, 512), mesh_points=12)
+    family = lambda v: bf.Scaled(bf.SocBic(0.5, 0.7), v)
+    with warnings.catch_warnings(record=True) as in_scan:
+        warnings.simplefilter("always")
+        bf.scan_parameter(lambda v: soc, family, "scale", 0.9, 1.1, 3, **kw)
+    with warnings.catch_warnings(record=True) as per_row:
+        warnings.simplefilter("always")
+        _rows_outside_scan(soc, family, [0.9, 1.0, 1.1], **kw)
+    message = "grid half-width 30 is under 10 decay lengths (rate 0.2827)"
+    assert [str(w.message) for w in in_scan] == [str(w.message) for w in per_row]
+    assert [str(w.message) for w in in_scan] == [message] * 3
+
 def _full_grid_peak(state, potential, b, q_max, samples=512):
     """max |F_q| with the phase sum over every grid point."""
     from bicforge.criterion import _source_values

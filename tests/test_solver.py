@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import bicforge as bf
 from bicforge.errors import (GridTooCoarse, NoNearUnitEigenvalue,
                              NoSolutionInRange)
+from bicforge.potentials import decay_scale
 from bicforge.solver import _ConvMap
 
 UNIT_DELTA = bf.Delta(1.0)
@@ -156,6 +159,32 @@ def test_tabulated_potential_matches_analytic_route(soc, socbic_pot, e_bic):
     r1 = bf.find_energy(soc, grid, tab, 0.65, 0.73, mesh_points=5)
     r2 = bf.find_energy(soc, grid, socbic_pot, 0.65, 0.73, mesh_points=5)
     assert r1[0].energy == pytest.approx(r2[0].energy, abs=2e-4)
+
+
+def _coverage_warnings(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            fn(*args, **kwargs)
+        except NoSolutionInRange:
+            pass
+    return [str(w.message) for w in record if "decay lengths" in str(w.message)]
+
+
+def test_tabulated_rate_comes_from_its_envelope(soc):
+    # the rate was 1/(table half-span), so the well's table warned with rate
+    # 0.0333333; its envelope falls like the analytic well's instead, and a
+    # flat table still warns with rate 0
+    xs = np.linspace(-30.0, 30.0, 6001)
+    grid = bf.Grid.symmetric(30.0, 1024)
+    well = bf.Tabulated(x=xs, v=bf.potential_soc_bic(0.5, 0.7, xs))
+    assert decay_scale(well) == pytest.approx(1.4, rel=0.1)
+    assert _coverage_warnings(bf.find_energy, soc, grid, well, 0.65, 0.73,
+                              mesh_points=5) == []
+    flat = bf.Tabulated(x=xs, v=np.full_like(xs, -0.05))
+    assert _coverage_warnings(bf.find_energy, soc, grid, flat, 0.65, 0.73,
+                              mesh_points=5) == [
+        "grid half-width 30 is under 10 decay lengths (rate 0)"]
 
 
 # --- bracket rejection: eigenvalue counts above Re(lambda) = 1 ---------------
