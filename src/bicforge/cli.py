@@ -53,7 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _write_out(text: str, out_path: str | None) -> None:
+    """Write text to --out, if given, and to stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -154,11 +158,16 @@ def _cmd_delta_bound(args) -> int:
 def _soc_setup(args):
     if args.gamma is None or args.nu is None or args.mu is None:
         raise BicforgeError("--model soc needs --gamma, --nu and --mu")
-    model = soc_model(gamma=args.gamma, mu=args.mu, mass=args.mass)
-    pot = SocBic(gamma=args.gamma, nu=args.nu)
-    if args.scale != 1.0:
-        pot = Scaled(pot, args.scale)
-    return model, pot
+    return soc_model(gamma=args.gamma, mu=args.mu, mass=args.mass), SocBic(args.gamma, args.nu)
+
+
+def _soc_window(gamma: float, nu: float, mu: float, below: float, above: float
+                ) -> tuple[float, float]:
+    """(e0 - below, e0 + above) about the analytic BIC energy e0, kept 2% of
+    |mu| inside the gap."""
+    e0 = e_bic_analytic(gamma, nu, mu)
+    margin = 0.02 * abs(mu)
+    return max(e0 - below, -abs(mu) + margin), min(e0 + above, abs(mu) - margin)
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -201,15 +210,15 @@ def _cmd_bic_verify(args) -> int:
         lo, hi = _parse_window(args.e_window)
     else:
         model, pot = _soc_setup(args)
+        if args.scale != 1.0:
+            pot = Scaled(pot, args.scale)
         e0 = e_bic_analytic(args.gamma, args.nu, args.mu)
         if args.e_window is not None:
             lo, hi = _parse_window(args.e_window)
         elif args.scale == 1.0:
             lo, hi = e0 - 0.02, e0 + 0.02
         else:
-            margin = 0.02 * abs(args.mu)
-            lo = max(e0 - 0.3, -abs(args.mu) + margin)
-            hi = min(e0 + 0.2, abs(args.mu) - margin)
+            lo, hi = _soc_window(args.gamma, args.nu, args.mu, 0.3, 0.2)
     reports = find_energy(model, grid, pot, lo, hi, mesh_points=args.mesh_points,
                           scan_grid=scan_grid)
     scored = [(rep, classify(model, rep.state, pot, rep.energy)) for rep in reports]
@@ -224,7 +233,7 @@ def _cmd_bic_verify(args) -> int:
         **br.summary(),
     }
     if not args.model_file and args.scale == 1.0:
-        results["e_analytic"] = e_bic_analytic(args.gamma, args.nu, args.mu)
+        results["e_analytic"] = e0
 
     if args.spectrum_out and br.real_poles.size:
         qmax = 2.0 * float(np.abs(br.real_poles).max())
@@ -265,40 +274,29 @@ def _cmd_scan(args) -> int:
                                n_points=max(512, args.n_points // 2))
 
     base_model = soc_model(gamma=gamma0, mu=mu0, mass=mass)
-
-    def window_for(gamma, nu, mu, spread):
-        e0 = e_bic_analytic(gamma, nu, mu)
-        margin = 0.02 * abs(mu)
-        return (max(e0 - spread, -abs(mu) + margin),
-                min(e0 + spread, abs(mu) - margin))
-
     if args.param == "scale":
         model_fam = lambda v: base_model
         pot_fam = lambda v: Scaled(SocBic(gamma0, nu0), v)
-        e_window = lambda v: window_for(gamma0, nu0, mu0, 0.3)
+        e_window = lambda v: _soc_window(gamma0, nu0, mu0, 0.3, 0.3)
     elif args.param == "nu":
         model_fam = lambda v: base_model
         pot_fam = lambda v: SocBic(gamma0, v)
-        e_window = lambda v: window_for(gamma0, v, mu0, 0.1)
+        e_window = lambda v: _soc_window(gamma0, v, mu0, 0.1, 0.1)
     elif args.param == "gamma":
         model_fam = lambda v: soc_model(gamma=v, mu=mu0, mass=mass)
         pot_fam = lambda v: SocBic(v, nu0)
-        e_window = lambda v: window_for(v, nu0, mu0, 0.1)
+        e_window = lambda v: _soc_window(v, nu0, mu0, 0.1, 0.1)
     elif args.param == "mu":
         model_fam = lambda v: soc_model(gamma=gamma0, mu=v, mass=mass)
         pot_fam = lambda v: SocBic(gamma0, nu0)
-        e_window = lambda v: window_for(gamma0, nu0, v, 0.1)
+        e_window = lambda v: _soc_window(gamma0, nu0, v, 0.1, 0.1)
     else:
         raise BicforgeError(f"unknown scan parameter {args.param!r}")
 
     table = scan_parameter(model_fam, pot_fam, args.param, lo, hi, steps,
                            grid=grid, e_window=e_window, scan_grid=scan_grid,
                            mesh_points=args.mesh_points)
-    text = table.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write_out(table.to_csv(), args.out)
     return EXIT_OK
 
 
@@ -319,10 +317,7 @@ def _cmd_oracle(args) -> int:
         pot = Delta(1.0)
         half_default = 40.0
     else:
-        if args.gamma is None or args.nu is None or args.mu is None:
-            raise BicforgeError("--model soc needs --gamma, --nu and --mu")
-        model = soc_model(gamma=args.gamma, mu=args.mu, mass=mass)
-        pot = SocBic(args.gamma, args.nu)
+        model, pot = _soc_setup(args)
         half_default = 30.0
     half = args.half_width if args.half_width is not None else half_default
     grid = _checked_grid(half, args.n, "--n")
@@ -469,14 +464,11 @@ def _cmd_kernel_check(args) -> int:
                 dev = _kernel_deviation(residue_green(model, e),
                                         constantA_kernel(model, e), seps)
                 add(f"two_band_requested_energy_{e:g}", dev, 1e-10)
-            except DegeneratePoles as exc:
-                rows.append({"check": f"two_band_requested_energy_{e:g}",
-                             "max_deviation": None, "tolerance": 1e-10,
-                             "status": "DegeneratePoles", "detail": str(exc)})
             except BicforgeError as exc:
+                status = "DegeneratePoles" if isinstance(exc, DegeneratePoles) else "error"
                 rows.append({"check": f"two_band_requested_energy_{e:g}",
                              "max_deviation": None, "tolerance": 1e-10,
-                             "status": "error", "detail": str(exc)})
+                             "status": status, "detail": str(exc)})
 
     bad = [r for r in rows if r["status"] not in ("pass", "info")]
     status = "ok" if not bad else "check-failure"

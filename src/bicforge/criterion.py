@@ -92,11 +92,8 @@ def _num(x: float) -> float | None:
 
 
 def _source_values(state: SpinorField, potential: PotentialSpec | Sequence,
-                   b: np.ndarray | None) -> np.ndarray:
-    """sum_k V_k(x) (B_k psi)(x) per grid point; b=None couples through the
-    identity."""
-    if b is None:
-        b = np.eye(state.values.shape[1])
+                   b: np.ndarray) -> np.ndarray:
+    """sum_k V_k(x) (B_k psi)(x) per grid point."""
     src = np.zeros_like(state.values)
     for spec, bk in coupling_terms(potential, b):
         src += sample_potential(spec, state.grid)[:, None] * (state.values @ bk.T)
@@ -109,7 +106,7 @@ def _check_resolved(grid: Grid, q_abs: float) -> None:
 
 
 def fourier_residual(state: SpinorField, potential: PotentialSpec | Sequence,
-                     b: np.ndarray | None, q: float | np.ndarray) -> np.ndarray:
+                     b: np.ndarray, q: float | np.ndarray) -> np.ndarray:
     """Per-channel Fourier component F_q of the source, trapezoid-quadratured.
 
     q is an arbitrary real frequency (no FFT grid constraint), or an array
@@ -165,7 +162,7 @@ def _fourier_line(src: np.ndarray, grid: Grid, q_lo: float, q_hi: float,
 
 
 def fourier_line(state: SpinorField, potential: PotentialSpec | Sequence,
-                 b: np.ndarray | None, q_lo: float, q_hi: float,
+                 b: np.ndarray, q_lo: float, q_hi: float,
                  count: int) -> np.ndarray:
     """Per-channel components F_q at q = np.linspace(q_lo, q_hi, count).
 
@@ -180,7 +177,7 @@ def fourier_line(state: SpinorField, potential: PotentialSpec | Sequence,
 
 
 def peak_fourier_norm(state: SpinorField, potential: PotentialSpec | Sequence,
-                      b: np.ndarray | None, q_max: float) -> float:
+                      b: np.ndarray, q_max: float) -> float:
     """Scale-free normalizer: max |F_q| over PEAK_SAMPLES q in [0, q_max].
 
     The components come from the chirp-z line over the source's nonzero
@@ -355,9 +352,8 @@ class ScanTable:
     rows: tuple[ScanRow, ...]
     minima: tuple[int, ...] = field(default=())
 
-    def to_csv(self, fh: io.TextIOBase | None = None) -> str | None:
-        own = fh is None
-        buf = io.StringIO() if own else fh
+    def to_csv(self) -> str:
+        buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["param", "energy", "residual_rel", "tail_rel", "verdict"])
         for row in self.rows:
@@ -369,9 +365,7 @@ class ScanTable:
                 "" if row.tail_rel is None else f"{row.tail_rel:.6e}",
                 verdict,
             ])
-        if own:
-            return buf.getvalue()
-        return None
+        return buf.getvalue()
 
 
 def scan_parameter(model_family: Callable[[float], BandModel],

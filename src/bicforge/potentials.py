@@ -102,22 +102,6 @@ def e_bic_analytic(gamma: float, nu: float, mu: float) -> float:
     return float(-nu**2 / 2.0 + np.sqrt(rad))
 
 
-def is_delta(spec: PotentialSpec) -> bool:
-    if isinstance(spec, Delta):
-        return True
-    if isinstance(spec, Scaled):
-        return is_delta(spec.base)
-    return False
-
-
-def delta_strength(spec: PotentialSpec) -> float:
-    if isinstance(spec, Delta):
-        return spec.strength
-    if isinstance(spec, Scaled) and is_delta(spec.base):
-        return spec.factor * delta_strength(spec.base)
-    raise TypeError("not a delta potential")
-
-
 def sample_potential(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     """Potential values on the grid; deltas become a single-site spike.
 

@@ -85,14 +85,14 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class _Coupling:
-    """The energy-independent half of the map on one grid: the coupling
-    terms (V_k, B_k), the per-site factors F_j = sum_k V_k(x_j) w_j B_k, the
-    support (the sites where F_j is nonzero), the channels rows (R) and cols
-    (C) where the F_j have nonzero rows and columns, and psi_j = F_j[R, C]
-    on the support. find_energy builds one per grid and hands it to every
-    mesh and secant operator on that grid."""
+    """The energy-independent half of the map on one grid: the slowest decay
+    rate of the coupling terms (V_k, B_k), the per-site factors F_j = sum_k
+    V_k(x_j) w_j B_k, the support (the sites where F_j is nonzero), the
+    channels rows (R) and cols (C) where the F_j have nonzero rows and
+    columns, and psi_j = F_j[R, C] on the support. find_energy builds one
+    per grid and hands it to every mesh and secant operator on that grid."""
 
-    terms: list
+    decay: float
     factors: np.ndarray
     support: np.ndarray
     rows: np.ndarray
@@ -110,7 +110,8 @@ def _coupling(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence)
     support = np.flatnonzero(nonzero.any(axis=(1, 2)))
     rows = np.flatnonzero(nonzero.any(axis=(0, 2)))
     cols = np.flatnonzero(nonzero.any(axis=(0, 1)))
-    return _Coupling(terms, f, support, rows, cols, f[np.ix_(support, rows, cols)])
+    decay = min([decay_scale(spec) for spec, _ in terms], default=float("inf"))
+    return _Coupling(decay, f, support, rows, cols, f[np.ix_(support, rows, cols)])
 
 
 def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
@@ -127,10 +128,10 @@ def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
 _COVERAGE: ContextVar[list | None] = ContextVar("coverage", default=None)
 
 
-def _record_coverage(grid: Grid, kernel: GreenKernel, terms: list) -> None:
+def _record_coverage(grid: Grid, kernel: GreenKernel, coupling: _Coupling) -> None:
     seen = _COVERAGE.get()
     if seen is not None:
-        seen.append((grid.x_max, min([kernel.decay_rate] + [decay_scale(s) for s, _ in terms])))
+        seen.append((grid.x_max, min(kernel.decay_rate, coupling.decay)))
 
 
 def _warns_coverage_once(fn):
@@ -187,7 +188,7 @@ def assemble_map(model: BandModel, energy: float, grid: Grid,
     """
     kernel = _kernel_checked(model, energy, grid)
     coupling = _coupling(model, grid, potential)
-    _record_coverage(grid, kernel, coupling.terms)
+    _record_coverage(grid, kernel, coupling)
     n, nb = grid.n_points, model.n_bands
     samples = _kernel_samples(kernel, n, grid.dx)
     idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
@@ -209,7 +210,6 @@ class _ConvMap(LinearOperator):
         self.kernel = _kernel_checked(model, energy, grid)
         if coupling is None:
             coupling = _coupling(model, grid, potential)
-        _record_coverage(grid, self.kernel, coupling.terms)
         self.coupling = coupling
         self.support = coupling.support
         self.sets = {}  # eigenvalue sets solved on this operator, see _near_one
@@ -327,6 +327,7 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0):
     def scaled(vals):
         return vals if s == 1.0 or vals is None else s * vals
 
+    _record_coverage(op.grid, op.kernel, op.coupling)
     dim = op.shape[0]
     if op.is_null:
         return 0.0 + 0.0j, None, 0
@@ -436,12 +437,9 @@ def _shared_probe(model: BandModel, grid: Grid, potential):
     _, coupling, ops = entry
 
     def probe(e: float) -> tuple[complex, int | None]:
-        op = ops.get(e)
-        if op is None:
-            op = ops[e] = _ConvMap(model, e, grid, potential.base, coupling)
-        else:
-            _record_coverage(grid, op.kernel, coupling.terms)
-        lam, _, above = _near_one(op, MESH_K, False, potential.factor)
+        if e not in ops:
+            ops[e] = _ConvMap(model, e, grid, potential.base, coupling)
+        lam, _, above = _near_one(ops[e], MESH_K, False, potential.factor)
         return lam, above
 
     return probe

@@ -3,8 +3,7 @@ import pytest
 
 import bicforge as bf
 from bicforge.errors import InvalidRadicand
-from bicforge.potentials import (decay_scale, delta_strength, is_delta,
-                                 load_tabulated, spec_from_dict)
+from bicforge.potentials import decay_scale, load_tabulated, spec_from_dict
 
 
 def test_soc_bic_value_at_origin():
@@ -64,8 +63,6 @@ def test_delta_sampling_integral():
 
 def test_scaled_delta_folds_strength():
     spec = bf.Scaled(bf.Scaled(bf.Delta(-2.0), 0.5), 3.0)
-    assert is_delta(spec)
-    assert delta_strength(spec) == pytest.approx(-3.0)
     assert decay_scale(spec) == np.inf
 
 
