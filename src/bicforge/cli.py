@@ -44,8 +44,9 @@ EXIT_CHECK = 5
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-9.6e-05" as an option, not a negative number
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse reads "-9.6e-05" and "-0.4:1.2:5" as options, not values
+        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}([:,]-?{number})*$")
 
     # argparse exits 2 on usage errors by default; the documented map says 1
     def error(self, message):
@@ -456,9 +457,10 @@ def _cmd_kernel_check(args) -> int:
         g = args.g if args.g is not None else 1.0
         model = two_band_model(mu, g, lam=-1.0)
         try:
-            requested = [float(t) for t in args.energies.split(",")]
-        except ValueError as exc:
-            raise BicforgeError("--energies must be comma-separated numbers") from exc
+            requested = [_finite(t) for t in args.energies.split(",")]
+        except argparse.ArgumentTypeError as exc:
+            raise BicforgeError(f"--energies must be comma-separated finite numbers, "
+                                f"got {args.energies!r}") from exc
         for e in requested:
             try:
                 dev = _kernel_deviation(residue_green(model, e),

@@ -32,6 +32,8 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ModelError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ModelError(f"{name} has non-finite entries")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > HERMITIAN_RTOL * scale:
         raise ModelError(f"{name} is not Hermitian within {HERMITIAN_RTOL:g} relative tolerance")
@@ -58,6 +60,8 @@ class BandModel:
             raise ModelError("n_bands must be >= 1")
         if not self.mass > 0:
             raise ModelError("mass must be positive")
+        if not np.isfinite(self.mass):
+            raise ModelError(f"mass must be finite, got {self.mass}")
         for name in ("a0", "a1", "b"):
             m = _check_hermitian(getattr(self, name), name)
             if m.shape != (self.n_bands, self.n_bands):
@@ -157,7 +161,7 @@ def model_from_dict(doc: dict) -> tuple[BandModel, list | None]:
     try:
         n = int(doc["n_bands"])
         mass = float(doc["mass"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError("model file needs numeric 'n_bands' and 'mass'") from exc
     mats = {}
     for name in ("a0", "a1", "b"):

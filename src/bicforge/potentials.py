@@ -39,6 +39,9 @@ class SocBic:
         if 1.0 - self.gamma**2 * self.nu**2 <= 0:
             raise InvalidRadicand(
                 f"gamma^2 nu^2 = {self.gamma**2 * self.nu**2:g} must be < 1")
+        if self.alpha_prime <= self.nu**2:
+            raise SingularDenominator(
+                f"nu^2 = {self.nu**2:g} must be < alpha' = {self.alpha_prime:g}")
 
     @property
     def alpha(self) -> float:
@@ -80,14 +83,11 @@ def potential_soc_bic(gamma: float, nu: float, x) -> np.ndarray | float:
     """Evaluate the exact-BIC well V(x) = 2 nu^2 [3 nu^2 - a cosh^2(nu x)]
     / (cosh^2(nu x) [a' cosh^2(nu x) - nu^2]).
 
-    Even in x, decays like exp(-2 nu |x|). Requires gamma^2 nu^2 < 1; the
-    denominator is then strictly positive (a' > 1 >= nu^2/cosh^2).
+    Even in x, decays like exp(-2 nu |x|). Requires gamma^2 nu^2 < 1, so
+    that a' = 1 + sqrt(1 - gamma^2 nu^2) is real, and nu^2 < a', so that the
+    denominator is strictly positive: its least value, at x = 0, is a' - nu^2.
     """
-    spec = SocBic(gamma, nu)  # validates the radicand
-    if spec.alpha_prime <= nu**2:
-        # cannot happen when the radicand check passes (alpha' > 1 >= ...),
-        # kept as a hard guard because the denominator would cross zero
-        raise SingularDenominator("alpha' <= nu^2")
+    spec = SocBic(gamma, nu)  # validates both conditions
     x = np.asarray(x, dtype=float)
     c2 = np.cosh(nu * x) ** 2
     out = 2.0 * nu**2 * (3.0 * nu**2 - spec.alpha * c2) / (c2 * (spec.alpha_prime * c2 - nu**2))
@@ -179,6 +179,13 @@ def decay_scale(spec: PotentialSpec) -> float:
     raise TypeError(f"unknown potential spec {type(spec).__name__}")
 
 
+def _finite_entry(doc: dict, key: str) -> float:
+    value = float(doc[key])
+    if not np.isfinite(value):
+        raise ValueError(f"{key!r} must be finite, got {value}")
+    return value
+
+
 def spec_from_dict(doc: dict | None, base_dir=".") -> PotentialSpec | None:
     """Decode one per-channel potential entry of a model file.
 
@@ -193,14 +200,14 @@ def spec_from_dict(doc: dict | None, base_dir=".") -> PotentialSpec | None:
     if kind in (None, "none"):
         return None
     if kind == "delta":
-        return Delta(strength=float(doc["strength"]))
+        return Delta(strength=_finite_entry(doc, "strength"))
     if kind == "soc_bic":
-        return SocBic(gamma=float(doc["gamma"]), nu=float(doc["nu"]))
+        return SocBic(gamma=_finite_entry(doc, "gamma"), nu=_finite_entry(doc, "nu"))
     if kind == "tabulated":
         return load_tabulated(Path(base_dir) / doc["path"])
     if kind == "scaled":
         base = spec_from_dict(doc["base"], base_dir)
         if base is None:
             raise ValueError("scaled potential needs a base variant")
-        return Scaled(base=base, factor=float(doc["factor"]))
+        return Scaled(base=base, factor=_finite_entry(doc, "factor"))
     raise ValueError(f"unknown potential variant {kind!r}")

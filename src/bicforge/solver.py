@@ -42,6 +42,10 @@ eigenvalue set it is asked for once, and every call reads it times s.
 Secant steps and solve_state run on the call's own operator, so every
 result keeps its bits.
 
+Grid coverage is recorded when an operator's eigenvalues are read
+(_near_one), so an operator read again, a shared mesh operator included,
+counts again.
+
 assemble_map builds the explicit dense (nN x nN) matrix for inspection and
 cross-checks. Every path shares the same kernel samples and weights.
 """
@@ -123,8 +127,9 @@ def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
     return kernel
 
 
-# (half-width, slowest decay rate) of every operator built inside the
-# outermost public call in flight, which warns once for all of them
+# (half-width, slowest decay rate) at every read of an operator's eigenvalues
+# and every assemble_map inside the outermost public call in flight, which
+# warns once for all of them
 _COVERAGE: ContextVar[list | None] = ContextVar("coverage", default=None)
 
 

@@ -476,3 +476,66 @@ def test_consecutive_in_process_calls_match_fresh_processes(capsys):
         assert cli.main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs == [run_cli(*argv)[1] for argv in argvs]
+
+
+@pytest.mark.parametrize("energies", ["nan", "inf", "1e400", "0.3,-inf"])
+def test_kernel_check_non_finite_energies_exit_usage(energies):
+    # each ended in a LinAlgError traceback
+    rc, out, err = run_cli("kernel-check", "--trials", "1", "--energies", energies)
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == (f"bicforge: --energies must be comma-separated finite numbers, "
+                   f"got {energies!r}\n")
+
+
+def _non_finite_model(path, field):
+    doc = bf.models.model_to_dict(bf.soc_model(gamma=0.5, mu=1.0),
+                                  [{"variant": "delta", "strength": -1.0}, None])
+    if field == "a0":
+        doc["a0"][0][0] = [float("nan"), 0.0]
+    elif field == "strength":
+        doc["potentials"][0]["strength"] = float("nan")
+    else:
+        doc[field] = float("inf")
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+    return str(path)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("a0", "bicforge: a0 has non-finite entries\n"),
+    ("strength", "bicforge: bad potential entry: 'strength' must be finite, got nan\n"),
+    ("mass", "bicforge: mass must be finite, got inf\n"),
+    ("n_bands", "bicforge: model file needs numeric 'n_bands' and 'mass'\n"),
+], ids=["a0", "strength", "mass", "n_bands"])
+def test_model_file_non_finite_number_exit_usage(tmp_path, capsys, field, message):
+    # a0 ended in a LinAlgError traceback, strength in exit 3 and mass in an
+    # underflow message; n_bands in an OverflowError traceback
+    path = _non_finite_model(tmp_path / "model.json", field)
+    rc = cli.main(["bic-verify", "--model-file", path, "--e-window=-0.6:0.6"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_list_values_starting_with_minus():
+    # each exited 1 with argparse's "expected one argument"
+    rc, out, _ = run_cli("scan", "--param", "scale", "--range", "-0.4:1.2:0",
+                         "--gamma", "0.5", "--nu", "0.7", "--mu", "1")
+    assert rc == cli.EXIT_OK
+    assert out == "param,energy,residual_rel,tail_rel,verdict\n"
+    rc, out, err = run_cli("bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1",
+                           "--e-window", "-0.5:-0.6")
+    assert (rc, out, err) == (cli.EXIT_USAGE, "", "bicforge: --e-window needs lo < hi\n")
+    rc, out, _ = run_cli("kernel-check", "--energies", "-0.3,0.2", "--trials", "1")
+    assert rc == cli.EXIT_OK
+    rows = {r["check"]: r["status"] for r in json.loads(out)["results"]["rows"]}
+    assert rows["two_band_requested_energy_-0.3"] == "pass"
+
+
+def test_soc_singular_denominator_exit_usage():
+    # nu^2 >= alpha' = 1 + sqrt(1 - gamma^2 nu^2) passes the radicand check
+    rc, out, err = run_cli("bic-verify", "--gamma", "0.1", "--nu", "2", "--mu", "3")
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == "bicforge: nu^2 = 4 must be < alpha' = 1.9798\n"

@@ -1,8 +1,13 @@
 """Static guards on the package sources: modules use each other's public
 names only, no thread or process pools come back without a measurement
-that shows they pay, and no module pulls in an import that startup pays for."""
+that shows they pay, and no module pulls in an import that startup pays for.
+The suite also runs with RuntimeWarning as an error (pyproject.toml), so a
+NaN or an overflow that numpy only warns about fails a test."""
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bicforge"
 
@@ -53,3 +58,8 @@ def test_no_scipy_signal():
         bad += [f"{where} {name}" for name in names
                 if name == "scipy.signal" or name.startswith("scipy.signal.")]
     assert not bad
+
+
+def test_runtime_warning_is_an_error():
+    with pytest.raises(RuntimeWarning):
+        np.log(np.zeros(1))

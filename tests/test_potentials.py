@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bicforge as bf
-from bicforge.errors import InvalidRadicand
+from bicforge.errors import InvalidRadicand, SingularDenominator
 from bicforge.potentials import decay_scale, load_tabulated, spec_from_dict
 
 
@@ -28,6 +28,14 @@ def test_soc_bic_invalid_radicand():
         bf.SocBic(gamma=2.0, nu=0.8)
     with pytest.raises(InvalidRadicand):
         bf.potential_soc_bic(1.5, 1.0, 0.0)
+
+
+def test_soc_bic_singular_denominator():
+    # gamma^2 nu^2 = 0.04 < 1, but nu^2 = 4 >= alpha' = 1 + sqrt(0.96)
+    with pytest.raises(SingularDenominator, match="nu\\^2 = 4 must be < alpha' = 1.9798"):
+        bf.SocBic(0.1, 2.0)
+    with pytest.raises(SingularDenominator):
+        bf.potential_soc_bic(0.1, 2.0, 0.0)
 
 
 def test_e_bic_values():
