@@ -519,18 +519,16 @@ def test_model_file_non_finite_number_exit_usage(tmp_path, capsys, field, messag
     assert captured.err == message
 
 
-def test_list_values_starting_with_minus():
+def test_list_values_starting_with_minus(capsys):
     # each exited 1 with argparse's "expected one argument"
-    rc, out, _ = run_cli("scan", "--param", "scale", "--range", "-0.4:1.2:0",
-                         "--gamma", "0.5", "--nu", "0.7", "--mu", "1")
-    assert rc == cli.EXIT_OK
-    assert out == "param,energy,residual_rel,tail_rel,verdict\n"
-    rc, out, err = run_cli("bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1",
-                           "--e-window", "-0.5:-0.6")
-    assert (rc, out, err) == (cli.EXIT_USAGE, "", "bicforge: --e-window needs lo < hi\n")
-    rc, out, _ = run_cli("kernel-check", "--energies", "-0.3,0.2", "--trials", "1")
-    assert rc == cli.EXIT_OK
-    rows = {r["check"]: r["status"] for r in json.loads(out)["results"]["rows"]}
+    assert cli.main(["scan", "--param", "scale", "--range", "-0.4:1.2:0",
+                     "--gamma", "0.5", "--nu", "0.7", "--mu", "1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "param,energy,residual_rel,tail_rel,verdict\n"
+    assert cli.main(["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1",
+                     "--e-window", "-0.5:-0.6"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "bicforge: --e-window needs lo < hi\n"
+    assert cli.main(["kernel-check", "--energies", "-0.3,0.2", "--trials", "1"]) == cli.EXIT_OK
+    rows = {r["check"]: r["status"] for r in json.loads(capsys.readouterr().out)["results"]["rows"]}
     assert rows["two_band_requested_energy_-0.3"] == "pass"
 
 
