@@ -44,9 +44,11 @@ EXIT_CHECK = 5
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-9.6e-05" and "-0.4:1.2:5" as options, not values
-        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
-        self._negative_number_matcher = re.compile(rf"^-{number}([:,]-?{number})*$")
+        # argparse reads "-9.6e-05", "-0.4:1.2:5" and "-inf" as options, not
+        # values; the flag's own type check then rejects what is not finite
+        number = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)"
+        self._negative_number_matcher = re.compile(rf"^-{number}([:,]-?{number})*$",
+                                                   re.IGNORECASE)
 
     # argparse exits 2 on usage errors by default; the documented map says 1
     def error(self, message):

@@ -32,6 +32,17 @@ Otherwise the solve reruns with MESH_K eigenvalues on the energy mesh and in
 the secant steps, or STATE_K for the final state. A small support takes the
 direct path instead: the dense form of the same operator (support_matrix).
 
+ARPACK runs with every OpenBLAS thread pool in the process at one thread
+(_serial_blas), and each pool gets its count back afterwards. A solve at
+k=3 and n = 1024-4096 takes about 21 matvecs, and the BLAS vector work
+between them is too small to split. On 2 vCPUs one eigs(k=3) took as long
+either way (3.0-3.9 ms at n=1024, 8.2-12.6 ms at 4096), but threaded it
+used twice its wall time in CPU: the pool's worker spins on the second CPU.
+Two processes that each ran six bench `arnoldi` rounds at once took 44 s
+each, against 5 s for one alone; on one thread they took 3.9 s each. The
+scope leaves the caller's own BLAS work, and the direct path's dense eig,
+as they are.
+
 At strength s the map of Scaled(base, s) is s times the map of base, so its
 spectrum is s times base's. Inside a shared_mesh block (every
 criterion.scan_parameter call), find_energy calls share their mesh probes
@@ -52,7 +63,9 @@ cross-checks. Every path shares the same kernel samples and weights.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
+import threading
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -168,15 +181,15 @@ def _kernel_samples(kernel: GreenKernel, n: int, dx: float, rows=None, cols=None
     return kernel.evaluate(dx * np.arange(-(n - 1), n), rows, cols)
 
 
-def _convolve(kf: np.ndarray, m: int, sites: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _convolve(kf: np.ndarray, m: int, sites: np.ndarray | slice, u: np.ndarray) -> np.ndarray:
     """Sum_j K(x_i - x_j) u_j at all i of a range of m sites, for a source u
     of shape (len(sites), channels) at the given offsets into that range;
     kf is the FFT of _kernel_samples on m sites."""
-    src = np.zeros((m, u.shape[1]), dtype=complex)
+    src = np.zeros((kf.shape[0], u.shape[1]), dtype=complex)
     src[sites] = u
-    uf = fft(src, n=kf.shape[0], axis=0)
+    uf = fft(src, axis=0, overwrite_x=True)
     yf = np.einsum("dab,db->da", kf, uf)
-    return ifft(yf, axis=0)[m - 1:2 * m - 1]
+    return ifft(yf, axis=0, overwrite_x=True)[m - 1:2 * m - 1]
 
 
 def _sample_fft(kernel: GreenKernel, n: int, dx: float, rows=None, cols=None) -> np.ndarray:
@@ -226,13 +239,16 @@ class _ConvMap(LinearOperator):
         return self.support.size == 0
 
     @cached_property
-    def _at(self) -> np.ndarray:
-        """The support sites as offsets into their span."""
+    def _at(self) -> np.ndarray | slice:
+        """The support sites as offsets into their span: a slice where they
+        fill it, so the matvec reads and writes them without fancy indexing."""
+        if self.support.size == self._span:
+            return slice(0, self._span)
         return self.support - self.support[0]
 
     @cached_property
     def _span(self) -> int:
-        return int(self._at[-1]) + 1
+        return int(self.support[-1] - self.support[0]) + 1
 
     @cached_property
     def _kf(self) -> np.ndarray:
@@ -286,6 +302,63 @@ DIRECT_SUPPORT_LIMIT = 512
 FIRST_PASS_K = 3
 
 
+@functools.cache
+def _blas_pools() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS library loaded in
+    this process, found once from /proc/self/maps: empty where that cannot
+    be read or the BLAS is not OpenBLAS (MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+    except OSError:
+        return ()
+    pools = []
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(dll, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+                break
+    return tuple(pools)
+
+
+# The pools are process-wide, so solves running at once in several threads
+# share one serial block: the first to enter saves each pool's thread count
+# and sets it to 1, the last to leave restores it.
+_BLAS_LOCK = threading.Lock()
+_blas_users = 0
+_blas_saved: tuple = ()
+
+
+@contextlib.contextmanager
+def _serial_blas():
+    """Run the block with every OpenBLAS pool at one thread (see the module
+    docstring); a no-op where _blas_pools finds none."""
+    global _blas_users, _blas_saved
+    pools = _blas_pools()
+    with _BLAS_LOCK:
+        if _blas_users == 0:
+            _blas_saved = tuple(get() for get, _ in pools)
+            for _, put in pools:
+                put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_users -= 1
+            if _blas_users == 0:
+                for (_, put), n in zip(pools, _blas_saved):
+                    put(n)
+
+
 def _arnoldi(op: _ConvMap, k: int, want_vectors: bool):
     """The k eigenvalues of largest modulus, their eigenvectors if asked for
     (else None), and whether ARPACK converged: a run that did not returns
@@ -300,8 +373,9 @@ def _arnoldi(op: _ConvMap, k: int, want_vectors: bool):
         norm = np.linalg.norm(v0)
         v0 = v0 / norm if norm > 0 else np.full(dim, 1.0 / np.sqrt(dim))
         try:
-            out = eigs(op, k=k, which="LM", v0=v0, tol=1e-11,
-                       return_eigenvectors=want_vectors)
+            with _serial_blas():
+                out = eigs(op, k=k, which="LM", v0=v0, tol=1e-11,
+                           return_eigenvectors=want_vectors)
             op.sets[key] = (*out, True) if want_vectors else (out, None, True)
         except ArpackNoConvergence as exc:
             op.sets[key] = exc.eigenvalues, exc.eigenvectors if want_vectors else None, False

@@ -4,20 +4,26 @@ from __future__ import annotations
 import numpy as np
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+def _write_rows(path, header: str, table: np.ndarray) -> None:
+    """A '# header' line, then each row of the real table as tab-separated
+    %.12e values; rows become Python floats 256 at a time, so a long table
+    needs no second copy as a list."""
+    row = "\t".join(["%.12e"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {header}\n")
+        for start in range(0, len(table), 256):
+            for values in table[start:start + 256].tolist():
+                fh.write(row % tuple(values))
 
 
 def _write_complex(path, axis: str, name: str, xs: np.ndarray, values: np.ndarray) -> None:
     """Columns (axis, Re name_i, Im name_i) per channel i."""
     cols = " ".join(f"re_{name}{i+1} im_{name}{i+1}" for i in range(values.shape[1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {axis} {cols}\n")
-        for xi, row in zip(xs, values):
-            parts = [_fmt(xi)]
-            for z in row:
-                parts += [_fmt(z.real), _fmt(z.imag)]
-            fh.write("\t".join(parts) + "\n")
+    table = np.empty((len(xs), 1 + 2 * values.shape[1]))
+    table[:, 0] = xs
+    table[:, 1::2] = values.real
+    table[:, 2::2] = values.imag
+    _write_rows(path, f"{axis} {cols}", table)
 
 
 def write_wave_samples(path, x: np.ndarray, values: np.ndarray) -> None:
@@ -29,10 +35,7 @@ def write_wave_samples(path, x: np.ndarray, values: np.ndarray) -> None:
     if values.shape[1] != 1 or np.abs(values.imag).max() != 0.0:
         _write_complex(path, "x", "psi", x, values)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# x psi\n")
-        for xi, row in zip(x, values):
-            fh.write(f"{_fmt(xi)}\t{_fmt(row[0].real)}\n")
+    _write_rows(path, "x psi", np.column_stack([x, values[:, 0].real]))
 
 
 def write_spectrum(path, qs: np.ndarray, components: np.ndarray) -> None:

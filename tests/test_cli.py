@@ -532,6 +532,27 @@ def test_list_values_starting_with_minus(capsys):
     assert rows["two_band_requested_energy_-0.3"] == "pass"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["kernel-check", "--energies", "-inf"], "--energies"),
+    (["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1", "--e-window", "-inf:0"],
+     "--e-window"),
+    (["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "-inf"], "--mu"),
+    (["delta-bound", "--lambda", "-nan"], "--lambda"),
+], ids=["energies", "e_window", "mu", "lambda"])
+def test_non_finite_values_starting_with_minus(capsys, argv, flag):
+    # each exited 1 with argparse's "expected one argument"
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # the argparse type check of a float flag
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("bicforge") and captured.err.count("\n") == 1
+    assert flag in captured.err and "finite" in captured.err
+    assert "expected one argument" not in captured.err
+
+
 def test_soc_singular_denominator_exit_usage():
     # nu^2 >= alpha' = 1 + sqrt(1 - gamma^2 nu^2) passes the radicand check
     rc, out, err = run_cli("bic-verify", "--gamma", "0.1", "--nu", "2", "--mu", "3")

@@ -1,9 +1,12 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import bicforge as bf
+from bicforge import solver
 from bicforge.errors import (GridTooCoarse, NoNearUnitEigenvalue,
                              NoSolutionInRange)
 from bicforge.potentials import decay_scale
@@ -443,3 +446,92 @@ def test_arnoldi_start_when_the_coupling_annuls_the_flat_vector():
     vals = np.linalg.eigvals(bf.assemble_map(model, 0.8, grid, bf.SocBic(0.5, 0.7)))
     assert lam == pytest.approx(vals[np.argmin(np.abs(vals - 1.0))], abs=1e-10)
     assert above == int(np.count_nonzero(vals.real > 1.0))
+
+
+# --- ARPACK on one BLAS thread ------------------------------------------------
+
+@pytest.fixture
+def pools_at_two():
+    """Every OpenBLAS pool of the process at 2 threads, each back at its own
+    count afterwards; skips where no pool is found."""
+    pools = solver._blas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS thread pool in this process")
+    before = _threads(pools)
+    for _, put in pools:
+        put(2)
+    yield pools
+    for (_, put), n in zip(pools, before):
+        put(n)
+
+
+def _threads(pools):
+    return [get() for get, _ in pools]
+
+
+def _arnoldi_op(soc):
+    return _ConvMap(soc, 0.8, bf.Grid.symmetric(22.0, 400), SCALED_WELL)
+
+
+def test_arnoldi_runs_on_one_blas_thread(monkeypatch, soc, pools_at_two):
+    op = _arnoldi_op(soc)
+    seen, matvec = [], op._matvec
+
+    def recorded(u):
+        seen.append(_threads(pools_at_two))
+        return matvec(u)
+
+    monkeypatch.setattr(op, "_matvec", recorded)
+    *_, converged = solver._arnoldi(op, 3, want_vectors=False)
+    assert converged
+    assert seen and all(t == [1] * len(pools_at_two) for t in seen)
+    assert _threads(pools_at_two) == [2] * len(pools_at_two)
+
+
+def test_blas_pools_restored_after_no_convergence(monkeypatch, soc, pools_at_two):
+    eigs = solver.eigs
+    monkeypatch.setattr(solver, "eigs", lambda op, **kwargs: eigs(op, maxiter=1, **kwargs))
+    *_, converged = solver._arnoldi(_arnoldi_op(soc), 12, want_vectors=False)
+    assert not converged
+    assert _threads(pools_at_two) == [2] * len(pools_at_two)
+
+
+def test_concurrent_serial_blocks_restore_the_pools(pools_at_two):
+    # blocks open in several threads at once keep every pool at 1 until the
+    # last one leaves; saving and restoring per block would leave it at 1
+    inside = []
+
+    def enter_and_leave():
+        for _ in range(200):
+            with solver._serial_blas():
+                inside.append(_threads(pools_at_two))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=enter_and_leave) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(inside) == 800 and all(t == [1] * len(pools_at_two) for t in inside)
+    assert _threads(pools_at_two) == [2] * len(pools_at_two)
+
+
+def test_no_blas_pools_without_proc_maps(monkeypatch, soc):
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    expected = solver._arnoldi(_arnoldi_op(soc), 3, want_vectors=False)[0]
+    monkeypatch.setattr(solver, "open", unreadable, raising=False)
+    solver._blas_pools.cache_clear()
+    try:
+        assert solver._blas_pools() == ()
+        vals = solver._arnoldi(_arnoldi_op(soc), 3, want_vectors=False)[0]
+    finally:
+        monkeypatch.undo()
+        solver._blas_pools.cache_clear()
+    assert np.array_equal(vals, expected)
