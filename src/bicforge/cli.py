@@ -131,10 +131,7 @@ def _cmd_delta_bound(args) -> int:
         extra = {"lambda_c": lambda_critical(args.mu, args.g, mass)}
 
     residual = boundary_residual(sol, bmat, mass)
-    if two_band:
-        verdict = "QuasiBIC" if sol.in_gap else "ConventionalBound"
-    else:
-        verdict = "ConventionalBound"
+    verdict = "QuasiBIC" if two_band and sol.in_gap else "ConventionalBound"
     results = {
         "e_b": sol.e_b,
         "kappa": sol.kappa,
@@ -204,6 +201,11 @@ def _cmd_bic_verify(args) -> int:
                                n_points=max(1024, args.n_points // 4))
 
     if args.model_file:
+        unread = [f"--{k}" for k in ("gamma", "nu", "mu") if getattr(args, k) is not None]
+        unread += [f"--{k}" for k in ("scale", "mass") if getattr(args, k) != 1.0]
+        if unread:
+            raise BicforgeError(f"--model-file does not take {', '.join(unread)}: the file "
+                                f"carries its mass and states scaling as a 'scaled' potential")
         model, pot_docs = load_model(args.model_file)
         if not pot_docs:
             raise BicforgeError("model file carries no per-channel potentials")
@@ -289,12 +291,10 @@ def _cmd_scan(args) -> int:
         model_fam = lambda v: soc_model(gamma=v, mu=mu0, mass=mass)
         pot_fam = lambda v: SocBic(v, nu0)
         e_window = lambda v: _soc_window(v, nu0, mu0, 0.1, 0.1)
-    elif args.param == "mu":
+    else:  # mu; argparse's choices admit no other value
         model_fam = lambda v: soc_model(gamma=gamma0, mu=v, mass=mass)
         pot_fam = lambda v: SocBic(gamma0, nu0)
         e_window = lambda v: _soc_window(gamma0, nu0, v, 0.1, 0.1)
-    else:
-        raise BicforgeError(f"unknown scan parameter {args.param!r}")
 
     table = scan_parameter(model_fam, pot_fam, args.param, lo, hi, steps,
                            grid=grid, e_window=e_window, scan_grid=scan_grid,
@@ -498,8 +498,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bicforge", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several commands, listed first in their --help
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    soc = argparse.ArgumentParser(add_help=False, parents=[out])
+    soc.add_argument("--gamma", type=_finite)
+    soc.add_argument("--nu", type=_finite)
+    soc.add_argument("--mu", type=_finite)
+    soc.add_argument("--mass", type=_finite, default=1.0)
 
-    p = sub.add_parser("delta-bound", help="closed-form delta-potential solutions")
+    p = sub.add_parser("delta-bound", parents=[out], help="closed-form delta-potential solutions")
     p.add_argument("--lambda", dest="lam", type=_finite, help="delta strength (< 0 binds)")
     p.add_argument("--mass", type=_finite, default=1.0)
     p.add_argument("--two-band", action="store_true")
@@ -509,16 +517,11 @@ def build_parser() -> _Parser:
     p.add_argument("--b2", type=_finite, help="general coupling matrix entry (1,2)")
     p.add_argument("--b3", type=_finite, help="general coupling matrix entry (2,2)")
     p.add_argument("--wave-out")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_delta_bound)
 
-    p = sub.add_parser("bic-verify", help="solve and certify a BIC candidate")
+    p = sub.add_parser("bic-verify", parents=[soc], help="solve and certify a BIC candidate")
     p.add_argument("--model", choices=["soc"], default="soc")
     p.add_argument("--model-file")
-    p.add_argument("--gamma", type=_finite)
-    p.add_argument("--nu", type=_finite)
-    p.add_argument("--mu", type=_finite)
-    p.add_argument("--mass", type=_finite, default=1.0)
     p.add_argument("--scale", type=_finite, default=1.0)
     p.add_argument("--half-width", type=_finite, default=30.0)
     p.add_argument("--n-points", type=int, default=4096)
@@ -527,49 +530,37 @@ def build_parser() -> _Parser:
     p.add_argument("--e-window", help="lo:hi energy window override")
     p.add_argument("--spectrum-out")
     p.add_argument("--wave-out")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_bic_verify)
 
-    p = sub.add_parser("scan", help="parameter sweep with per-row verdicts (CSV)")
+    p = sub.add_parser("scan", parents=[soc], help="parameter sweep with per-row verdicts (CSV)")
     p.add_argument("--param", required=True, choices=["scale", "nu", "gamma", "mu"])
     p.add_argument("--range", required=True, help="lo:hi:steps")
-    p.add_argument("--gamma", type=_finite)
-    p.add_argument("--nu", type=_finite)
-    p.add_argument("--mu", type=_finite)
-    p.add_argument("--mass", type=_finite, default=1.0)
     p.add_argument("--half-width", type=_finite, default=30.0)
     p.add_argument("--n-points", type=int, default=2048)
     p.add_argument("--mesh-points", type=int, default=24)
     p.add_argument("--jobs", type=int,
                    help="accepted for compatibility and ignored: rows run serially")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("oracle", help="finite-difference box diagonalization")
+    p = sub.add_parser("oracle", parents=[soc], help="finite-difference box diagonalization")
     p.add_argument("--model", choices=["soc"], default="soc")
     p.add_argument("--single-band", action="store_true")
     p.add_argument("--two-band", action="store_true")
     p.add_argument("--lambda", dest="lam", type=_finite)
-    p.add_argument("--gamma", type=_finite)
-    p.add_argument("--nu", type=_finite)
-    p.add_argument("--mu", type=_finite)
     p.add_argument("--g", type=_finite)
-    p.add_argument("--mass", type=_finite, default=1.0)
     p.add_argument("--target", type=_finite, required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--half-width", type=_finite)
     p.add_argument("--n", type=int, default=4096)
     p.add_argument("--x-cut", type=_finite)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("kernel-check", help="kernel cross-check table")
+    p = sub.add_parser("kernel-check", parents=[out], help="kernel cross-check table")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--mu", type=_finite)
     p.add_argument("--g", type=_finite)
     p.add_argument("--energies", help="comma-separated energies for the two-band form")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_kernel_check)
 
     return parser

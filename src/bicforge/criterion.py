@@ -399,12 +399,8 @@ def scan_parameter(model_family: Callable[[float], BandModel],
             window = e_window(value) if callable(e_window) else e_window
             reports = find_energy(model, grid, potential, window[0], window[1],
                                   mesh_points=mesh_points, scan_grid=scan_grid)
-            best = None
-            for rep in reports:
-                br = classify(model, rep.state, potential, rep.energy)
-                if best is None or br.residual_rel < best[1].residual_rel:
-                    best = (rep, br)
-            rep, br = best
+            rep, br = min(((r, classify(model, r.state, potential, r.energy))
+                           for r in reports), key=lambda t: t[1].residual_rel)
             return ScanRow(param=float(value), energy=rep.energy,
                            residual_rel=br.residual_rel, tail_rel=br.tail_rel,
                            verdict=br.verdict.value)

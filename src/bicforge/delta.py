@@ -248,7 +248,6 @@ def general_b_solution(b: np.ndarray, mu: float, g: float, mass: float) -> Delta
         amp_ext, amp_loc = 1.0, res.amp_ratio
     else:
         amp_ext, amp_loc = 0.0, 1.0
-        p1 = p1 if res.in_gap else 0.0
     return DeltaSolution(
         e_b=res.e_b, p_real=p1 if amp_ext else 0.0, kappa=res.kappa,
         spinor_loc=spinor_loc, spinor_ext=spinor_ext,

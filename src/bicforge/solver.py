@@ -57,8 +57,11 @@ Grid coverage is recorded when an operator's eigenvalues are read
 (_near_one), so an operator read again, a shared mesh operator included,
 counts again.
 
-assemble_map builds the explicit dense (nN x nN) matrix for inspection and
-cross-checks. Every path shares the same kernel samples and weights.
+Every form of the map reads one table of kernel samples, K at the grid
+separations dx*d (_kernel_samples): the dense support_matrix and the FFT
+matvec over the support's span, the lift over the full grid, and
+assemble_map, the explicit dense (nN x nN) matrix for inspection and
+cross-checks.
 """
 from __future__ import annotations
 
@@ -234,10 +237,6 @@ class _ConvMap(LinearOperator):
         dim = coupling.support.size * coupling.rows.size
         super().__init__(dtype=complex, shape=(dim, dim))
 
-    @property
-    def is_null(self) -> bool:
-        return self.support.size == 0
-
     @cached_property
     def _at(self) -> np.ndarray | slice:
         """The support sites as offsets into their span: a slice where they
@@ -265,14 +264,14 @@ class _ConvMap(LinearOperator):
     def support_matrix(self) -> np.ndarray:
         """Dense form of this operator,
         T[(j,r),(j',s)] = [psi_j K[C, R](x_j - x_j')]_{rs} over support
-        sites j, j': for compact potentials (a handful of delta sites) a
+        sites j, j', its blocks read from the kernel table across the
+        support's span: for compact potentials (a handful of delta sites) a
         tiny dense eigenproblem instead of an Arnoldi iteration."""
         c = self.coupling
-        xs = self.grid.x[self.support]
-        ks = self.kernel.evaluate((xs[:, None] - xs[None, :]).reshape(-1), c.cols, c.rows)
-        ks = ks.reshape(len(xs), len(xs), c.cols.size, c.rows.size)
-        t = np.einsum("jrc,jpcs->jrps", c.psi, ks)
-        return t.reshape(self.shape)
+        at = self.support - self.support[0]
+        samples = _kernel_samples(self.kernel, self._span, self.grid.dx, c.cols, c.rows)
+        ks = samples[at[:, None] - at[None, :] + (self._span - 1)]
+        return np.einsum("jrc,jpcs->jrps", c.psi, ks).reshape(self.shape)
 
     def lift(self, w: np.ndarray) -> np.ndarray:
         """K[:, R] applied to a source w on the coupled subspace, on the full
@@ -408,7 +407,7 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0):
 
     _record_coverage(op.grid, op.kernel, op.coupling)
     dim = op.shape[0]
-    if op.is_null:
+    if op.support.size == 0:
         return 0.0 + 0.0j, None, 0
     if op.support.size * op.n_bands <= DIRECT_SUPPORT_LIMIT:
         key = ("direct", want_vectors)

@@ -27,11 +27,9 @@ def _write_complex(path, axis: str, name: str, xs: np.ndarray, values: np.ndarra
 
 
 def write_wave_samples(path, x: np.ndarray, values: np.ndarray) -> None:
-    """Columns (x, Re psi_i, Im psi_i); collapses to two columns for a
-    purely real single channel."""
-    values = np.atleast_2d(np.asarray(values, dtype=complex))
-    if values.shape[0] != len(x):
-        values = values.T
+    """Columns (x, Re psi_i, Im psi_i) for values of shape (len(x), N);
+    collapses to two columns for a purely real single channel."""
+    values = np.asarray(values, dtype=complex)
     if values.shape[1] != 1 or np.abs(values.imag).max() != 0.0:
         _write_complex(path, "x", "psi", x, values)
         return

@@ -184,6 +184,41 @@ def test_model_file_bad_potential_entry_exit_usage(tmp_path, capsys, pots, fragm
     assert captured.err.count("\n") == 1
 
 
+SOC_POTS = [{"variant": "soc_bic", "gamma": 0.5, "nu": 0.7}, {"variant": "none"}]
+
+
+@pytest.mark.parametrize("extra, flags", [
+    (("--gamma", "9"), "--gamma"),
+    (("--nu", "0.7"), "--nu"),
+    (("--mu", "1"), "--mu"),
+    (("--scale", "0.5"), "--scale"),
+    (("--mass", "2"), "--mass"),
+    (("--scale", "0.5", "--gamma", "9"), "--gamma, --scale"),
+], ids=["gamma", "nu", "mu", "scale", "mass", "scale_and_gamma"])
+def test_model_file_refuses_flags_it_does_not_read(tmp_path, capsys, monkeypatch,
+                                                   extra, flags):
+    # these were echoed in params while the file's model was solved as it is
+    monkeypatch.setattr(cli, "find_energy", lambda *a, **k: pytest.fail("solved"))
+    rc = cli.main(["bic-verify", "--model-file", _soc_model_file(tmp_path, SOC_POTS),
+                   "--n-points", "1025", "--e-window=0.67:0.71", *extra])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(f"bicforge: --model-file does not take {flags}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_model_file_takes_unit_scale_and_mass(tmp_path, monkeypatch):
+    def stub(*args, **kwargs):
+        raise NoSolutionInRange("stub")
+
+    monkeypatch.setattr(cli, "find_energy", stub)
+    rc = cli.main(["bic-verify", "--model-file", _soc_model_file(tmp_path, SOC_POTS),
+                   "--n-points", "1025", "--e-window=0.67:0.71", "--scale", "1",
+                   "--mass", "1.0"])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+
+
 @pytest.mark.parametrize("command", [
     ["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1"],
     ["scan", "--param", "scale", "--range", "0.9:1.1:3",
@@ -397,6 +432,17 @@ def test_scan_malformed_range():
     rc, _, _ = run_cli("scan", "--param", "scale", "--range", "1:0:-5",
                        "--gamma", "0.5", "--nu", "0.7", "--mu", "1")
     assert rc == 1
+
+
+def test_scan_unknown_param_is_one_argparse_line(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["scan", "--param", "foo", "--range", "0.9:1.1:3",
+                  "--gamma", "0.5", "--nu", "0.7", "--mu", "1"])
+    captured = capsys.readouterr()
+    assert info.value.code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "argument --param: invalid choice: 'foo'" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_scan_empty_range():

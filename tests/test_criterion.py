@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,19 @@ def test_scan_empty():
     assert table.rows == ()
     assert table.to_csv().strip() == "param,energy,residual_rel,tail_rel,verdict"
 
+
+
+def test_scan_row_takes_first_of_equal_least_residuals(monkeypatch):
+    from bicforge import criterion
+    reports = [SimpleNamespace(energy=e, state=None) for e in (0.1, 0.2, 0.3)]
+    residual = {0.1: 2e-3, 0.2: 1e-3, 0.3: 1e-3}
+    monkeypatch.setattr(criterion, "find_energy", lambda *a, **k: reports)
+    monkeypatch.setattr(criterion, "classify", lambda model, state, pot, e: SimpleNamespace(
+        residual_rel=residual[e], tail_rel=0.0, verdict=Verdict.QUASI_BIC))
+    table = bf.scan_parameter(lambda v: None, lambda v: None, "x", 0.0, 1.0, 1,
+                              grid=bf.Grid.symmetric(10.0, 64), e_window=(0.0, 1.0))
+    (row,) = table.rows
+    assert (row.energy, row.residual_rel, row.error) == (0.2, 1e-3, None)
 
 
 # --- scale scans share their mesh eigensolves -------------------------------
