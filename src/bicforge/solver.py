@@ -267,10 +267,9 @@ class _ConvMap(LinearOperator):
         sites j, j', its blocks read from the kernel table across the
         support's span: for compact potentials (a handful of delta sites) a
         tiny dense eigenproblem instead of an Arnoldi iteration."""
-        c = self.coupling
-        at = self.support - self.support[0]
+        c, s = self.coupling, self.support
         samples = _kernel_samples(self.kernel, self._span, self.grid.dx, c.cols, c.rows)
-        ks = samples[at[:, None] - at[None, :] + (self._span - 1)]
+        ks = samples[s[:, None] - s[None, :] + (self._span - 1)]
         return np.einsum("jrc,jpcs->jrps", c.psi, ks).reshape(self.shape)
 
     def lift(self, w: np.ndarray) -> np.ndarray:

@@ -298,7 +298,6 @@ def test_scan_empty():
     assert table.to_csv().strip() == "param,energy,residual_rel,tail_rel,verdict"
 
 
-
 def test_scan_row_takes_first_of_equal_least_residuals(monkeypatch):
     from bicforge import criterion
     reports = [SimpleNamespace(energy=e, state=None) for e in (0.1, 0.2, 0.3)]
