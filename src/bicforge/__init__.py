@@ -13,13 +13,15 @@ from .models import (BandModel, general_b_model, load_model, save_model,
                      sigma_x, sigma_y, sigma_z, single_band_model, soc_model,
                      two_band_model)
 from .spectral import (EnergyRegion, PoleLabel, PoleSet, RegionTag,
-                       classify_region, dispersion_coeffs, poles, soc_poles)
+                       classify_region, dispersion_coeffs, dispersion_coeffs_many,
+                       poles, poles_many, soc_poles)
 from .delta import (DeltaSolution, bare_extended_mode, boundary_residual,
                     extended_green_1d, general_b_kappa, general_b_solution,
                     lambda_critical, single_band_bound, two_band_bound_energy,
                     two_band_solution)
 from .green import (GreenKernel, KernelTerm, constantA_kernel,
-                    derivative_jump, residue_green, soc_kernel)
+                    derivative_jump, evaluate_many, residue_green,
+                    residue_green_many, soc_kernel)
 from .grids import Grid, SpinorField
 from .potentials import (Delta, PotentialSpec, Scaled, SocBic, Tabulated,
                          e_bic_analytic, load_tabulated, potential_soc_bic,

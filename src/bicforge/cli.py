@@ -14,6 +14,7 @@ import functools
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,18 @@ def _checked_grid(half_width: float, n_points: int, n_flag: str = "--n-points") 
     return Grid.symmetric(half_width=half_width, n_points=n_points)
 
 
+def _given(args, *dests: str) -> list[str]:
+    """The flags among dests that the command line set."""
+    return [f"--{'lambda' if d == 'lam' else d}" for d in dests if getattr(args, d) is not None]
+
+
+def _refuse_unread(mode: str, flags: list[str], why: str = "") -> None:
+    """Usage error for flags the command's mode does not read, rather than
+    echoing them in params as if they had been used."""
+    if flags:
+        raise BicforgeError(f"{mode} does not take {', '.join(flags)}{why}")
+
+
 def _check_mesh(mesh_points: int) -> None:
     if mesh_points < 2:
         raise BicforgeError(f"--mesh-points must be >= 2, got {mesh_points}")
@@ -107,6 +120,12 @@ def _cmd_delta_bound(args) -> int:
         raise BicforgeError("two-band mode needs --mu and --g")
     if not general_b and args.lam is None:
         raise BicforgeError("--lambda is required")
+    if not two_band:
+        _refuse_unread("single-band delta-bound", _given(args, "mu", "g"),
+                       ": add --two-band for the two-band model")
+    if general_b:
+        _refuse_unread("general-B delta-bound", _given(args, "lam"),
+                       ": --b1/--b2/--b3 set the coupling")
 
     # each model is built before its closed forms, so a bad mass or
     # (mu, g) is a ModelError, not a failure inside them
@@ -201,11 +220,10 @@ def _cmd_bic_verify(args) -> int:
                                n_points=max(1024, args.n_points // 4))
 
     if args.model_file:
-        unread = [f"--{k}" for k in ("gamma", "nu", "mu") if getattr(args, k) is not None]
+        unread = _given(args, "gamma", "nu", "mu")
         unread += [f"--{k}" for k in ("scale", "mass") if getattr(args, k) != 1.0]
-        if unread:
-            raise BicforgeError(f"--model-file does not take {', '.join(unread)}: the file "
-                                f"carries its mass and states scaling as a 'scaled' potential")
+        _refuse_unread("--model-file", unread, ": the file carries its mass and states "
+                       "scaling as a 'scaled' potential")
         model, pot_docs = load_model(args.model_file)
         if not pot_docs:
             raise BicforgeError("model file carries no per-channel potentials")
@@ -310,16 +328,19 @@ def _cmd_oracle(args) -> int:
     if args.single_band:
         if args.lam is None:
             raise BicforgeError("--single-band needs --lambda")
+        _refuse_unread("oracle --single-band", _given(args, "gamma", "nu", "mu", "g"))
         model = single_band_model(mass=mass, lam=args.lam)
         pot = Delta(1.0)
         half_default = 40.0
     elif args.two_band:
         if args.mu is None or args.g is None or args.lam is None:
             raise BicforgeError("--two-band needs --mu, --g and --lambda")
+        _refuse_unread("oracle --two-band", _given(args, "gamma", "nu"))
         model = two_band_model(args.mu, args.g, lam=args.lam, mass=mass)
         pot = Delta(1.0)
         half_default = 40.0
     else:
+        _refuse_unread("the spin-orbit oracle", _given(args, "lam", "g"))
         model, pot = _soc_setup(args)
         half_default = 30.0
     half = args.half_width if args.half_width is not None else half_default
@@ -349,11 +370,13 @@ def _cmd_oracle(args) -> int:
 # --- kernel-check -----------------------------------------------------------
 
 def _kernel_deviation(k1, k2, seps) -> float:
-    return float(max(np.abs(k1(d) - k2(d)).max() for d in seps))
+    return float(np.abs(k1.evaluate(seps) - k2.evaluate(seps)).max())
 
 
 def _cmd_kernel_check(args) -> int:
     from .green import apply_inverse_operator
+    if not args.energies:
+        _refuse_unread("kernel-check without --energies", _given(args, "mu", "g"))
     rng = np.random.default_rng(args.seed)
     seps = (-2.0, -0.3, 0.0, 0.3, 2.0)
     rows = []
@@ -544,8 +567,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", parents=[soc], help="finite-difference box diagonalization")
     p.add_argument("--model", choices=["soc"], default="soc")
-    p.add_argument("--single-band", action="store_true")
-    p.add_argument("--two-band", action="store_true")
+    band = p.add_mutually_exclusive_group()
+    band.add_argument("--single-band", action="store_true")
+    band.add_argument("--two-band", action="store_true")
     p.add_argument("--lambda", dest="lam", type=_finite)
     p.add_argument("--g", type=_finite)
     p.add_argument("--target", type=_finite, required=True)
@@ -566,26 +590,34 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one line, without the source location Python's
+    format names, which is bicforge's own install path."""
+    print(f"bicforge: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except NoBoundState as exc:
-        print(f"bicforge: no bound state: {exc}", file=sys.stderr)
-        return EXIT_NO_BOUND
-    except (NoSolutionInRange, NoNearUnitEigenvalue) as exc:
-        print(f"bicforge: solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except GridTooLarge as exc:
-        print(f"bicforge: resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except CheckFailure as exc:
-        print(f"bicforge: check failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    except BicforgeError as exc:
-        print(f"bicforge: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            return args.func(args)
+        except NoBoundState as exc:
+            print(f"bicforge: no bound state: {exc}", file=sys.stderr)
+            return EXIT_NO_BOUND
+        except (NoSolutionInRange, NoNearUnitEigenvalue) as exc:
+            print(f"bicforge: solver did not converge: {exc}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        except GridTooLarge as exc:
+            print(f"bicforge: resource limit: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
+        except CheckFailure as exc:
+            print(f"bicforge: check failure: {exc}", file=sys.stderr)
+            return EXIT_CHECK
+        except BicforgeError as exc:
+            print(f"bicforge: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,7 +14,14 @@ class DegeneratePolynomial(BicforgeError):
 
 
 class DegeneratePoles(BicforgeError):
-    """Two momentum poles coincide; residue weights are singular."""
+    """Two momentum poles coincide; residue weights are singular.
+
+    energy is the energy where they coincide, when the raiser names one.
+    """
+
+    def __init__(self, message: str, energy: float | None = None):
+        super().__init__(message)
+        self.energy = energy
 
 
 class ComplexInnerRoot(BicforgeError):

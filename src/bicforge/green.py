@@ -15,6 +15,14 @@ At dx = 0 each term takes the mean of its two sides. No pairing of poles is
 needed, so a pole set without p -> -p symmetry (a linear-in-p term next to
 a parallel constant term, or N > 2 bands) takes the same path.
 
+residue_green is the batch of one energy of residue_green_many, which
+builds the kernels of a whole energy mesh from one poles_many and one
+batched adjugate over every pole of every energy. Each kernel has the bits
+of its energy alone: f'(p) stays a scalar Horner evaluation per pole,
+because numpy's vectorised complex arithmetic rounds differently, and the
+first energy in order whose poles coincide raises its own DegeneratePoles.
+GreenKernel.evaluate is likewise the batch of one kernel of evaluate_many.
+
 For a single band this reproduces (m/p0) sin(p0 dx) sign(dx) above the band
 and -(m/kappa) exp(-kappa |dx|) below it. The derivative jump
 G'(0+) - G'(0-) = +2m I encodes the unit delta source of (E - H0) G = delta.
@@ -31,11 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DegeneratePoles, GapViolation, ModelError, SingularG
 from .models import BandModel
-from .spectral import PoleLabel, poles, soc_poles
+# poles stays bound here: bench/test_bench.py pins green.poles as a tracer binding site
+from .spectral import PoleLabel, PoleSet, poles, poles_many, soc_poles  # noqa: F401
 
 # Poles closer than this trigger DegeneratePoles: the residue weight 1/f'(p)
 # blows up. Callers should offset the energy (e.g. by 1e-6 * gap).
@@ -68,21 +76,7 @@ class GreenKernel:
         """Kernel matrices for an array of separations, shape (len, N, N);
         channel index arrays rows and cols, given together, evaluate only
         that block."""
-        dx = np.atleast_1d(np.asarray(dx, dtype=float))
-        block = slice(None) if rows is None else np.ix_(rows, cols)
-        shape = (self.n_bands, self.n_bands) if rows is None else (len(rows), len(cols))
-        out = np.zeros((dx.size,) + shape, dtype=complex)
-        sgn = np.sign(dx)
-        for t in self.terms:
-            # (i/2)(sign(dx) + sign(Im p)) is zero on the side a term does not
-            # live on; its exponential is not evaluated there, where an
-            # evanescent one overflows and inf * 0 would give NaN
-            weight = 0.5j * (sgn + np.sign(t.pole.imag))
-            live = weight != 0
-            prof = np.zeros(dx.size, dtype=complex)
-            prof[live] = weight[live] * np.exp(1j * t.pole * dx[live])
-            out += prof[:, None, None] * t.residue[block]
-        return out
+        return evaluate_many([self], dx, rows, cols)[0]
 
     def __call__(self, dx: float) -> np.ndarray:
         return self.evaluate([dx])[0]
@@ -97,6 +91,31 @@ class GreenKernel:
     def real_momenta(self) -> np.ndarray:
         """The real poles, signed and sorted."""
         return np.array(sorted(t.pole.real for t in self.terms if t.pole.imag == 0))
+
+
+def evaluate_many(kernels, dx, rows=None, cols=None) -> np.ndarray:
+    """GreenKernel.evaluate of kernels with equally many terms at one array
+    of separations, shape (len(kernels), len(dx), ...), in one pass per
+    term index over every kernel."""
+    if len({len(k.terms) for k in kernels}) != 1:
+        raise ValueError("evaluate_many needs kernels with equally many terms")
+    dx = np.atleast_1d(np.asarray(dx, dtype=float))
+    n = kernels[0].n_bands
+    block = slice(None) if rows is None else np.ix_(rows, cols)
+    shape = (n, n) if rows is None else (len(rows), len(cols))
+    out = np.zeros((len(kernels), dx.size) + shape, dtype=complex)
+    sgn = np.sign(dx)
+    for terms in zip(*(k.terms for k in kernels)):
+        # (i/2)(sign(dx) + sign(Im p)) is zero on the side a term does not
+        # live on; its exponential is not evaluated there, where an
+        # evanescent one overflows and inf * 0 would give NaN
+        weight = 0.5j * (sgn + np.sign([t.pole.imag for t in terms])[:, None])
+        live = weight != 0
+        phase = np.array([1j * t.pole for t in terms])[:, None] * dx
+        prof = np.zeros(weight.shape, dtype=complex)
+        prof[live] = weight[live] * np.exp(phase[live])
+        out += prof[:, :, None, None] * np.array([t.residue[block] for t in terms])[:, None]
+    return out
 
 
 def _adjugates(m: np.ndarray) -> np.ndarray:
@@ -117,26 +136,61 @@ def _adjugates(m: np.ndarray) -> np.ndarray:
 def residue_green(model: BandModel, energy: float) -> GreenKernel:
     """Generic kernel for any model: one term per momentum pole.
 
-    Residue matrices are adj(E - H0(p)) / f'(p) at each pole, all adjugates
-    built in one batched pass; a pole labeled real keeps its real part only.
-    Coincident poles (band edges) raise DegeneratePoles.
+    Residue matrices are adj(E - H0(p)) / f'(p) at each pole; a pole
+    labeled real keeps its real part only. Coincident poles (band edges)
+    raise DegeneratePoles.
     """
-    ps = poles(model, energy)
+    return residue_green_many(model, [energy])[0]
+
+
+def _check_distinct(ps: PoleSet) -> None:
     roots = ps.roots
     tol = DEGENERATE_POLE_TOL * (1.0 + np.abs(roots).max())
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) < tol:
                 raise DegeneratePoles(
-                    f"poles {roots[i]:.6g} and {roots[j]:.6g} coincide at E={energy:g}; "
-                    "offset the energy")
-    dcoeffs = npoly.polyder(ps.coeffs)
-    moms = [complex(root.real) if label is PoleLabel.REAL else complex(root)
-            for root, label in zip(roots, ps.labels)]
-    adj = _adjugates(energy * np.eye(model.n_bands) - model.h0_many(moms))
-    terms = tuple(KernelTerm(pole=p, residue=a / npoly.polyval(p, dcoeffs))
-                  for p, a in zip(moms, adj))
-    return GreenKernel(energy=energy, n_bands=model.n_bands, terms=terms)
+                    f"poles {roots[i]:.6g} and {roots[j]:.6g} coincide at E={ps.energy:g}; "
+                    "offset the energy", energy=ps.energy)
+
+
+def _horner(p: complex, c: np.ndarray) -> complex:
+    """numpy.polynomial.polynomial.polyval(p, c) by its own scalar steps,
+    without its call overhead: numpy's vectorised complex arithmetic rounds
+    differently, and the residues would move in the last bits."""
+    value = c[-1] + p * 0
+    for coeff in c[-2::-1]:
+        value = coeff + value * p
+    return value
+
+
+def residue_green_many(model: BandModel, energies) -> list[GreenKernel]:
+    """residue_green at a sequence of energies, from one poles_many and one
+    batched pass of adjugates over every pole of every energy. The first
+    energy, in order, whose poles coincide raises DegeneratePoles, with the
+    message it raises alone."""
+    n = model.n_bands
+    sets = poles_many(model, energies)
+    roots = np.array([ps.roots for ps in sets], dtype=complex).reshape(len(sets), 2 * n)
+    # a screen at twice the tolerance; _check_distinct decides with scalar
+    # arithmetic, whose rounding the vectorised abs does not share
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+    gaps[:, range(2 * n), range(2 * n)] = np.inf
+    tol = 2.0 * DEGENERATE_POLE_TOL * (1.0 + np.abs(roots).max(axis=1, initial=0.0))
+    for e in np.flatnonzero((gaps < tol[:, None, None]).any(axis=(1, 2))):
+        _check_distinct(sets[e])
+    dcoeffs = np.array([ps.coeffs[1:] for ps in sets]).reshape(len(sets), 2 * n)
+    dcoeffs = dcoeffs * np.arange(1, 2 * n + 1)
+    moms = [[complex(root.real) if label is PoleLabel.REAL else complex(root)
+             for root, label in zip(ps.roots, ps.labels)] for ps in sets]
+    shift = np.repeat(np.asarray(energies, dtype=float), 2 * n)
+    adj = _adjugates(shift[:, None, None] * np.eye(n)
+                     - model.h0_many([p for row in moms for p in row]))
+    return [GreenKernel(energy=ps.energy, n_bands=n,
+                        terms=tuple(KernelTerm(pole=p, residue=a / _horner(p, dc))
+                                    for p, a in zip(row, adjs)))
+            for ps, row, adjs, dc in zip(sets, moms, adj.reshape(len(sets), 2 * n, n, n),
+                                         dcoeffs)]
 
 
 def _standing_terms(q: float, m_sin: np.ndarray, m_cs: np.ndarray) -> list[KernelTerm]:

@@ -53,6 +53,17 @@ eigenvalue set it is asked for once, and every call reads it times s.
 Secant steps and solve_state run on the call's own operator, so every
 result keeps its bits.
 
+The mesh is built as one batch (_mesh_branch_values): one
+residue_green_many gives the kernels of every mesh energy (inside a
+shared_mesh block, of every energy its memo lacks), each operator takes
+its prebuilt kernel, and on the direct path (_solve_direct) the kernel
+tables of the mesh come from one evaluate_many and its support matrices
+are solved in stacked eigvals calls, whose sets _near_one reads as its
+own. Every mesh energy keeps the bits of its own probe, and the first
+energy, in mesh order, whose kernel or grid fails raises after the energies
+before it are read, as probing one energy at a time would. Secant steps
+and solve_state build one kernel at a time.
+
 Grid coverage is recorded when an operator's eigenvalues are read
 (_near_one), so an operator read again, a shared mesh operator included,
 counts again.
@@ -79,8 +90,8 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
-from .errors import GridTooCoarse, NoNearUnitEigenvalue, NoSolutionInRange
-from .green import GreenKernel, residue_green
+from .errors import DegeneratePoles, GridTooCoarse, NoNearUnitEigenvalue, NoSolutionInRange
+from .green import GreenKernel, evaluate_many, residue_green, residue_green_many
 from .grids import Grid, SpinorField
 from .models import BandModel
 from .potentials import PotentialSpec, Scaled, coupling_terms, decay_scale, sample_potential
@@ -134,8 +145,7 @@ def _coupling(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence)
     return _Coupling(decay, f, support, rows, cols, f[np.ix_(support, rows, cols)])
 
 
-def _kernel_checked(model: BandModel, energy: float, grid: Grid) -> GreenKernel:
-    kernel = residue_green(model, energy)
+def _check_grid(kernel: GreenKernel, grid: Grid) -> GreenKernel:
     ps = np.abs(kernel.real_momenta)
     if ps.size and grid.dx * ps.max() > MAX_PHASE_STEP:
         raise GridTooCoarse(
@@ -179,9 +189,11 @@ def _warns_coverage_once(fn):
     return wrapper
 
 
-def _kernel_samples(kernel: GreenKernel, n: int, dx: float, rows=None, cols=None) -> np.ndarray:
-    """Kernel blocks at the separations of n sites, index d = i - j + (n-1)."""
-    return kernel.evaluate(dx * np.arange(-(n - 1), n), rows, cols)
+def _kernel_samples(kernels: list[GreenKernel], n: int, dx: float, rows=None,
+                    cols=None) -> np.ndarray:
+    """Each kernel's blocks at the separations of n sites, index
+    d = i - j + (n-1) on the second axis."""
+    return evaluate_many(kernels, dx * np.arange(-(n - 1), n), rows, cols)
 
 
 def _convolve(kf: np.ndarray, m: int, sites: np.ndarray | slice, u: np.ndarray) -> np.ndarray:
@@ -196,7 +208,8 @@ def _convolve(kf: np.ndarray, m: int, sites: np.ndarray | slice, u: np.ndarray) 
 
 
 def _sample_fft(kernel: GreenKernel, n: int, dx: float, rows=None, cols=None) -> np.ndarray:
-    return fft(_kernel_samples(kernel, n, dx, rows, cols), n=next_fast_len(2 * n - 1), axis=0)
+    return fft(_kernel_samples([kernel], n, dx, rows, cols)[0], n=next_fast_len(2 * n - 1),
+               axis=0)
 
 
 @_warns_coverage_once
@@ -207,11 +220,11 @@ def assemble_map(model: BandModel, energy: float, grid: Grid,
     Memory grows as (nN)^2 complex; solve_state and find_energy apply the
     same map matrix-free and scale to much larger grids.
     """
-    kernel = _kernel_checked(model, energy, grid)
+    kernel = _check_grid(residue_green(model, energy), grid)
     coupling = _coupling(model, grid, potential)
     _record_coverage(grid, kernel, coupling)
     n, nb = grid.n_points, model.n_bands
-    samples = _kernel_samples(kernel, n, grid.dx)
+    samples = _kernel_samples([kernel], n, grid.dx)[0]
     idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
     blocks = np.einsum("ijab,jbc->iajc", samples[idx], coupling.factors)
     return blocks.reshape(n * nb, n * nb)
@@ -221,14 +234,17 @@ class _ConvMap(LinearOperator):
     """The map on its coupled subspace (support sites x R channels),
     u -> psi_j sum_j' K[C, R](x_j - x_j') u_j', applied by one FFT
     convolution across the span of the support; lift and full_matvec
-    return to the full grid. coupling is the grid's prebuilt _Coupling, or
-    None to build it from potential."""
+    return to the full grid. coupling is the grid's prebuilt _Coupling and
+    kernel the prebuilt kernel at energy; either may be None to build it."""
 
     def __init__(self, model: BandModel, energy: float, grid: Grid,
-                 potential: PotentialSpec | Sequence, coupling: _Coupling | None = None):
+                 potential: PotentialSpec | Sequence, coupling: _Coupling | None = None,
+                 kernel: GreenKernel | None = None):
         self.grid = grid
         self.n_bands = model.n_bands
-        self.kernel = _kernel_checked(model, energy, grid)
+        if kernel is None:
+            kernel = residue_green(model, energy)
+        self.kernel = _check_grid(kernel, grid)
         if coupling is None:
             coupling = _coupling(model, grid, potential)
         self.coupling = coupling
@@ -236,6 +252,12 @@ class _ConvMap(LinearOperator):
         self.sets = {}  # eigenvalue sets solved on this operator, see _near_one
         dim = coupling.support.size * coupling.rows.size
         super().__init__(dtype=complex, shape=(dim, dim))
+
+    @property
+    def direct(self) -> bool:
+        """Whether the eigenvalues come from the dense support_matrix: a
+        coupled support (sites x channels) of at most DIRECT_SUPPORT_LIMIT."""
+        return 0 < self.support.size * self.n_bands <= DIRECT_SUPPORT_LIMIT
 
     @cached_property
     def _at(self) -> np.ndarray | slice:
@@ -261,14 +283,16 @@ class _ConvMap(LinearOperator):
         y = _convolve(self._kf, self._span, self._at, u.reshape(-1, c.rows.size))
         return np.einsum("jrc,jc->jr", c.psi, y[self._at]).reshape(-1)
 
-    def support_matrix(self) -> np.ndarray:
+    def support_matrix(self, samples: np.ndarray | None = None) -> np.ndarray:
         """Dense form of this operator,
         T[(j,r),(j',s)] = [psi_j K[C, R](x_j - x_j')]_{rs} over support
         sites j, j', its blocks read from the kernel table across the
-        support's span: for compact potentials (a handful of delta sites) a
-        tiny dense eigenproblem instead of an Arnoldi iteration."""
+        support's span (samples, where _solve_direct built it already): for
+        compact potentials (a handful of delta sites) a tiny dense
+        eigenproblem instead of an Arnoldi iteration."""
         c, s = self.coupling, self.support
-        samples = _kernel_samples(self.kernel, self._span, self.grid.dx, c.cols, c.rows)
+        if samples is None:
+            samples = _kernel_samples([self.kernel], self._span, self.grid.dx, c.cols, c.rows)[0]
         ks = samples[s[:, None] - s[None, :] + (self._span - 1)]
         return np.einsum("jrc,jpcs->jrps", c.psi, ks).reshape(self.shape)
 
@@ -408,7 +432,7 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0):
     dim = op.shape[0]
     if op.support.size == 0:
         return 0.0 + 0.0j, None, 0
-    if op.support.size * op.n_bands <= DIRECT_SUPPORT_LIMIT:
+    if op.direct:
         key = ("direct", want_vectors)
         if key not in op.sets:
             t = op.support_matrix()
@@ -496,10 +520,10 @@ def shared_mesh():
         _MESH.reset(token)
 
 
-def _shared_probe(model: BandModel, grid: Grid, potential):
-    """e -> (eigenvalue nearest 1, count above 1) of the mesh map at e, read
-    from the shared operator of the unscaled base (see shared_mesh), or None
-    where the call shares nothing."""
+def _shared_ops(model: BandModel, grid: Grid, potential):
+    """(base potential, its coupling, the memo of its mesh operators by
+    energy, strength) of the shared operators of the unscaled base (see
+    shared_mesh), or None where the call shares nothing."""
     memo = _MESH.get()
     if memo is None or not isinstance(potential, Scaled) or potential.factor == 0:
         return None
@@ -512,14 +536,67 @@ def _shared_probe(model: BandModel, grid: Grid, potential):
     if entry is None:
         entry = memo[key] = model, _coupling(model, grid, potential.base), {}
     _, coupling, ops = entry
+    return potential.base, coupling, ops, potential.factor
 
-    def probe(e: float) -> tuple[complex, int | None]:
-        if e not in ops:
-            ops[e] = _ConvMap(model, e, grid, potential.base, coupling)
-        lam, _, above = _near_one(ops[e], MESH_K, False, potential.factor)
-        return lam, above
 
-    return probe
+# Entries of the kernel tables or support matrices that one stacked
+# direct-path step holds at most.
+STACK_ENTRIES = 1 << 16
+
+
+def _solve_direct(ops: list[_ConvMap]) -> None:
+    """Fill the mesh eigenvalue set of each direct-path operator (all on one
+    grid and coupling) from stacked kernel tables and eigvals calls."""
+    ops = [op for op in ops if op.direct]
+    if not ops:
+        return
+    span, dx, c = ops[0]._span, ops[0].grid.dx, ops[0].coupling
+    entries = max(ops[0].shape[0] ** 2, (2 * span - 1) * c.rows.size * c.cols.size)
+    step = max(1, STACK_ENTRIES // entries)
+    for start in range(0, len(ops), step):
+        chunk = ops[start:start + step]
+        samples = _kernel_samples([op.kernel for op in chunk], span, dx, c.cols, c.rows)
+        mats = np.array([op.support_matrix(table) for op, table in zip(chunk, samples)])
+        for op, vals in zip(chunk, np.linalg.eigvals(mats)):
+            op.sets[("direct", False)] = vals, None
+
+
+def _mesh_branch_values(model: BandModel, energies, grid: Grid, potential,
+                        coupling: _Coupling, memo: dict | None = None,
+                        s: float = 1.0) -> list:
+    """_branch_value of s times the map at each mesh energy, in mesh order;
+    the eigenvalue is NaN where the eigensolve fails. The operators of the
+    energies missing from memo (the shared operators by energy, or None to
+    drop each once read, with the FFT it may hold) are built from one
+    residue_green_many, and _solve_direct solves them together. The first
+    energy whose kernel or grid fails raises after the energies before it
+    are read, as reading one energy at a time would."""
+    ops = {} if memo is None else memo
+    new = [e for e in energies if e not in ops]
+    failure = None
+    try:
+        kernels = residue_green_many(model, new)
+    except DegeneratePoles as exc:
+        failure, new = exc, new[:new.index(exc.energy)]
+        kernels = residue_green_many(model, new)
+    for e, kernel in zip(new, kernels):
+        try:
+            ops[e] = _ConvMap(model, e, grid, potential, coupling, kernel)
+        except GridTooCoarse as exc:
+            failure = exc
+            break
+    _solve_direct([ops[e] for e in new if e in ops])
+    values = []
+    for e in energies:
+        op = ops.get(e) if memo is not None else ops.pop(e, None)
+        if op is None:
+            raise failure
+        try:
+            lam, _, above = _near_one(op, MESH_K, False, s)
+        except (ArpackError, NoNearUnitEigenvalue):
+            lam, above = complex("nan"), None
+        values.append((lam, above))
+    return values
 
 
 def _plural(n: int, noun: str, plural: str) -> str:
@@ -556,20 +633,13 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     fine_coupling = _coupling(model, grid, potential)
     # on the main grid the probe values seed the secant steps, so only a
     # separate scan grid is shared
-    shared = None if mesh_grid is grid else _shared_probe(model, mesh_grid, potential)
-    if shared is None:
-        mesh_coupling = (fine_coupling if mesh_grid is grid
-                         else _coupling(model, mesh_grid, potential))
-
-    def probe(e: float) -> tuple[float, int | None]:
-        try:
-            lam, above = (_branch_value(model, e, mesh_grid, potential, mesh_coupling)
-                          if shared is None else shared(e))
-        except (ArpackError, NoNearUnitEigenvalue):
-            return float("nan"), None
-        return float(lam.real) - 1.0, above
-
-    h, above = zip(*[probe(e) for e in energies])
+    mesh = None if mesh_grid is grid else _shared_ops(model, mesh_grid, potential)
+    if mesh is None:
+        mesh = potential, (fine_coupling if mesh_grid is grid
+                           else _coupling(model, mesh_grid, potential)), None, 1.0
+    values = _mesh_branch_values(model, energies, mesh_grid, *mesh)
+    h = [float(lam.real) - 1.0 for lam, _ in values]
+    above = [count for _, count in values]
 
     def fine(e: float) -> float:
         return float(_branch_value(model, e, grid, potential, fine_coupling)[0].real) - 1.0

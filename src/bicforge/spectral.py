@@ -5,6 +5,12 @@ in p. Its roots (the momentum poles) decide everything downstream: real
 poles carry extended standing-wave components, complex poles carry
 evanescent ones, and the window with both kinds is the only place a
 (quasi-)BIC can live.
+
+dispersion_coeffs and poles are batches of one energy of their _many forms,
+which serve a whole energy mesh with one h0_many over every (energy,
+sample) point, one stacked determinant, one FFT along the sample axis and
+one stacked companion eigensolve. Each energy of a batch gets the bits it
+gets alone: numpy's batched det, eigvals and fft round as single calls do.
 """
 from __future__ import annotations
 
@@ -12,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ComplexInnerRoot, DegeneratePolynomial
 from .models import BandModel
@@ -43,22 +48,31 @@ def dispersion_coeffs(model: BandModel, energy: float) -> np.ndarray:
     leading coefficient is (-1/(2m))^N, and all coefficients are real
     because the matrix is Hermitian for real p.
     """
+    return dispersion_coeffs_many(model, [energy])[0]
+
+
+def dispersion_coeffs_many(model: BandModel, energies) -> np.ndarray:
+    """dispersion_coeffs at a sequence of energies, shape (len, 2N+1): one
+    h0_many over every (energy, sample) point, one stacked determinant and
+    one FFT along the sample axis."""
     n = model.n_bands
     deg = 2 * n
     lead = (-1.0 / (2.0 * model.mass)) ** n
     if abs(lead) < np.finfo(float).tiny * 1e4:
         raise DegeneratePolynomial("leading dispersion coefficient underflows")
+    es = np.asarray(energies, dtype=float)
     # Sampling radius near the natural momentum scale keeps the DFT inversion
     # well conditioned.
     scale = float(np.abs(model.a0).max() + np.abs(model.a1).max())
-    radius = 1.0 + np.sqrt(2.0 * model.mass * (abs(energy) + scale))
+    radius = (1.0 + np.sqrt(2.0 * model.mass * (np.abs(es) + scale)))[:, None]
     k = np.arange(deg + 1)
     pts = radius * np.exp(2j * np.pi * k / (deg + 1))
-    vals = np.linalg.det(energy * np.eye(n) - model.h0_many(pts))
-    coeffs = np.fft.fft(vals) / (deg + 1)
+    h0 = model.h0_many(pts.reshape(-1)).reshape(es.size, deg + 1, n, n)
+    vals = np.linalg.det(es[:, None, None, None] * np.eye(n) - h0)
+    coeffs = np.fft.fft(vals, axis=-1) / (deg + 1)
     coeffs = coeffs / radius ** k
     coeffs = coeffs.real  # imaginary parts are pure roundoff
-    coeffs[-1] = lead     # known exactly
+    coeffs[:, -1] = lead  # known exactly
     return coeffs
 
 
@@ -88,25 +102,39 @@ class PoleSet:
         return self.roots[mask]
 
 
-def _label(root: complex) -> PoleLabel:
-    if abs(root.imag) < REAL_POLE_TOL * (1.0 + abs(root.real)):
-        return PoleLabel.REAL
-    return PoleLabel.UPPER if root.imag > 0 else PoleLabel.LOWER
+_LABELS = (PoleLabel.LOWER, PoleLabel.UPPER, PoleLabel.REAL)
 
 
 def poles(model: BandModel, energy: float) -> PoleSet:
     """Find and classify all momentum poles at the given energy.
 
-    Roots come from the companion matrix of the dispersion polynomial
-    (numpy.polynomial.polyroots), sorted deterministically by
-    (|Im|, Re, Im) so reports diff cleanly.
+    Roots are the eigenvalues of the companion matrix of the dispersion
+    polynomial (as numpy.polynomial.polyroots builds it), sorted
+    deterministically by (|Im|, Re, Im) so reports diff cleanly.
     """
-    coeffs = dispersion_coeffs(model, energy)
-    roots = npoly.polyroots(coeffs)
+    return poles_many(model, [energy])[0]
+
+
+def poles_many(model: BandModel, energies) -> list[PoleSet]:
+    """poles at a sequence of energies: one dispersion_coeffs_many and one
+    stacked companion eigensolve, sorted and labelled per batch."""
+    coeffs = dispersion_coeffs_many(model, energies)
+    count, deg = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((count, deg, deg))
+    comp.reshape(count, deg * deg)[:, deg::deg + 1] = 1.0
+    comp[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
+    roots = np.linalg.eigvals(comp).astype(complex)
+    # polyroots sorts each energy's roots as eigvals returns them: as real
+    # numbers where all of them are real, else as complex ones
+    real = ~roots.imag.any(axis=1)
+    roots = np.where(real[:, None], np.sort(roots.real, axis=1), np.sort(roots, axis=1))
     order = np.lexsort((roots.imag, roots.real, np.abs(roots.imag)))
-    roots = roots[order]
-    labels = tuple(_label(r) for r in roots)
-    return PoleSet(energy=energy, roots=roots, labels=labels, coeffs=coeffs)
+    roots = roots[np.arange(count)[:, None], order]
+    codes = np.where(np.abs(roots.imag) < REAL_POLE_TOL * (1.0 + np.abs(roots.real)),
+                     2, roots.imag > 0).tolist()
+    return [PoleSet(energy=e, roots=r.real.copy() if is_real else r,
+                    labels=tuple(_LABELS[c] for c in code), coeffs=c_row)
+            for e, r, is_real, code, c_row in zip(energies, roots, real, codes, coeffs)]
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,53 @@ def test_model_file_takes_unit_scale_and_mass(tmp_path, monkeypatch):
     assert rc == cli.EXIT_NO_CONVERGENCE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["delta-bound", "--lambda", "-1", "--mu", "0.3", "--g", "5"],
+     "bicforge: single-band delta-bound does not take --mu, --g: "),
+    (["delta-bound", "--b1", "-1", "--mu", "1", "--g", "1", "--lambda", "7"],
+     "bicforge: general-B delta-bound does not take --lambda: "),
+    (["oracle", "--single-band", "--lambda", "-1", "--target", "-0.5", "--n", "512",
+      "--gamma", "9", "--nu", "3"], "bicforge: oracle --single-band does not take --gamma, --nu\n"),
+    (["oracle", "--two-band", "--mu", "0.3", "--g", "1", "--lambda", "-1", "--target", "0.5",
+      "--n", "512", "--gamma", "3", "--nu", "2"],
+     "bicforge: oracle --two-band does not take --gamma, --nu\n"),
+    (["oracle", "--gamma", "0.5", "--nu", "0.7", "--mu", "1", "--target", "0.5", "--n", "512",
+      "--lambda", "-1", "--g", "1"],
+     "bicforge: the spin-orbit oracle does not take --lambda, --g\n"),
+    (["kernel-check", "--mu", "0.3", "--g", "5"],
+     "bicforge: kernel-check without --energies does not take --mu, --g\n"),
+    (["oracle", "--single-band", "--two-band", "--lambda", "-1", "--target", "-0.5"],
+     "bicforge oracle: error: argument --two-band: not allowed with argument --single-band\n"),
+], ids=["delta_single_mu_g", "delta_general_b_lambda", "oracle_single_gamma_nu",
+        "oracle_two_band_gamma_nu", "oracle_soc_lambda_g", "kernel_check_mu_g",
+        "oracle_single_and_two_band"])
+def test_modes_refuse_flags_they_do_not_read(capsys, argv, message):
+    # each of these solved its mode, exited 0 and echoed the unread values in params
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
+def test_warning_prints_as_one_line(tmp_path, capsys):
+    # Python's format named the source file and line of the find_energy call
+    # and echoed that line
+    path = tmp_path / "model.json"
+    bf.save_model(path, bf.two_band_model(0.3, 1.0), [{"variant": "delta", "strength": -1.0}, None])
+    rc = cli.main(["bic-verify", "--model-file", str(path), "--e-window=0.5:1.0",
+                   "--n-points", "1025", "--half-width", "10", "--mesh-points", "12"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    assert check_report(captured.out)["status"] == "ok"
+    assert captured.err == ("bicforge: warning: grid half-width 10 is under 10 decay "
+                            "lengths (rate 0.296751)\n")
+
+
 @pytest.mark.parametrize("command", [
     ["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1"],
     ["scan", "--param", "scale", "--range", "0.9:1.1:3",

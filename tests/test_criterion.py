@@ -147,10 +147,11 @@ def test_classify_builds_source_and_kernel_once(monkeypatch, bic_state_2048, soc
 
     monkeypatch.setattr(criterion, "sample_potential",
                         counted("sample_potential", criterion.sample_potential))
-    poles = spectral.poles
+    # poles and residue_green both solve through the batched poles_many
+    poles = spectral.poles_many
     for name, mod in list(sys.modules.items()):
-        if name.startswith("bicforge") and getattr(mod, "poles", None) is poles:
-            monkeypatch.setattr(mod, "poles", counted("poles", poles))
+        if name.startswith("bicforge") and getattr(mod, "poles_many", None) is poles:
+            monkeypatch.setattr(mod, "poles_many", counted("poles", poles))
     bf.classify(soc, bic_state_2048.state, pot, bic_state_2048.energy)
     assert counts == {"sample_potential": len(coupling_terms(pot, soc.b)), "poles": 2}
 

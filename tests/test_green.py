@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 import bicforge as bf
 from bicforge.errors import DegeneratePoles, GapViolation, SingularG
-from bicforge.green import apply_inverse_operator
+from bicforge.green import _horner, apply_inverse_operator
 
 SEPS = (-2.0, -0.7, -0.3, 0.0, 0.3, 0.7, 2.0)
 
@@ -233,16 +234,17 @@ def test_residue_green_computes_the_dispersion_polynomial_once(monkeypatch):
     import sys
     from bicforge import spectral
     calls = []
-    coeffs = spectral.dispersion_coeffs
+    coeffs = spectral.dispersion_coeffs_many
 
     def counted(*args):
         calls.append(args)
         return coeffs(*args)
 
-    # count through every module that binds the function, not spectral alone
+    # count through every module that binds the batched function, which
+    # dispersion_coeffs also calls, not spectral alone
     for name, mod in list(sys.modules.items()):
-        if name.startswith("bicforge") and getattr(mod, "dispersion_coeffs", None) is coeffs:
-            monkeypatch.setattr(mod, "dispersion_coeffs", counted)
+        if name.startswith("bicforge") and getattr(mod, "dispersion_coeffs_many", None) is coeffs:
+            monkeypatch.setattr(mod, "dispersion_coeffs_many", counted)
     rng = np.random.default_rng(8)
     herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     models = [bf.single_band_model(), bf.two_band_model(mu=0.3, g=1.0),
@@ -252,3 +254,60 @@ def test_residue_green_computes_the_dispersion_polynomial_once(monkeypatch):
         calls.clear()
         bf.residue_green(model, 0.2)
         assert len(calls) == 1
+
+
+# --- the batched forms ---------------------------------------------------------
+
+def _three_band(a1: bool) -> bf.BandModel:
+    a0 = np.array([[0.4, 0.2, 0.0], [0.2, -0.3, 0.1j], [0.0, -0.1j, 0.1]])
+    lin = np.array([[0.2, 0.0, 0.3], [0.0, -0.1, 0.0], [0.3, 0.0, 0.0]])
+    return bf.BandModel(3, 1.0, a0, lin if a1 else np.zeros((3, 3)), np.eye(3))
+
+
+BATCH_MODELS = [bf.single_band_model(mass=0.7), bf.two_band_model(mu=0.3, g=1.0),
+                bf.soc_model(gamma=0.5, mu=1.0), _three_band(False), _three_band(True)]
+BATCH_IDS = ["1-band", "2-band", "2-band-a1", "3-band", "3-band-a1"]
+
+
+@pytest.mark.parametrize("model", BATCH_MODELS, ids=BATCH_IDS)
+def test_batch_equals_one_energy_at_a_time(model):
+    # bit for bit: the batch shares its linear algebra calls, not its rounding
+    energies = list(np.random.default_rng(4).uniform(-2.0, 2.0, 17))
+    coeffs = bf.dispersion_coeffs_many(model, energies)
+    kernels = bf.residue_green_many(model, energies)
+    tables = bf.evaluate_many(kernels, SEPS, [0], [model.n_bands - 1])
+    assert all(t.tobytes() == k.evaluate(SEPS, [0], [model.n_bands - 1]).tobytes()
+               for t, k in zip(tables, kernels))
+    for e, c, ps, k in zip(energies, coeffs, bf.poles_many(model, energies), kernels):
+        one = bf.poles(model, e)
+        assert c.tobytes() == bf.dispersion_coeffs(model, e).tobytes()
+        assert ps.roots.dtype == one.roots.dtype
+        assert ps.roots.tobytes() == one.roots.tobytes()
+        assert ps.labels == one.labels and ps.energy == e
+        alone = bf.residue_green(model, e)
+        # f'(p) is numpy's own scalar Horner, without its call overhead
+        dcoeffs = P.polyder(one.coeffs)
+        assert all(_horner(t.pole, dcoeffs) == P.polyval(t.pole, dcoeffs) for t in alone.terms)
+        assert [t.pole for t in k.terms] == [t.pole for t in alone.terms]
+        assert all(t.residue.tobytes() == u.residue.tobytes()
+                   for t, u in zip(k.terms, alone.terms))
+    assert bf.residue_green_many(model, []) == bf.poles_many(model, []) == []
+
+
+@pytest.mark.parametrize("model, edge", [(bf.single_band_model(), 0.0),
+                                         (bf.two_band_model(mu=0.0, g=1.0), 1.0)],
+                         ids=["1-band", "2-band"])
+def test_batch_raises_the_first_band_edge_as_alone(model, edge):
+    with pytest.raises(DegeneratePoles) as alone:
+        bf.residue_green(model, edge)
+    with pytest.raises(DegeneratePoles) as batch:
+        bf.residue_green_many(model, [-0.4, edge, 0.3, -edge])
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.energy == edge
+
+
+def test_evaluate_many_refuses_kernels_with_unequal_term_counts():
+    one = bf.residue_green(bf.single_band_model(), 0.5)
+    two = bf.residue_green(bf.two_band_model(mu=0.3, g=1.0), 0.2)
+    with pytest.raises(ValueError):
+        bf.evaluate_many([one, two], SEPS)

@@ -7,7 +7,7 @@ import pytest
 
 import bicforge as bf
 from bicforge import solver
-from bicforge.errors import (GridTooCoarse, NoNearUnitEigenvalue,
+from bicforge.errors import (DegeneratePoles, GridTooCoarse, NoNearUnitEigenvalue,
                              NoSolutionInRange)
 from bicforge.potentials import decay_scale
 from bicforge.solver import _ConvMap
@@ -236,9 +236,9 @@ def test_unknown_count_refines_and_names_rejection(monkeypatch, soc):
     # with the counts unknown the branch-switch bracket is refined as before
     # and solve_state rejects its end point
     from bicforge import solver
-    branch_value = solver._branch_value
-    monkeypatch.setattr(solver, "_branch_value",
-                        lambda *a: (branch_value(*a)[0], None))
+    mesh_values = solver._mesh_branch_values
+    monkeypatch.setattr(solver, "_mesh_branch_values",
+                        lambda *a: [(lam, None) for lam, _ in mesh_values(*a)])
     grid = bf.Grid.symmetric(30.0, 512)
     with pytest.raises(NoSolutionInRange) as info:
         bf.find_energy(soc, grid, SCALED_WELL, 0.78, 0.88, mesh_points=5)
@@ -389,6 +389,8 @@ def test_root_on_a_mesh_point_is_reported_once(monkeypatch):
     # the mesh point 0.25 is the root itself: both adjacent brackets close on
     # it, and the two reports are one root
     from bicforge import solver
+    monkeypatch.setattr(solver, "_mesh_branch_values", lambda model, es, *a: [
+        (complex(1.0 + (e - 0.25)), None) for e in es])
     monkeypatch.setattr(solver, "_branch_value",
                         lambda model, e, *a: (complex(1.0 + (e - 0.25)), None))
     monkeypatch.setattr(solver, "solve_state", lambda model, e, *a, **kw: solver.SolveReport(
@@ -397,6 +399,43 @@ def test_root_on_a_mesh_point_is_reported_once(monkeypatch):
     reps = bf.find_energy(model, bf.Grid.symmetric(20.0, 256), UNIT_DELTA, 0.0, 1.0,
                           mesh_points=5)
     assert [r.energy for r in reps] == [0.25]
+
+
+@pytest.mark.parametrize("n_bands", [2, 3])
+def test_mesh_values_equal_the_per_energy_branch_values(n_bands):
+    # the batched kernels and the stacked direct-path eigvals give each mesh
+    # energy the bits of its own probe
+    hop = np.eye(n_bands, k=1) + np.eye(n_bands, k=-1)
+    zero = np.zeros((n_bands, n_bands))
+    model = bf.BandModel(n_bands, 1.0, np.diag(np.linspace(-0.6, 0.8, n_bands)) + 0.2 * hop,
+                         zero, zero)
+    pots = [bf.Delta(-1.0)] + [None] * (n_bands - 1)
+    grid = bf.Grid.symmetric(40.0, 1025)
+    energies = np.linspace(-0.55, 0.75, 24)
+    coupling = solver._coupling(model, grid, pots)
+    ops = {}
+    got = solver._mesh_branch_values(model, energies, grid, pots, coupling, ops)
+    assert all(op.direct for op in ops.values()) and len(ops) == len(energies)
+    want = [solver._branch_value(model, e, grid, pots, coupling) for e in energies]
+    assert got == want
+
+
+def test_first_failing_mesh_energy_decides_the_error():
+    # the mesh -0.5, 0, 0.5, 1 ends on the band edge at 1. On a grid too
+    # coarse for -0.5, that energy fails first; on a fine one the edge does,
+    # with its own message, after the energies before it were read (their
+    # coverage warning still shows)
+    model = bf.two_band_model(mu=0.0, g=1.0, lam=-1.0)
+    with pytest.raises(GridTooCoarse):
+        bf.find_energy(model, bf.Grid.symmetric(100.0, 401), UNIT_DELTA, -0.5, 1.0,
+                       mesh_points=4)
+    with pytest.raises(DegeneratePoles) as alone:
+        bf.residue_green(model, 1.0)
+    with pytest.warns(UserWarning, match="grid half-width 10 "), \
+            pytest.raises(DegeneratePoles) as info:
+        bf.find_energy(model, bf.Grid.symmetric(10.0, 401), UNIT_DELTA, -0.5, 1.0,
+                       mesh_points=4)
+    assert str(info.value) == str(alone.value)
 
 
 # --- coupled subspace: the structural zero and one coverage warning ---------
