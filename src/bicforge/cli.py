@@ -25,7 +25,8 @@ from .delta import (boundary_residual, general_b_kappa, general_b_solution,
                     lambda_critical, single_band_bound, two_band_solution)
 from .errors import (BicforgeError, CheckFailure, DegeneratePoles, GridTooLarge,
                      ModelError, NoBoundState, NoNearUnitEigenvalue, NoSolutionInRange)
-from .green import constantA_kernel, derivative_jump, residue_green, soc_kernel
+from .green import (apply_inverse_operator, constantA_kernel, derivative_jump, residue_green,
+                    soc_kernel)
 from .grids import MIN_POINTS, Grid
 from .models import (BandModel, general_b_model, load_model, sigma_y, single_band_model,
                      soc_model, two_band_model)
@@ -56,8 +57,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
+def _report(args, results: dict, status: str = "ok") -> None:
+    """Write the command's JSON report, echoing every flag set but --out."""
+    params = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("func", "out") and v is not None}
+    report = {"command": args.command, "status": status, "params": params,
+              "results": results}
+    _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -132,7 +138,6 @@ def _cmd_delta_bound(args) -> int:
     if not two_band:
         model = single_band_model(mass=mass, lam=args.lam)
         sol = single_band_bound(args.lam, mass)
-        bmat = model.b
         extra = {}
     elif general_b:
         b1 = args.b1 or 0.0
@@ -146,10 +151,9 @@ def _cmd_delta_bound(args) -> int:
     else:
         model = two_band_model(args.mu, args.g, lam=args.lam, mass=mass)
         sol = two_band_solution(args.mu, args.g, args.lam, mass)
-        bmat = model.b
         extra = {"lambda_c": lambda_critical(args.mu, args.g, mass)}
 
-    residual = boundary_residual(sol, bmat, mass)
+    residual = boundary_residual(sol, model.b, mass)
     verdict = "QuasiBIC" if two_band and sol.in_gap else "ConventionalBound"
     results = {
         "e_b": sol.e_b,
@@ -167,8 +171,7 @@ def _cmd_delta_bound(args) -> int:
         half = max(12.0 / sol.kappa, 3.0 * 2 * np.pi / sol.p_real if sol.p_real else 0.0)
         grid = Grid.symmetric(half_width=half, n_points=2001)
         write_wave_samples(args.wave_out, grid.x, sol.sample(grid.x))
-    _emit({"command": "delta-bound", "status": "ok",
-           "params": _params_dict(args), "results": results}, args.out)
+    _report(args, results)
     return EXIT_OK
 
 
@@ -264,8 +267,7 @@ def _cmd_bic_verify(args) -> int:
                        fourier_line(rep.state, pot, model.b, -qmax, qmax, 801))
     if args.wave_out:
         write_wave_samples(args.wave_out, grid.x, rep.state.values)
-    _emit({"command": "bic-verify", "status": "ok",
-           "params": _params_dict(args), "results": results}, args.out)
+    _report(args, results)
     return EXIT_OK
 
 
@@ -362,8 +364,7 @@ def _cmd_oracle(args) -> int:
         "hermiticity_residual": h.hermiticity_residual(),
         "states": rows,
     }
-    _emit({"command": "oracle", "status": "ok",
-           "params": _params_dict(args), "results": results}, args.out)
+    _report(args, results)
     return EXIT_OK
 
 
@@ -374,19 +375,18 @@ def _kernel_deviation(k1, k2, seps) -> float:
 
 
 def _cmd_kernel_check(args) -> int:
-    from .green import apply_inverse_operator
     if not args.energies:
         _refuse_unread("kernel-check without --energies", _given(args, "mu", "g"))
     rng = np.random.default_rng(args.seed)
     seps = (-2.0, -0.3, 0.0, 0.3, 2.0)
     rows = []
 
-    def add(check, dev, tol, status=None):
+    def add(check, dev, tol, status=None, **detail):
         if status is None:
             status = "pass" if dev < tol else "fail"
-        rows.append({"check": check, "max_deviation": float(dev),
+        rows.append({"check": check, "max_deviation": None if dev is None else float(dev),
                      "tolerance": None if tol is None else float(tol),
-                     "status": status})
+                     "status": status, **detail})
 
     # single band, extended: residue route vs the explicit sine form
     m1 = single_band_model(lam=-1.0)
@@ -433,11 +433,13 @@ def _cmd_kernel_check(args) -> int:
                       np.array([[0.2, 0.0, 0.3], [0.0, -0.1, 0.0], [0.3, 0.0, 0.0]]),
                       np.eye(3))
 
+    # probes of both checks below; each adds its own spin-orbit energy
+    probes = [(m1, -0.5), (m1, 0.5), (two_band_model(0.3, 0.8, lam=-1.0), 0.1),
+              (rz, 0.05), (three, 0.15)]
+
     # defining identity (E - H0) G = 0 away from the source, on both sides
     dev = 0.0
-    for model, e in ((m1, -0.5), (m1, 0.5),
-                     (two_band_model(0.3, 0.8, lam=-1.0), 0.1), (ms, 0.6917497),
-                     (rz, 0.05), (three, 0.15)):
+    for model, e in probes + [(ms, 0.6917497)]:
         k = residue_green(model, e)
         for d in (1.3, -1.3):
             r = apply_inverse_operator(model, k, d, step=1e-3)
@@ -446,9 +448,7 @@ def _cmd_kernel_check(args) -> int:
 
     # derivative jump 2m I
     dev = 0.0
-    for model, e in ((m1, -0.5), (m1, 0.5),
-                     (two_band_model(0.3, 0.8, lam=-1.0), 0.1), (ms, 0.2),
-                     (rz, 0.05), (three, 0.15)):
+    for model, e in probes + [(ms, 0.2)]:
         j = derivative_jump(residue_green(model, e))
         dev = max(dev, np.abs(j - 2.0 * model.mass * np.eye(model.n_bands)).max())
     add("derivative_jump_2m", dev, 1e-8)
@@ -493,26 +493,16 @@ def _cmd_kernel_check(args) -> int:
                 add(f"two_band_requested_energy_{e:g}", dev, 1e-10)
             except BicforgeError as exc:
                 status = "DegeneratePoles" if isinstance(exc, DegeneratePoles) else "error"
-                rows.append({"check": f"two_band_requested_energy_{e:g}",
-                             "max_deviation": None, "tolerance": 1e-10,
-                             "status": status, "detail": str(exc)})
+                add(f"two_band_requested_energy_{e:g}", None, 1e-10, status, detail=str(exc))
 
     bad = [r for r in rows if r["status"] not in ("pass", "info")]
-    status = "ok" if not bad else "check-failure"
-    _emit({"command": "kernel-check", "status": status,
-           "params": _params_dict(args), "results": {"rows": rows}}, args.out)
+    _report(args, {"rows": rows}, "ok" if not bad else "check-failure")
     if bad:
         raise CheckFailure(f"{len(bad)} kernel check(s) failed")
     return EXIT_OK
 
 
 # --- argument plumbing ------------------------------------------------------
-
-def _params_dict(args) -> dict:
-    skip = {"func", "out"}
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and v is not None}
-
 
 @functools.cache
 def build_parser() -> _Parser:

@@ -21,7 +21,7 @@ and against the independent grid solver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -118,6 +118,13 @@ def _gap(mu: float, g: float) -> float:
     return s
 
 
+def _spinors(mu: float, g: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(spinor_loc, spinor_ext), the +s and -s eigenvectors of a0; at g = 0
+    the -s one is the second channel."""
+    spinor_ext = np.array([mu - s, g]) if g != 0.0 else np.array([0.0, 1.0])
+    return np.array([mu + s, g]), spinor_ext
+
+
 class TwoBandEnergy(NamedTuple):
     e_b: float
     in_gap: bool
@@ -159,8 +166,7 @@ def two_band_solution(mu: float, g: float, lam: float, mass: float) -> DeltaSolu
     if kappa <= 0:
         raise ZeroExpression("delta channel decoupled from the upper band (kappa = 0)")
     e_b, in_gap = two_band_bound_energy(mu, g, lam, mass)
-    spinor_loc = np.array([mu + s, g])
-    spinor_ext = np.array([mu - s, g]) if g != 0.0 else np.array([0.0, 1.0])
+    spinor_loc, spinor_ext = _spinors(mu, g, s)
     if e_b + s > 0:
         p_real = float(np.sqrt(2.0 * mass * (e_b + s)))
     else:
@@ -188,12 +194,7 @@ def bare_extended_mode(mu: float, g: float, lam: float, mass: float) -> DeltaSol
     Useful as a negative control: on its own it cannot satisfy the
     derivative-jump condition of the delta potential.
     """
-    sol = two_band_solution(mu, g, lam, mass)
-    return DeltaSolution(
-        e_b=sol.e_b, p_real=sol.p_real, kappa=sol.kappa,
-        spinor_loc=sol.spinor_loc, spinor_ext=sol.spinor_ext,
-        amp_loc=0.0, amp_ext=1.0, in_gap=sol.in_gap,
-    )
+    return replace(two_band_solution(mu, g, lam, mass), amp_loc=0.0, amp_ext=1.0)
 
 
 class GeneralBResult(NamedTuple):
@@ -241,8 +242,7 @@ def general_b_solution(b: np.ndarray, mu: float, g: float, mass: float) -> Delta
     if not res.net_attractive:
         raise NoBoundState("coupling combination is net repulsive")
     s = _gap(mu, g)
-    spinor_loc = np.array([mu + s, g])
-    spinor_ext = np.array([mu - s, g]) if g != 0.0 else np.array([0.0, 1.0])
+    spinor_loc, spinor_ext = _spinors(mu, g, s)
     p1 = float(np.sqrt(2.0 * mass * (res.e_b + s))) if res.e_b + s > 0 else 0.0
     if res.in_gap and np.isfinite(res.amp_ratio) and res.amp_ratio != 0.0:
         amp_ext, amp_loc = 1.0, res.amp_ratio

@@ -100,9 +100,7 @@ def two_band_model(mu: float, g: float, lam: float = 0.0, mass: float = 1.0) -> 
     """
     if mu == 0.0 and g == 0.0:
         raise ModelError("(mu, g) = (0, 0) collapses the gap; use single_band_model")
-    a0 = mu * sigma_z() + g * sigma_x()
-    b = np.array([[lam, 0.0], [0.0, 0.0]], dtype=complex)
-    return BandModel(2, mass, a0, np.zeros((2, 2)), b)
+    return general_b_model(mu, g, np.diag([lam, 0.0]), mass=mass)
 
 
 def general_b_model(mu: float, g: float, b: np.ndarray, mass: float = 1.0) -> BandModel:
