@@ -153,7 +153,6 @@ def _cmd_delta_bound(args) -> int:
         sol = two_band_solution(args.mu, args.g, args.lam, mass)
         extra = {"lambda_c": lambda_critical(args.mu, args.g, mass)}
 
-    residual = boundary_residual(sol, model.b, mass)
     verdict = "QuasiBIC" if two_band and sol.in_gap else "ConventionalBound"
     results = {
         "e_b": sol.e_b,
@@ -163,8 +162,10 @@ def _cmd_delta_bound(args) -> int:
         "amp_ext": sol.amp_ext,
         "in_gap": sol.in_gap,
         "verdict": verdict,
-        "boundary_residual_norm": float(np.linalg.norm(residual)),
+        # the poles come first: they refuse a mass whose 1/(2m) overflows
+        # before the residual divides by it
         "poles": _pole_table(model, sol.e_b),
+        "boundary_residual_norm": float(np.linalg.norm(boundary_residual(sol, model.b, mass))),
         **extra,
     }
     if args.wave_out:
@@ -290,15 +291,20 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 
 def _cmd_scan(args) -> int:
     lo, hi, steps = _parse_range(args.range)
-    if args.gamma is None or args.nu is None or args.mu is None:
-        raise BicforgeError("scan needs base --gamma, --nu and --mu")
+    # the scanned parameter's own flag is accepted but never read
+    unset = [f"--{d}" for d in ("gamma", "nu", "mu")
+             if d != args.param and getattr(args, d) is None]
+    if unset:
+        raise BicforgeError(f"scan --param {args.param} needs base {', '.join(unset)}")
     gamma0, nu0, mu0, mass = args.gamma, args.nu, args.mu, args.mass
     grid = _checked_grid(args.half_width, args.n_points)
     _check_mesh(args.mesh_points)
     scan_grid = Grid.symmetric(half_width=args.half_width,
                                n_points=max(512, args.n_points // 2))
 
-    base_model = soc_model(gamma=gamma0, mu=mu0, mass=mass)
+    # built up front so that a bad --mass is a usage error; a scanned gamma or
+    # mu that was not given stands at 0 in it, where no row reads it
+    base_model = soc_model(gamma=gamma0 or 0.0, mu=mu0 or 0.0, mass=mass)
     if args.param == "scale":
         model_fam = lambda v: base_model
         pot_fam = lambda v: Scaled(SocBic(gamma0, nu0), v)
@@ -377,6 +383,11 @@ def _kernel_deviation(k1, k2, seps) -> float:
 def _cmd_kernel_check(args) -> int:
     if not args.energies:
         _refuse_unread("kernel-check without --energies", _given(args, "mu", "g"))
+    if args.seed < 0:
+        raise BicforgeError(f"--seed must be >= 0, got {args.seed}")
+    if args.trials < 1:
+        # no trial would leave the randomized row passing at deviation 0
+        raise BicforgeError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     seps = (-2.0, -0.3, 0.0, 0.3, 2.0)
     rows = []
@@ -607,6 +618,11 @@ def main(argv=None) -> int:
             return EXIT_CHECK
         except BicforgeError as exc:
             print(f"bicforge: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except OSError as exc:
+            # input files are read under ModelError, so this is an output path
+            print(f"bicforge: cannot write {exc.filename or 'stdout'}: {exc.strerror}",
+                  file=sys.stderr)
             return EXIT_USAGE
 
 

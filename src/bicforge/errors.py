@@ -10,7 +10,8 @@ class ModelError(BicforgeError):
 
 
 class DegeneratePolynomial(BicforgeError):
-    """Dispersion polynomial leading coefficient underflowed."""
+    """Dispersion polynomial leading coefficient underflowed, or a
+    coefficient is not finite."""
 
 
 class DegeneratePoles(BicforgeError):

@@ -46,7 +46,8 @@ def dispersion_coeffs(model: BandModel, energy: float) -> np.ndarray:
     p-plane and inverted with a discrete Fourier transform; this is exact
     for a polynomial of known degree and avoids symbolic expansion. The
     leading coefficient is (-1/(2m))^N, and all coefficients are real
-    because the matrix is Hermitian for real p.
+    because the matrix is Hermitian for real p. DegeneratePolynomial when
+    the leading coefficient underflows or any coefficient is not finite.
     """
     return dispersion_coeffs_many(model, [energy])[0]
 
@@ -67,12 +68,18 @@ def dispersion_coeffs_many(model: BandModel, energies) -> np.ndarray:
     radius = (1.0 + np.sqrt(2.0 * model.mass * (np.abs(es) + scale)))[:, None]
     k = np.arange(deg + 1)
     pts = radius * np.exp(2j * np.pi * k / (deg + 1))
-    h0 = model.h0_many(pts.reshape(-1)).reshape(es.size, deg + 1, n, n)
-    vals = np.linalg.det(es[:, None, None, None] * np.eye(n) - h0)
-    coeffs = np.fft.fft(vals, axis=-1) / (deg + 1)
-    coeffs = coeffs / radius ** k
+    # an overflow shows as a non-finite coefficient, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = model.h0_many(pts.reshape(-1)).reshape(es.size, deg + 1, n, n)
+        vals = np.linalg.det(es[:, None, None, None] * np.eye(n) - h0)
+        coeffs = np.fft.fft(vals, axis=-1) / (deg + 1)
+        coeffs = coeffs / radius ** k
     coeffs = coeffs.real  # imaginary parts are pure roundoff
     coeffs[:, -1] = lead  # known exactly
+    finite = np.isfinite(coeffs).all(axis=1)
+    if not finite.all():
+        raise DegeneratePolynomial(f"dispersion coefficients are not finite at energy "
+                                   f"{es[~finite][0]:g}")
     return coeffs
 
 

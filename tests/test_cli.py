@@ -651,3 +651,78 @@ def test_soc_singular_denominator_exit_usage():
     rc, out, err = run_cli("bic-verify", "--gamma", "0.1", "--nu", "2", "--mu", "3")
     assert (rc, out) == (cli.EXIT_USAGE, "")
     assert err == "bicforge: nu^2 = 4 must be < alpha' = 1.9798\n"
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--out", ["oracle", "--single-band", "--lambda", "-1", "--target", "-0.5", "--n", "256"]),
+    ("--wave-out", ["delta-bound", "--lambda", "-1"]),
+    ("--spectrum-out", ["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1",
+                        "--n-points", "1024"]),
+], ids=["out", "wave_out", "spectrum_out"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing", "No such file or directory"),
+    ("dir", "Is a directory"),
+], ids=["missing_dir", "is_dir"])
+def test_unwritable_output_path_exit_usage(tmp_path, capsys, flag, argv, target, reason):
+    # each ended in a FileNotFoundError or IsADirectoryError traceback
+    path = str(tmp_path / "missing" / "f.txt") if target == "missing" else str(tmp_path)
+    rc = cli.main([*argv, flag, path])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"bicforge: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--trials", "0"], "--trials must be >= 1, got 0"),
+    (["--trials", "-3"], "--trials must be >= 1, got -3"),
+], ids=["seed_neg", "trials_0", "trials_neg"])
+def test_kernel_check_seed_and_trials_exit_usage(capsys, argv, message):
+    # a negative seed ended in a ValueError traceback; no trial left the
+    # randomized row passing at deviation 0 with exit 0
+    rc = cli.main(["kernel-check", *argv])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert (captured.out, captured.err) == ("", f"bicforge: {message}\n")
+
+
+@pytest.mark.parametrize("param, value, base", [
+    ("nu", "0.7", ["--gamma", "0.5", "--mu", "1"]),
+    ("gamma", "0.5", ["--nu", "0.7", "--mu", "1"]),
+    ("mu", "1", ["--gamma", "0.5", "--nu", "0.7"]),
+])
+def test_scan_needs_only_the_base_flags_it_reads(capsys, param, value, base):
+    # each exited 1 with "scan needs base --gamma, --nu and --mu"
+    argv = ["scan", "--param", param, "--range", f"{value}:{value}:1", *base,
+            "--n-points", "1024", "--mesh-points", "7"]
+    assert cli.main(argv) == cli.EXIT_OK
+    without = capsys.readouterr().out
+    assert cli.main([*argv, f"--{param}", "9"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == without
+    row = without.splitlines()[1].split(",")
+    assert float(row[0]) == float(value) and row[-1] == "ExactBIC"
+    rc = cli.main(["scan", "--param", param, "--range", "0.7:0.7:1", *base[:2]])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.err == f"bicforge: scan --param {param} needs base {base[2]}\n"
+
+
+def test_delta_bound_overflowing_mass_exit_usage():
+    # 1/(2m) overflows: a LinAlgError traceback after numpy's overflow warnings
+    rc, out, err = run_cli("delta-bound", "--lambda", "-1", "--mass", "1e-320")
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == "bicforge: dispersion coefficients are not finite at energy -4.99994e-321\n"
+
+
+def test_kernel_check_overflowing_energy_is_an_error_row():
+    # the circle samples overflow: a LinAlgError traceback
+    rc, out, err = run_cli("kernel-check", "--trials", "1", "--energies", "0.3,1e300")
+    assert rc == cli.EXIT_CHECK
+    assert err == "bicforge: check failure: 1 kernel check(s) failed\n"
+    rows = {r["check"]: r for r in check_report(out)["results"]["rows"]}
+    assert rows["two_band_requested_energy_0.3"]["status"] == "pass"
+    assert rows["two_band_requested_energy_1e+300"] == {
+        "check": "two_band_requested_energy_1e+300", "max_deviation": None,
+        "tolerance": 1e-10, "status": "error",
+        "detail": "dispersion coefficients are not finite at energy 1e+300"}

@@ -202,7 +202,8 @@ def test_rashba_zeeman_wire_bound_state_solves_and_embeds():
                          (np.eye(2) + bf.sigma_y()) / 2.0)
     pot = bf.Delta(-0.5)
     grid = bf.Grid.symmetric(80.0, 2049)
-    reps = bf.find_energy(model, grid, pot, -0.4, 0.17, mesh_points=48)
+    with pytest.warns(UserWarning, match="grid half-width"):
+        reps = bf.find_energy(model, grid, pot, -0.4, 0.17, mesh_points=48)
     assert [r.energy for r in reps] == pytest.approx([0.05], abs=1e-9)
     br = bf.classify(model, reps[0].state, pot, reps[0].energy)
     assert br.verdict is bf.Verdict.EXACT_BIC

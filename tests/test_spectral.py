@@ -165,6 +165,16 @@ def test_degenerate_polynomial_guard():
         bf.dispersion_coeffs(model, 0.1)
 
 
+def test_non_finite_coefficients_name_the_first_energy():
+    # the circle samples overflow at 1e300; 1/(2m) overflows at m = 1e-320.
+    # Both ended in a LinAlgError from the companion eigensolve.
+    model = bf.two_band_model(0.0, 1.0, lam=-1.0)
+    with pytest.raises(DegeneratePolynomial, match=r"not finite at energy 1e\+300$"):
+        bf.poles_many(model, [0.3, 1e300, 2e300])
+    with pytest.raises(DegeneratePolynomial, match="not finite at energy -0.5$"):
+        bf.dispersion_coeffs_many(bf.single_band_model(mass=1e-320), [-0.5, 0.5])
+
+
 def test_model_validation():
     with pytest.raises(ModelError):
         bf.BandModel(2, 1.0, np.array([[0, 1j], [1j, 0]]),
