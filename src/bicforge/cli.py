@@ -187,10 +187,14 @@ def _soc_setup(args):
 def _soc_window(gamma: float, nu: float, mu: float, below: float, above: float
                 ) -> tuple[float, float]:
     """(e0 - below, e0 + above) about the analytic BIC energy e0, kept 2% of
-    |mu| inside the gap."""
+    |mu| inside the gap; NoBoundState where that leaves no window."""
     e0 = e_bic_analytic(gamma, nu, mu)
     margin = 0.02 * abs(mu)
-    return max(e0 - below, -abs(mu) + margin), min(e0 + above, abs(mu) - margin)
+    lo, hi = max(e0 - below, -abs(mu) + margin), min(e0 + above, abs(mu) - margin)
+    if not lo < hi:
+        raise NoBoundState(f"the window about the analytic BIC energy {e0:g} lies "
+                           f"outside the gap (-{abs(mu):g}, {abs(mu):g})")
+    return lo, hi
 
 
 def _parse_window(text: str) -> tuple[float, float]:

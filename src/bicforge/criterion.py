@@ -383,11 +383,11 @@ def scan_parameter(model_family: Callable[[float], BandModel],
 
     Rows share their mesh eigensolves (solver.shared_mesh) when their
     potential is Scaled(base, s) with s != 0 over the same model object, an
-    equal hashable base, an equal window and mesh_points, and a scan_grid
-    apart from grid: each mesh energy is solved once, on base, and every
-    row reads those eigenvalues times s. A scale scan is thus one eigenvalue
-    track: the 41-row `scan --param scale` took 4.1-5.2 s instead of
-    7.8-9.5 s (3 runs each on 2 shared vCPUs), its CSV byte-identical.
+    equal hashable base, and an equal window and mesh_points: each mesh
+    energy is solved once, on base, and every row reads those eigenvalues
+    times s. A scale scan is thus one eigenvalue track: the 41-row
+    `scan --param scale` took 4.1-5.2 s instead of 7.8-9.5 s (3 runs each
+    on 2 shared vCPUs), its CSV byte-identical.
     Other rows solve their own mesh.
     """
     values = np.linspace(lo, hi, steps) if steps > 0 else np.array([])

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoBoundState, ZeroExpression
+from .errors import ModelError, NoBoundState, ZeroExpression
 from .grids import Grid, SpinorField
 
 _RATIO_EPS = 1e-300
@@ -49,10 +49,6 @@ class DeltaSolution:
     amp_ext: float
     in_gap: bool = True
 
-    @property
-    def n_bands(self) -> int:
-        return len(self.spinor_loc)
-
     def sample(self, x: np.ndarray) -> np.ndarray:
         """Wave function on arbitrary positions, shape (len(x), N)."""
         x = np.asarray(x, dtype=float)
@@ -73,6 +69,14 @@ class DeltaSolution:
         return 2.0 * one_sided.astype(complex)
 
 
+def _check_finite(**values: float) -> None:
+    """ModelError naming the first closed-form value that overflowed."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ModelError(f"closed-form {name} = {value:g} is not finite: "
+                             "the parameters overflow")
+
+
 def boundary_residual(solution: DeltaSolution, b: np.ndarray, mass: float) -> np.ndarray:
     """Left-hand side of the delta boundary condition, per channel.
 
@@ -91,6 +95,7 @@ def single_band_bound(lam: float, mass: float) -> DeltaSolution:
         raise ValueError("mass must be positive")
     e_b = -lam * lam * mass / 2.0
     kappa = mass * abs(lam)
+    _check_finite(e_b=e_b, kappa=kappa)
     return DeltaSolution(
         e_b=e_b, p_real=0.0, kappa=kappa,
         spinor_loc=np.array([1.0]), spinor_ext=np.array([0.0]),
@@ -140,6 +145,7 @@ def two_band_bound_energy(mu: float, g: float, lam: float, mass: float) -> TwoBa
     """
     s = _gap(mu, g)
     e_b = -(lam * lam * mass / 8.0) * (1.0 + mu / s) ** 2 + s
+    _check_finite(e_b=e_b)
     return TwoBandEnergy(e_b=float(e_b), in_gap=bool(abs(e_b) < s))
 
 
@@ -163,6 +169,7 @@ def two_band_solution(mu: float, g: float, lam: float, mass: float) -> DeltaSolu
         raise NoBoundState("no bound state for repulsive delta (lambda >= 0)")
     s = _gap(mu, g)
     kappa = mass * abs(lam) * (1.0 + mu / s) / 2.0
+    _check_finite(kappa=kappa)
     if kappa <= 0:
         raise ZeroExpression("delta channel decoupled from the upper band (kappa = 0)")
     e_b, in_gap = two_band_bound_energy(mu, g, lam, mass)
@@ -213,13 +220,15 @@ def general_b_kappa(b: np.ndarray, mu: float, g: float, mass: float) -> GeneralB
     negative for a normalizable localized component). E_b = s - kappa^2/(2m).
     """
     b = np.asarray(b, dtype=float)
-    b1, b2, b3 = b[0, 0], b[0, 1], b[1, 1]
+    # Python floats, so that an overflow is an inf refused below, not a warning
+    b1, b2, b3 = float(b[0, 0]), float(b[0, 1]), float(b[1, 1])
     s = _gap(mu, g)
     expr = b1 * (s + mu) + 2.0 * b2 * g + b3 * (s - mu)
     if expr == 0.0:
         raise ZeroExpression("coupling combination vanishes: no localized component")
     kappa = mass * abs(expr) / (2.0 * s)
     e_b = s - kappa * kappa / (2.0 * mass)
+    _check_finite(e_b=e_b, kappa=kappa)
     # a/b from projecting the jump condition on the -s eigenvector:
     # b * p1 |v2|^2 = m a <v2|B|v1>, with <v2|B|v1> = g(g(b3-b1) + 2 b2 mu).
     cross = g * (g * (b3 - b1) + 2.0 * b2 * mu)

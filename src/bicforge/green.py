@@ -18,9 +18,9 @@ a parallel constant term, or N > 2 bands) takes the same path.
 residue_green is the batch of one energy of residue_green_many, which
 builds the kernels of a whole energy mesh from one poles_many and one
 batched adjugate over every pole of every energy. Each kernel has the bits
-of its energy alone: f'(p) stays a scalar Horner evaluation per pole,
-because numpy's vectorised complex arithmetic rounds differently, and the
-first energy in order whose poles coincide raises its own DegeneratePoles.
+of its energy alone: f'(p) stays one scalar polyval per pole, because
+numpy's vectorised complex arithmetic rounds differently, and the first
+energy in order whose poles coincide raises its own DegeneratePoles.
 GreenKernel.evaluate is likewise the batch of one kernel of evaluate_many.
 
 For a single band this reproduces (m/p0) sin(p0 dx) sign(dx) above the band
@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DegeneratePoles, GapViolation, ModelError, SingularG
 from .models import BandModel
@@ -154,16 +155,6 @@ def _check_distinct(ps: PoleSet) -> None:
                     "offset the energy", energy=ps.energy)
 
 
-def _horner(p: complex, c: np.ndarray) -> complex:
-    """numpy.polynomial.polynomial.polyval(p, c) by its own scalar steps,
-    without its call overhead: numpy's vectorised complex arithmetic rounds
-    differently, and the residues would move in the last bits."""
-    value = c[-1] + p * 0
-    for coeff in c[-2::-1]:
-        value = coeff + value * p
-    return value
-
-
 def residue_green_many(model: BandModel, energies) -> list[GreenKernel]:
     """residue_green at a sequence of energies, from one poles_many and one
     batched pass of adjugates over every pole of every energy. The first
@@ -187,7 +178,7 @@ def residue_green_many(model: BandModel, energies) -> list[GreenKernel]:
     adj = _adjugates(shift[:, None, None] * np.eye(n)
                      - model.h0_many([p for row in moms for p in row]))
     return [GreenKernel(energy=ps.energy, n_bands=n,
-                        terms=tuple(KernelTerm(pole=p, residue=a / _horner(p, dc))
+                        terms=tuple(KernelTerm(pole=p, residue=a / polyval(p, dc))
                                     for p, a in zip(row, adjs)))
             for ps, row, adjs, dc in zip(sets, moms, adj.reshape(len(sets), 2 * n, n, n),
                                          dcoeffs)]
@@ -241,6 +232,8 @@ def constantA_kernel(model: BandModel, energy: float) -> GreenKernel:
         raise DegeneratePoles("energy too close to a band edge")
     c0 = (-mu + s) / g
     d0 = (-mu - s) / g
+    if not (np.isfinite(c0) and np.isfinite(d0)):
+        raise SingularG(f"c0, d0 overflow at g = {g:g}; use residue_green")
     a = -m / (2.0 * s * kappa)
     b = -m / (2.0 * s * p1)
     v1 = np.array([mu + s, g])

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh, eigvalsh  # noqa: F401
 from scipy.sparse.linalg import eigsh
 
-from .errors import GridTooLarge
+from .errors import GridTooLarge, ModelError
 from .grids import Grid, SpinorField
 from .models import BandModel
 from .potentials import PotentialSpec, coupling_terms, sample_potential
@@ -64,7 +64,8 @@ def assemble(model: BandModel, grid: Grid,
     potentials.coupling_terms); None leaves the free Hamiltonian.
 
     Raises GridTooLarge beyond MAX_DENSE_DIM rows, because spectrum() still
-    densifies H (dim^2 memory). Real-valued models come back as float64.
+    densifies H (dim^2 memory), and ModelError where the kinetic scale
+    1/(2m dx^2) is not finite. Real-valued models come back as float64.
     """
     n, nb = grid.n_points, model.n_bands
     dim = n * nb
@@ -72,7 +73,10 @@ def assemble(model: BandModel, grid: Grid,
         raise GridTooLarge(f"oracle refuses {dim} > {MAX_DENSE_DIM} rows")
     dx = grid.dx
     m = model.mass
-    kin = 1.0 / (2.0 * m * dx * dx)
+    scale = 2.0 * m * dx * dx
+    kin = 1.0 / scale if scale else np.inf
+    if not np.isfinite(kin):
+        raise ModelError(f"kinetic scale 1/(2m dx^2) overflows at mass {m:g}, dx {dx:g}")
     eye = np.eye(nb)
     hop_up = -kin * eye + (-1j / (2.0 * dx)) * model.a1
     hop_dn = -kin * eye + (+1j / (2.0 * dx)) * model.a1

@@ -36,9 +36,13 @@ class SocBic:
     nu: float
 
     def __post_init__(self):
-        if 1.0 - self.gamma**2 * self.nu**2 <= 0:
-            raise InvalidRadicand(
-                f"gamma^2 nu^2 = {self.gamma**2 * self.nu**2:g} must be < 1")
+        try:
+            g2n2 = self.gamma**2 * self.nu**2
+        except OverflowError:
+            raise InvalidRadicand(f"gamma^2 nu^2 overflows at gamma = {self.gamma:g}, "
+                                  f"nu = {self.nu:g}") from None
+        if 1.0 - g2n2 <= 0:
+            raise InvalidRadicand(f"gamma^2 nu^2 = {g2n2:g} must be < 1")
         if self.alpha_prime <= self.nu**2:
             raise SingularDenominator(
                 f"nu^2 = {self.nu**2:g} must be < alpha' = {self.alpha_prime:g}")
@@ -96,7 +100,11 @@ def potential_soc_bic(gamma: float, nu: float, x) -> np.ndarray | float:
 
 def e_bic_analytic(gamma: float, nu: float, mu: float) -> float:
     """Embedded-eigenvalue energy of the SocBic well: -nu^2/2 + sqrt(mu^2 - nu^2 gamma^2)."""
-    rad = mu**2 - nu**2 * gamma**2
+    try:
+        rad = mu**2 - nu**2 * gamma**2
+    except OverflowError:
+        raise InvalidRadicand(f"mu^2 - nu^2 gamma^2 overflows at gamma = {gamma:g}, "
+                              f"nu = {nu:g}, mu = {mu:g}") from None
     if rad <= 0:
         raise InvalidRadicand(f"mu^2 - nu^2 gamma^2 = {rad:g} must be > 0")
     return float(-nu**2 / 2.0 + np.sqrt(rad))

@@ -47,11 +47,10 @@ At strength s the map of Scaled(base, s) is s times the map of base, so its
 spectrum is s times base's. Inside a shared_mesh block (every
 criterion.scan_parameter call), find_energy calls share their mesh probes
 when they have the same model object, an equal hashable base, an equal
-window and mesh size, an equal scan grid apart from the main grid, and
-s != 0: each mesh energy builds one operator of base, solves each
-eigenvalue set it is asked for once, and every call reads it times s.
-Secant steps and solve_state run on the call's own operator, so every
-result keeps its bits.
+window, mesh size and mesh grid, and s != 0: each mesh energy builds one
+operator of base, solves each eigenvalue set it is asked for once, and
+every call reads it times s. Secant steps and solve_state run on the
+call's own operator, so every result keeps its bits.
 
 The mesh is built as one batch (_mesh_branch_values): one
 residue_green_many gives the kernels of every mesh energy (inside a
@@ -66,7 +65,8 @@ and solve_state build one kernel at a time.
 
 Grid coverage is recorded when an operator's eigenvalues are read
 (_near_one), so an operator read again, a shared mesh operator included,
-counts again.
+counts again; an operator without support, the zero map, reads no kernel
+and records none.
 
 Every form of the map reads one table of kernel samples, K at the grid
 separations dx*d (_kernel_samples): the dense support_matrix and the FFT
@@ -428,10 +428,10 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0):
     def scaled(vals):
         return vals if s == 1.0 or vals is None else s * vals
 
-    _record_coverage(op.grid, op.kernel, op.coupling)
     dim = op.shape[0]
-    if op.support.size == 0:
+    if op.support.size == 0:  # a zero map reads no kernel
         return 0.0 + 0.0j, None, 0
+    _record_coverage(op.grid, op.kernel, op.coupling)
     if op.direct:
         key = ("direct", want_vectors)
         if key not in op.sets:
@@ -631,12 +631,8 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     mesh_grid = scan_grid or grid
     energies = np.linspace(e_lo, e_hi, mesh_points)
     fine_coupling = _coupling(model, grid, potential)
-    # on the main grid the probe values seed the secant steps, so only a
-    # separate scan grid is shared
-    mesh = None if mesh_grid is grid else _shared_ops(model, mesh_grid, potential)
-    if mesh is None:
-        mesh = potential, (fine_coupling if mesh_grid is grid
-                           else _coupling(model, mesh_grid, potential)), None, 1.0
+    mesh = (_shared_ops(model, mesh_grid, potential)
+            or (potential, _coupling(model, mesh_grid, potential), None, 1.0))
     values = _mesh_branch_values(model, energies, mesh_grid, *mesh)
     h = [float(lam.real) - 1.0 for lam, _ in values]
     above = [count for _, count in values]
@@ -656,7 +652,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
             switches += 1
             continue
         ea, eb = float(energies[i]), float(energies[i + 1])
-        fa, fb = (ha, hb) if mesh_grid is grid else (fine(ea), fine(eb))
+        fa, fb = fine(ea), fine(eb)
         converged = False
         for _ in range(80):
             if fb == fa:

@@ -131,10 +131,7 @@ def poles_many(model: BandModel, energies) -> list[PoleSet]:
     comp.reshape(count, deg * deg)[:, deg::deg + 1] = 1.0
     comp[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
     roots = np.linalg.eigvals(comp).astype(complex)
-    # polyroots sorts each energy's roots as eigvals returns them: as real
-    # numbers where all of them are real, else as complex ones
     real = ~roots.imag.any(axis=1)
-    roots = np.where(real[:, None], np.sort(roots.real, axis=1), np.sort(roots, axis=1))
     order = np.lexsort((roots.imag, roots.real, np.abs(roots.imag)))
     roots = roots[np.arange(count)[:, None], order]
     codes = np.where(np.abs(roots.imag) < REAL_POLE_TOL * (1.0 + np.abs(roots.real)),

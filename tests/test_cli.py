@@ -726,3 +726,44 @@ def test_kernel_check_overflowing_energy_is_an_error_row():
         "check": "two_band_requested_energy_1e+300", "max_deviation": None,
         "tolerance": 1e-10, "status": "error",
         "detail": "dispersion coefficients are not finite at energy 1e+300"}
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    ("bic-verify --gamma 0 --nu 1 --mu 1e-8 --scale 0.9", cli.EXIT_NO_BOUND,
+     "bicforge: no bound state: the window about the analytic BIC energy -0.5"),
+    ("scan --param nu --range -1:1:3 --gamma 0 --mu -1e-8 --n-points 512 --mesh-points 2",
+     cli.EXIT_OK, "Error(the window about the analytic BIC energy -0.5"),
+    ("delta-bound --lambda -1e200", cli.EXIT_USAGE,
+     "bicforge: closed-form e_b = -inf is not finite"),
+    ("delta-bound --two-band --mu 0 --g 1 --lambda -1e200", cli.EXIT_USAGE,
+     "bicforge: closed-form e_b = -inf is not finite"),
+    ("delta-bound --mu -0.5 --g 7 --b3 -1e300", cli.EXIT_USAGE,
+     "bicforge: closed-form e_b = -inf is not finite"),
+    ("kernel-check --mu 0.5 --g 1e-320 --trials 1 --energies -1e-8", cli.EXIT_CHECK,
+     '"detail": "c0, d0 overflow at g = 9.99989e-321; use residue_green"'),
+    ("oracle --single-band --lambda -1 --target -0.5 --n 256 --mass 1e-320", cli.EXIT_USAGE,
+     "bicforge: kinetic scale 1/(2m dx^2) overflows"),
+    ("oracle --two-band --lambda -0.5 --g 0 --mu -1 --mass 1e-8 --target 1e-320 --k 20 "
+     "--half-width 1e-320 --n 64", cli.EXIT_USAGE,
+     "bicforge: kinetic scale 1/(2m dx^2) overflows"),
+    ("bic-verify --gamma -0.5 --nu -1e300 --mu 1e300", cli.EXIT_USAGE,
+     "bicforge: gamma^2 nu^2 overflows at gamma = -0.5, nu = -1e+300"),
+    ("scan --param gamma --range 0:1:2 --nu 0.5 --mu -1e300 --n-points 512", cli.EXIT_OK,
+     "Error(mu^2 - nu^2 gamma^2 overflows"),
+], ids=["soc_window_empty", "scan_soc_window_empty", "single_band_e_b", "two_band_e_b",
+        "general_b_e_b", "kernel_check_c0_d0", "oracle_kinetic_inf", "oracle_kinetic_zero_div",
+        "soc_bic_radicand", "scan_e_bic_radicand"])
+def test_overflowing_input_ends_in_one_line(capsys, argv, code, fragment):
+    # each ended in a traceback (ValueError, OverflowError, ZeroDivisionError,
+    # RuntimeError) or printed numpy warning lines before its one line
+    rc = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert rc == code
+    assert "bicforge: warning:" not in captured.err
+    assert fragment in captured.err + captured.out
+    if argv.startswith("scan"):
+        rows = captured.out.splitlines()[1:]
+        assert captured.err == "" and rows and all("Error(" in row for row in rows)
+    else:
+        (line,) = captured.err.splitlines()
+        assert line.startswith("bicforge: ")

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as P
 
 import bicforge as bf
 from bicforge.errors import DegeneratePoles, GapViolation, SingularG
-from bicforge.green import _horner, apply_inverse_operator
+from bicforge.green import apply_inverse_operator
 
 SEPS = (-2.0, -0.7, -0.3, 0.0, 0.3, 0.7, 2.0)
 
@@ -285,9 +284,6 @@ def test_batch_equals_one_energy_at_a_time(model):
         assert ps.roots.tobytes() == one.roots.tobytes()
         assert ps.labels == one.labels and ps.energy == e
         alone = bf.residue_green(model, e)
-        # f'(p) is numpy's own scalar Horner, without its call overhead
-        dcoeffs = P.polyder(one.coeffs)
-        assert all(_horner(t.pole, dcoeffs) == P.polyval(t.pole, dcoeffs) for t in alone.terms)
         assert [t.pole for t in k.terms] == [t.pole for t in alone.terms]
         assert all(t.residue.tobytes() == u.residue.tobytes()
                    for t, u in zip(k.terms, alone.terms))
