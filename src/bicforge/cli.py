@@ -224,8 +224,6 @@ def _cmd_bic_verify(args) -> int:
         narrow = not args.model_file and args.scale == 1.0 and args.e_window is None
         args.mesh_points = 7 if narrow else 48
     _check_mesh(args.mesh_points)
-    scan_grid = Grid.symmetric(half_width=args.half_width,
-                               n_points=max(1024, args.n_points // 4))
 
     if args.model_file:
         unread = _given(args, "gamma", "nu", "mu")
@@ -250,8 +248,7 @@ def _cmd_bic_verify(args) -> int:
             lo, hi = e0 - 0.02, e0 + 0.02
         else:
             lo, hi = _soc_window(args.gamma, args.nu, args.mu, 0.3, 0.2)
-    reports = find_energy(model, grid, pot, lo, hi, mesh_points=args.mesh_points,
-                          scan_grid=scan_grid)
+    reports = find_energy(model, grid, pot, lo, hi, mesh_points=args.mesh_points)
     scored = [(rep, classify(model, rep.state, pot, rep.energy)) for rep in reports]
 
     rep, br = min(scored, key=lambda t: t[1].residual_rel)
@@ -303,8 +300,6 @@ def _cmd_scan(args) -> int:
     gamma0, nu0, mu0, mass = args.gamma, args.nu, args.mu, args.mass
     grid = _checked_grid(args.half_width, args.n_points)
     _check_mesh(args.mesh_points)
-    scan_grid = Grid.symmetric(half_width=args.half_width,
-                               n_points=max(512, args.n_points // 2))
 
     # built up front so that a bad --mass is a usage error; a scanned gamma or
     # mu that was not given stands at 0 in it, where no row reads it
@@ -327,8 +322,7 @@ def _cmd_scan(args) -> int:
         e_window = lambda v: _soc_window(gamma0, nu0, v, 0.1, 0.1)
 
     table = scan_parameter(model_fam, pot_fam, args.param, lo, hi, steps,
-                           grid=grid, e_window=e_window, scan_grid=scan_grid,
-                           mesh_points=args.mesh_points)
+                           grid=grid, e_window=e_window, mesh_points=args.mesh_points)
     _write_out(table.to_csv(), args.out)
     return EXIT_OK
 

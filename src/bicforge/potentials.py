@@ -174,7 +174,7 @@ def decay_scale(spec: PotentialSpec) -> float:
     if isinstance(spec, Delta):
         return float("inf")
     if isinstance(spec, SocBic):
-        return 2.0 * spec.nu
+        return 2.0 * abs(spec.nu)
     if isinstance(spec, Tabulated):
         span = max(abs(spec.x[0]), abs(spec.x[-1]))
         peak = np.abs(spec.v).max()

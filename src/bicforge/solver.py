@@ -43,25 +43,37 @@ each, against 5 s for one alone; on one thread they took 3.9 s each. The
 scope leaves the caller's own BLAS work, and the direct path's dense eig,
 as they are.
 
+The mesh only chooses the brackets that refinement, always on the main
+grid, solves. So unless the caller names a scan_grid, find_energy probes
+the mesh on the coarsest grid that resolves it (_resolving_grid): the main
+grid's half-width on the fewest points, MESH_MIN_POINTS at least, that keep
+dx*|p| under MAX_PHASE_STEP for every real pole of every mesh energy, or
+the main grid itself where that takes as many points. The poles come from
+the mesh's own kernel batch. A probe's cost grows with its grid: the
+spin-orbit wells of bench/ take 512 points at n = 2048 and 4096, and its
+delta models 512-587 at n = 2049.
+
 At strength s the map of Scaled(base, s) is s times the map of base, so its
 spectrum is s times base's. Inside a shared_mesh block (every
 criterion.scan_parameter call), find_energy calls share their mesh probes
 when they have the same model object, an equal hashable base, an equal
 window, mesh size and mesh grid, and s != 0: each mesh energy builds one
 operator of base, solves each eigenvalue set it is asked for once, and
-every call reads it times s. Secant steps and solve_state run on the
-call's own operator, so every result keeps its bits.
+every call reads it times s. Calls that size their own mesh grid derive
+the same one from the same model and window. Secant steps and
+solve_state run on the call's own operator, so every result keeps its
+bits.
 
-The mesh is built as one batch (_mesh_branch_values): one
-residue_green_many gives the kernels of every mesh energy (inside a
-shared_mesh block, of every energy its memo lacks), each operator takes
-its prebuilt kernel, and on the direct path (_solve_direct) the kernel
-tables of the mesh come from one evaluate_many and its support matrices
-are solved in stacked eigvals calls, whose sets _near_one reads as its
-own. Every mesh energy keeps the bits of its own probe, and the first
-energy, in mesh order, whose kernel or grid fails raises after the energies
-before it are read, as probing one energy at a time would. Secant steps
-and solve_state build one kernel at a time.
+The mesh is built as one batch (_mesh_kernels, _mesh_branch_values): one
+residue_green_many gives the kernels of every mesh energy, each operator
+the call builds (inside a shared_mesh block, for every energy the memo
+lacks) takes its prebuilt kernel, and on the direct path (_solve_direct)
+the kernel tables of the mesh come from one evaluate_many and its support
+matrices are solved in stacked eigvals calls, whose sets _near_one reads
+as its own. Every mesh energy keeps the bits of its own probe, and the
+first energy, in mesh order, whose kernel or grid fails raises after the
+energies before it are read, as probing one energy at a time would.
+Secant steps and solve_state build one kernel at a time.
 
 Grid coverage is recorded when an operator's eigenvalues are read
 (_near_one), so an operator read again, a shared mesh operator included,
@@ -97,6 +109,7 @@ from .models import BandModel
 from .potentials import PotentialSpec, Scaled, coupling_terms, decay_scale, sample_potential
 
 MAX_PHASE_STEP = 0.3          # dx * p_real above this cannot resolve the sine
+MESH_MIN_POINTS = 512         # fewest points of the mesh grid find_energy sizes itself
 ACCEPT_EIG_DISTANCE = 0.5     # |lambda - 1| beyond this is "no solution here"
 RESIDUAL_LIMIT = 1e-6
 MESH_K = 12                   # Arnoldi fallback k for mesh probes and secant steps
@@ -561,31 +574,49 @@ def _solve_direct(ops: list[_ConvMap]) -> None:
             op.sets[("direct", False)] = vals, None
 
 
+def _mesh_kernels(model: BandModel, energies) -> tuple[list, DegeneratePoles | None]:
+    """The kernels of the mesh energies in mesh order, from one
+    residue_green_many, up to the first energy whose poles coincide, and
+    that energy's DegeneratePoles (None where none do)."""
+    try:
+        return residue_green_many(model, energies), None
+    except DegeneratePoles as exc:
+        return residue_green_many(model, energies[:list(energies).index(exc.energy)]), exc
+
+
+def _resolving_grid(grid: Grid, kernels: list[GreenKernel]) -> Grid:
+    """grid's half-width on the fewest points, at least MESH_MIN_POINTS, that
+    keep dx*|p| under MAX_PHASE_STEP, one point to spare, for every real
+    pole of the kernels; grid itself where that takes as many points."""
+    p = max((np.abs(k.real_momenta).max(initial=0.0) for k in kernels), default=0.0)
+    n = max(MESH_MIN_POINTS, int(np.ceil(2.0 * grid.x_max * p / MAX_PHASE_STEP)) + 2)
+    return grid if n >= grid.n_points else Grid.symmetric(grid.x_max, n)
+
+
 def _mesh_branch_values(model: BandModel, energies, grid: Grid, potential,
                         coupling: _Coupling, memo: dict | None = None,
-                        s: float = 1.0) -> list:
+                        s: float = 1.0, batch: tuple | None = None) -> list:
     """_branch_value of s times the map at each mesh energy, in mesh order;
     the eigenvalue is NaN where the eigensolve fails. The operators of the
     energies missing from memo (the shared operators by energy, or None to
-    drop each once read, with the FFT it may hold) are built from one
-    residue_green_many, and _solve_direct solves them together. The first
-    energy whose kernel or grid fails raises after the energies before it
-    are read, as reading one energy at a time would."""
+    drop each once read, with the FFT it may hold) take their kernels from
+    batch (what _mesh_kernels returned for energies, or None to call it),
+    and _solve_direct solves them together. The first energy whose kernel
+    or grid fails raises after the energies before it are read, as reading
+    one energy at a time would."""
     ops = {} if memo is None else memo
-    new = [e for e in energies if e not in ops]
-    failure = None
-    try:
-        kernels = residue_green_many(model, new)
-    except DegeneratePoles as exc:
-        failure, new = exc, new[:new.index(exc.energy)]
-        kernels = residue_green_many(model, new)
-    for e, kernel in zip(new, kernels):
+    kernels, failure = batch or _mesh_kernels(model, energies)
+    new = []
+    for e, kernel in zip(energies, kernels):
+        if e in ops:
+            continue
         try:
             ops[e] = _ConvMap(model, e, grid, potential, coupling, kernel)
         except GridTooCoarse as exc:
             failure = exc
             break
-    _solve_direct([ops[e] for e in new if e in ops])
+        new.append(ops[e])
+    _solve_direct(new)
     values = []
     for e in energies:
         op = ops.get(e) if memo is not None else ops.pop(e, None)
@@ -609,9 +640,12 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
                 scan_grid: Grid | None = None) -> list[SolveReport]:
     """Scan [e_lo, e_hi], bracket crossings of Re(eigenvalue) = 1, refine.
 
-    The mesh phase may run on a coarser scan_grid; refinement always runs
-    on the main grid. Returns every converged solution, ordered by energy;
-    solutions within REFINE_TOL of each other are one root, reported once.
+    The mesh phase runs on scan_grid where one is given, else on the
+    coarsest grid of grid's half-width that resolves every mesh energy's
+    real poles, with MESH_MIN_POINTS at least and grid's own points at most
+    (see the module docstring); refinement always runs on the main grid.
+    Returns every converged solution, ordered by energy; solutions within
+    REFINE_TOL of each other are one root, reported once.
 
     The tracked eigenvalue is the one nearest 1, so its Re - 1 also changes
     sign where the selection jumps from one branch to another without any
@@ -628,12 +662,13 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
         raise ValueError("need e_hi > e_lo")
     if mesh_points < 2:
         raise ValueError(f"need mesh_points >= 2, got {mesh_points}")
-    mesh_grid = scan_grid or grid
     energies = np.linspace(e_lo, e_hi, mesh_points)
     fine_coupling = _coupling(model, grid, potential)
+    batch = _mesh_kernels(model, energies)
+    mesh_grid = scan_grid or _resolving_grid(grid, batch[0])
     mesh = (_shared_ops(model, mesh_grid, potential)
             or (potential, _coupling(model, mesh_grid, potential), None, 1.0))
-    values = _mesh_branch_values(model, energies, mesh_grid, *mesh)
+    values = _mesh_branch_values(model, energies, mesh_grid, *mesh, batch)
     h = [float(lam.real) - 1.0 for lam, _ in values]
     above = [count for _, count in values]
 

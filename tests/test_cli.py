@@ -9,7 +9,7 @@ import pytest
 
 import bicforge as bf
 from bicforge import cli
-from bicforge.errors import NoSolutionInRange
+from bicforge.errors import GridTooCoarse, NoSolutionInRange
 
 
 def run_cli(*argv):
@@ -250,6 +250,53 @@ def test_modes_refuse_flags_they_do_not_read(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
+
+
+def test_negative_nu_warns_as_positive_nu_does(capsys):
+    # the well depends on nu through cosh, so -nu decays at rate 2|nu|; the
+    # coverage check read 2 nu = -1.4 and warned
+    for nu in ("0.7", "-0.7"):
+        rc = cli.main(["bic-verify", "--gamma", "0.5", "--nu", nu, "--mu", "1",
+                       "--n-points", "1024"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_OK
+        assert check_report(captured.out)["status"] == "ok"
+        assert captured.err == ""
+
+
+def test_bic_verify_sizes_its_mesh_for_fast_poles(capsys):
+    # at mu = 2 the rescaled window's real poles reach |p| ~ 3: a fixed
+    # 512-point mesh grid on half-width 30 gives dx*p ~ 0.35 and fails
+    model, well = bf.soc_model(gamma=0.5, mu=2.0), bf.Scaled(bf.SocBic(0.5, 0.7), 0.9)
+    lo, hi = cli._soc_window(0.5, 0.7, 2.0, 0.3, 0.2)
+    with pytest.raises(GridTooCoarse, match="dx.p = 0.3"):
+        bf.find_energy(model, bf.Grid.symmetric(30.0, 4096), well, lo, hi, mesh_points=48,
+                       scan_grid=bf.Grid.symmetric(30.0, 512))
+    rc = cli.main(["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "2",
+                   "--scale", "0.9"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    assert check_report(captured.out)["results"]["all_energies"] == [
+        pytest.approx(1.71803, abs=1e-5)]
+
+
+def test_model_file_sizes_its_mesh_for_a_wide_band_spread(tmp_path, capsys):
+    # a0 = 0.8 (sigma_z + sigma_x) spreads its bands by 2.26 > 1.84: at
+    # half-width 40 a fixed 512-point mesh grid cannot resolve the real poles
+    # near the window's top, where |p| reaches sqrt(2 * 2.26)
+    model, pots = bf.two_band_model(0.8, 0.8), [bf.Delta(-1.0), None]
+    path = tmp_path / "model.json"
+    bf.save_model(path, model, [{"variant": "delta", "strength": -1.0}, None])
+    edge = float(np.sqrt(1.28)) * (1.0 - 1e-4)
+    with pytest.raises(GridTooCoarse):
+        bf.find_energy(model, bf.Grid.symmetric(40.0, 2049), pots, -edge, edge,
+                       mesh_points=48, scan_grid=bf.Grid.symmetric(40.0, 512))
+    rc = cli.main(["bic-verify", "--model-file", str(path), "--n-points", "2049",
+                   "--half-width", "40", "--mesh-points", "48", f"--e-window={-edge!r}:{edge!r}"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    assert check_report(captured.out)["results"]["all_energies"] == [
+        pytest.approx(0.7670941546, abs=1e-8)]
 
 
 def test_warning_prints_as_one_line(tmp_path, capsys):

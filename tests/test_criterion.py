@@ -360,11 +360,17 @@ def _scan_and_reference(monkeypatch, model, family, lo, hi, steps, **kw):
 @pytest.mark.filterwarnings("ignore:grid half-width")
 def test_scale_scan_solves_each_mesh_energy_once(monkeypatch, capsys):
     from bicforge import cli
+    from bicforge import solver
     calls = _recorded_eigs(monkeypatch)
     assert cli.main(["scan", "--param", "scale", "--range", "0.9:1.1:3",
                      "--gamma", "0.5", "--nu", "0.7", "--mu", "1"]) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 4
-    assert len([k for n, k in calls if n == 1024]) == 24   # was 72, 24 per row
+    # the mesh grid find_energy sizes for the window, below the main 2048
+    energies = np.linspace(*cli._soc_window(0.5, 0.7, 1.0, 0.3, 0.3), 48)
+    kernels, _ = solver._mesh_kernels(bf.soc_model(gamma=0.5, mu=1.0), energies)
+    n_mesh = solver._resolving_grid(bf.Grid.symmetric(30.0, 2048), kernels).n_points
+    assert n_mesh < 2048
+    assert len([k for n, k in calls if n == n_mesh]) == 24   # was 72, 24 per row
 
 
 def test_shared_mesh_rows_equal_per_row_solves(monkeypatch, soc):

@@ -438,6 +438,41 @@ def test_first_failing_mesh_energy_decides_the_error():
     assert str(info.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("mu, n_points", [(1.0, 4096), (2.0, 4096), (2.0, 1024), (1.0, 480)])
+def test_mesh_grid_resolves_every_mesh_pole(mu, n_points):
+    # the rescaled window bic-verify searches; at mu = 2 the real poles reach
+    # |p| ~ 3, which a 512-point mesh grid on half-width 30 cannot resolve
+    model = bf.soc_model(gamma=0.5, mu=mu)
+    grid = bf.Grid.symmetric(30.0, n_points)
+    e0 = bf.e_bic_analytic(0.5, 0.7, mu)
+    energies = np.linspace(e0 - 0.3, min(e0 + 0.2, 0.98 * mu), 48)
+    kernels, failure = solver._mesh_kernels(model, energies)
+    assert failure is None and len(kernels) == 48
+    mesh = solver._resolving_grid(grid, kernels)
+    assert min(solver.MESH_MIN_POINTS, n_points) <= mesh.n_points <= n_points
+    assert mesh.x_max == pytest.approx(grid.x_max, rel=1e-14)
+    for kernel in kernels:
+        solver._check_grid(kernel, mesh)
+    if mesh.n_points == n_points:
+        assert mesh is grid
+
+
+def test_mesh_grid_keeps_a_margin_at_every_momentum():
+    # dx*|p| stays under MAX_PHASE_STEP where 2 x_max |p| / MAX_PHASE_STEP
+    # lands on or next to a whole number of steps, and the grid holds at
+    # most two points more than the fewest that pass
+    grid = bf.Grid.symmetric(30.0, 1 << 15)
+    steps = np.arange(400, 4000, 37)[:, None] + np.array([-1e-12, 0.0, 1e-12])
+    for p in (steps * solver.MAX_PHASE_STEP / (2.0 * grid.x_max)).ravel():
+        kernel = bf.GreenKernel(energy=0.0, n_bands=1,
+                                terms=(bf.KernelTerm(pole=complex(-p), residue=np.eye(1)),))
+        mesh = solver._resolving_grid(grid, [kernel])
+        assert mesh.n_points < grid.n_points
+        solver._check_grid(kernel, mesh)
+        coarser = bf.Grid.symmetric(grid.x_max, mesh.n_points - 3)
+        assert mesh.n_points == solver.MESH_MIN_POINTS or coarser.dx * p > solver.MAX_PHASE_STEP
+
+
 # --- coupled subspace: the structural zero and one coverage warning ---------
 
 @pytest.mark.filterwarnings("ignore:grid half-width")
