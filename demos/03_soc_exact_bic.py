@@ -31,8 +31,7 @@ print(f"poles there: real {ps.real_poles}, evanescent "
       f"{[f'{p:+.3f}' for p in ps.upper_poles]}")
 
 grid = bf.Grid.symmetric(30.0, 4096)
-reps = bf.find_energy(model, grid, pot, e0 - 0.05, e0 + 0.05, mesh_points=7,
-                      scan_grid=bf.Grid.symmetric(30.0, 1024))
+reps = bf.find_energy(model, grid, pot, e0 - 0.05, e0 + 0.05, mesh_points=7)
 rep = reps[0]
 print(f"solver: E = {rep.energy:.9f}  map eigenvalue = "
       f"{rep.operator_eigenvalue:.12f}  fixed-point residual = "
@@ -46,8 +45,7 @@ print(f"  tail decay rate (expect ~nu = {nu}):         {br.tail_decay_rate:.3f}"
 
 # contrast: a 10% stronger well breaks the cancellation
 scaled = bf.Scaled(pot, 1.1)
-reps2 = bf.find_energy(model, grid, scaled, 0.45, 0.85, mesh_points=25,
-                       scan_grid=bf.Grid.symmetric(30.0, 1024))
+reps2 = bf.find_energy(model, grid, scaled, 0.45, 0.85, mesh_points=25)
 worst = min((bf.classify(model, r.state, scaled, r.energy) for r in reps2),
             key=lambda b: b.residual_rel)
 print(f"\nscaled well (x1.1): verdict {worst.verdict.value}, residual "

@@ -372,7 +372,7 @@ def scan_parameter(model_family: Callable[[float], BandModel],
                    potential_family: Callable[[float], PotentialSpec | Sequence],
                    param_name: str, lo: float, hi: float, steps: int, *,
                    grid: Grid, e_window: tuple[float, float] | Callable[[float], tuple[float, float]],
-                   scan_grid: Grid | None = None, mesh_points: int = 48) -> ScanTable:
+                   mesh_points: int = 48) -> ScanTable:
     """Sweep a parameter, solving and classifying at each value.
 
     Each point runs find_energy over its window and classifies the solution
@@ -381,13 +381,10 @@ def scan_parameter(model_family: Callable[[float], BandModel],
     as candidate exact-BIC loci. Rows run one after another: a thread pool
     over rows measured slower (8-row scan, 2 cores: 9.44 s vs 8.19 s).
 
-    Rows share their mesh eigensolves (solver.shared_mesh) when their
-    potential is Scaled(base, s) with s != 0 over the same model object, an
-    equal hashable base, and an equal window and mesh_points: each mesh
-    energy is solved once, on base, and every row reads those eigenvalues
-    times s. A scale scan is thus one eigenvalue track: the 41-row
-    `scan --param scale` took 4.1-5.2 s instead of 7.8-9.5 s (3 runs each
-    on 2 shared vCPUs), its CSV byte-identical.
+    Rows share their mesh eigensolves where solver.shared_mesh allows (see
+    the solver module docstring). `scan --param scale` always does: it is
+    one eigenvalue track, and its 41-row run took 4.1-5.2 s instead of
+    7.8-9.5 s (3 runs each on 2 shared vCPUs), its CSV byte-identical.
     Other rows solve their own mesh.
     """
     values = np.linspace(lo, hi, steps) if steps > 0 else np.array([])
@@ -398,18 +395,18 @@ def scan_parameter(model_family: Callable[[float], BandModel],
             potential = potential_family(value)
             window = e_window(value) if callable(e_window) else e_window
             reports = find_energy(model, grid, potential, window[0], window[1],
-                                  mesh_points=mesh_points, scan_grid=scan_grid)
+                                  mesh_points=mesh_points)
             rep, br = min(((r, classify(model, r.state, potential, r.energy))
                            for r in reports), key=lambda t: t[1].residual_rel)
-            return ScanRow(param=float(value), energy=rep.energy,
+            return ScanRow(param=value, energy=rep.energy,
                            residual_rel=br.residual_rel, tail_rel=br.tail_rel,
                            verdict=br.verdict.value)
         except BicforgeError as exc:
-            return ScanRow(param=float(value), energy=None, residual_rel=None,
+            return ScanRow(param=value, energy=None, residual_rel=None,
                            tail_rel=None, verdict="Error", error=str(exc))
 
     with shared_mesh():
-        rows = tuple(run_one(v) for v in values)
+        rows = tuple(run_one(float(v)) for v in values)
 
     res = [r.residual_rel if r.residual_rel is not None else np.inf for r in rows]
     minima = tuple(

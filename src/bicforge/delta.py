@@ -152,7 +152,10 @@ def two_band_bound_energy(mu: float, g: float, lam: float, mass: float) -> TwoBa
 def lambda_critical(mu: float, g: float, mass: float) -> float:
     """Coupling at which the quasi-BIC energy reaches the lower band edge -s."""
     s = _gap(mu, g)
-    return float(-4.0 * s ** 1.5 / (np.sqrt(mass) * (s + mu)))
+    with np.errstate(all="ignore"):  # numpy's power is inf where Python's float power raises
+        lam_c = -4.0 * np.float64(s) ** 1.5 / (np.sqrt(mass) * (s + mu))
+    _check_finite(lambda_critical=lam_c)
+    return float(lam_c)
 
 
 def two_band_solution(mu: float, g: float, lam: float, mass: float) -> DeltaSolution:
@@ -236,6 +239,8 @@ def general_b_kappa(b: np.ndarray, mu: float, g: float, mass: float) -> GeneralB
     p1 = float(np.sqrt(2.0 * mass * (e_b + s))) if e_b + s > 0 else 0.0
     if abs(cross) < _RATIO_EPS:
         ratio = float("inf")
+    elif mass * cross == 0.0:
+        raise ModelError("closed-form amp_ratio divides by m <v2|B|v1>, which underflows to 0")
     else:
         ratio = p1 * 2.0 * s * (s - mu) / (mass * cross)
     return GeneralBResult(

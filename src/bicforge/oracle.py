@@ -65,7 +65,8 @@ def assemble(model: BandModel, grid: Grid,
 
     Raises GridTooLarge beyond MAX_DENSE_DIM rows, because spectrum() still
     densifies H (dim^2 memory), and ModelError where the kinetic scale
-    1/(2m dx^2) is not finite. Real-valued models come back as float64.
+    1/(2m dx^2) is not finite or is 0, or where V(x) B is not finite.
+    Real-valued models come back as float64.
     """
     n, nb = grid.n_points, model.n_bands
     dim = n * nb
@@ -75,15 +76,19 @@ def assemble(model: BandModel, grid: Grid,
     m = model.mass
     scale = 2.0 * m * dx * dx
     kin = 1.0 / scale if scale else np.inf
-    if not np.isfinite(kin):
-        raise ModelError(f"kinetic scale 1/(2m dx^2) overflows at mass {m:g}, dx {dx:g}")
+    if not np.isfinite(kin) or kin == 0:
+        fault = "overflows" if kin else "underflows to 0"
+        raise ModelError(f"kinetic scale 1/(2m dx^2) {fault} at mass {m:g}, dx {dx:g}")
     eye = np.eye(nb)
     hop_up = -kin * eye + (-1j / (2.0 * dx)) * model.a1
     hop_dn = -kin * eye + (+1j / (2.0 * dx)) * model.a1
 
     diag = np.broadcast_to(2.0 * kin * eye + model.a0, (n, nb, nb)).astype(complex)
-    for spec, bk in coupling_terms(potential, model.b):
-        diag += sample_potential(spec, grid)[:, None, None] * bk
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec, bk in coupling_terms(potential, model.b):
+            diag += sample_potential(spec, grid)[:, None, None] * bk
+    if not np.isfinite(diag).all():
+        raise ModelError("the potential coupling V(x) B overflows on the grid")
 
     # (3n-2, nb, nb) block stack: diagonal, upper and lower hopping blocks
     blocks = np.concatenate([diag, np.broadcast_to(hop_up, (n - 1, nb, nb)),

@@ -90,11 +90,15 @@ def potential_soc_bic(gamma: float, nu: float, x) -> np.ndarray | float:
     Even in x, decays like exp(-2 nu |x|). Requires gamma^2 nu^2 < 1, so
     that a' = 1 + sqrt(1 - gamma^2 nu^2) is real, and nu^2 < a', so that the
     denominator is strictly positive: its least value, at x = 0, is a' - nu^2.
+    Where cosh^2(nu x) overflows, past |nu x| ~ 355, the formula reads
+    inf/inf; V is 0 there, the double value of its limit.
     """
     spec = SocBic(gamma, nu)  # validates both conditions
     x = np.asarray(x, dtype=float)
-    c2 = np.cosh(nu * x) ** 2
-    out = 2.0 * nu**2 * (3.0 * nu**2 - spec.alpha * c2) / (c2 * (spec.alpha_prime * c2 - nu**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = np.cosh(nu * x) ** 2
+        out = 2.0 * nu**2 * (3.0 * nu**2 - spec.alpha * c2) / (c2 * (spec.alpha_prime * c2 - nu**2))
+    out = np.where(np.isnan(out), 0.0, out)
     return out if out.ndim else float(out)
 
 
@@ -114,23 +118,28 @@ def sample_potential(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     """Potential values on the grid; deltas become a single-site spike.
 
     The spike strength/dx sits at the sample nearest 0 so that the
-    quadrature integral of V reproduces the point strength exactly.
+    quadrature integral of V reproduces the point strength exactly; a
+    sample that is not finite is a ModelError.
     """
-    if isinstance(spec, Delta):
-        v = np.zeros(grid.n_points)
-        v[grid.center_index()] = spec.strength / grid.dx
-        return v
-    if isinstance(spec, SocBic):
-        return potential_soc_bic(spec.gamma, spec.nu, grid.x)
-    if isinstance(spec, Tabulated):
-        x = grid.x
-        if x[0] < spec.x[0] - 1e-12 or x[-1] > spec.x[-1] + 1e-12:
-            warnings.warn("tabulated potential does not cover the grid; zero-extending",
-                          stacklevel=2)
-        return np.interp(x, spec.x, spec.v, left=0.0, right=0.0)
-    if isinstance(spec, Scaled):
-        return spec.factor * sample_potential(spec.base, grid)
-    raise TypeError(f"unknown potential spec {type(spec).__name__}")
+    with np.errstate(over="ignore"):
+        if isinstance(spec, Delta):
+            v = np.zeros(grid.n_points)
+            v[grid.center_index()] = spec.strength / grid.dx
+        elif isinstance(spec, SocBic):
+            v = potential_soc_bic(spec.gamma, spec.nu, grid.x)
+        elif isinstance(spec, Tabulated):
+            x = grid.x
+            if x[0] < spec.x[0] - 1e-12 or x[-1] > spec.x[-1] + 1e-12:
+                warnings.warn("tabulated potential does not cover the grid; zero-extending",
+                              stacklevel=2)
+            v = np.interp(x, spec.x, spec.v, left=0.0, right=0.0)
+        elif isinstance(spec, Scaled):
+            v = spec.factor * sample_potential(spec.base, grid)
+        else:
+            raise TypeError(f"unknown potential spec {type(spec).__name__}")
+    if not np.isfinite(v).all():
+        raise ModelError(f"potential samples are not finite on the grid (dx = {grid.dx:g})")
+    return v
 
 
 def coupling_terms(potential: PotentialSpec | Sequence[PotentialSpec | None] | None,

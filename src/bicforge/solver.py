@@ -44,14 +44,10 @@ scope leaves the caller's own BLAS work, and the direct path's dense eig,
 as they are.
 
 The mesh only chooses the brackets that refinement, always on the main
-grid, solves. So unless the caller names a scan_grid, find_energy probes
-the mesh on the coarsest grid that resolves it (_resolving_grid): the main
-grid's half-width on the fewest points, MESH_MIN_POINTS at least, that keep
-dx*|p| under MAX_PHASE_STEP for every real pole of every mesh energy, or
-the main grid itself where that takes as many points. The poles come from
-the mesh's own kernel batch. A probe's cost grows with its grid: the
-spin-orbit wells of bench/ take 512 points at n = 2048 and 4096, and its
-delta models 512-587 at n = 2049.
+grid, solves. So find_energy probes the mesh on the coarsest grid that
+resolves the real poles of its own kernel batch (_resolving_grid). A
+probe's cost grows with its grid: the spin-orbit wells of bench/ take 512
+points at n = 2048 and 4096, and its delta models 512-587 at n = 2049.
 
 At strength s the map of Scaled(base, s) is s times the map of base, so its
 spectrum is s times base's. Inside a shared_mesh block (every
@@ -59,21 +55,17 @@ criterion.scan_parameter call), find_energy calls share their mesh probes
 when they have the same model object, an equal hashable base, an equal
 window, mesh size and mesh grid, and s != 0: each mesh energy builds one
 operator of base, solves each eigenvalue set it is asked for once, and
-every call reads it times s. Calls that size their own mesh grid derive
-the same one from the same model and window. Secant steps and
-solve_state run on the call's own operator, so every result keeps its
-bits.
+every call reads it times s. Calls with the same model and window derive
+the same mesh grid. Secant steps and solve_state run on the call's own
+operator, so every result keeps its bits.
 
-The mesh is built as one batch (_mesh_kernels, _mesh_branch_values): one
-residue_green_many gives the kernels of every mesh energy, each operator
-the call builds (inside a shared_mesh block, for every energy the memo
-lacks) takes its prebuilt kernel, and on the direct path (_solve_direct)
-the kernel tables of the mesh come from one evaluate_many and its support
-matrices are solved in stacked eigvals calls, whose sets _near_one reads
-as its own. Every mesh energy keeps the bits of its own probe, and the
-first energy, in mesh order, whose kernel or grid fails raises after the
-energies before it are read, as probing one energy at a time would.
-Secant steps and solve_state build one kernel at a time.
+The mesh is built as one batch (_mesh_branch_values): one
+residue_green_many gives the kernels of every mesh energy (_mesh_kernels);
+on the direct path one evaluate_many gives their tables, and stacked
+eigvals calls their eigenvalues (_solve_direct). Every mesh energy keeps
+the bits of its own probe, and the first one that fails raises as probing
+one energy at a time would. Secant steps and solve_state build one kernel
+at a time.
 
 Grid coverage is recorded when an operator's eigenvalues are read
 (_near_one), so an operator read again, a shared mesh operator included,
@@ -594,18 +586,18 @@ def _resolving_grid(grid: Grid, kernels: list[GreenKernel]) -> Grid:
 
 
 def _mesh_branch_values(model: BandModel, energies, grid: Grid, potential,
-                        coupling: _Coupling, memo: dict | None = None,
-                        s: float = 1.0, batch: tuple | None = None) -> list:
+                        coupling: _Coupling, memo: dict | None, s: float,
+                        batch: tuple) -> list:
     """_branch_value of s times the map at each mesh energy, in mesh order;
     the eigenvalue is NaN where the eigensolve fails. The operators of the
     energies missing from memo (the shared operators by energy, or None to
     drop each once read, with the FFT it may hold) take their kernels from
-    batch (what _mesh_kernels returned for energies, or None to call it),
-    and _solve_direct solves them together. The first energy whose kernel
-    or grid fails raises after the energies before it are read, as reading
-    one energy at a time would."""
+    batch (what _mesh_kernels returned for energies), and _solve_direct
+    solves them together. The first energy whose kernel or grid fails
+    raises after the energies before it are read, as reading one energy at
+    a time would."""
     ops = {} if memo is None else memo
-    kernels, failure = batch or _mesh_kernels(model, energies)
+    kernels, failure = batch
     new = []
     for e, kernel in zip(energies, kernels):
         if e in ops:
@@ -636,14 +628,11 @@ def _plural(n: int, noun: str, plural: str) -> str:
 
 @_warns_coverage_once
 def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence,
-                e_lo: float, e_hi: float, *, mesh_points: int = 200,
-                scan_grid: Grid | None = None) -> list[SolveReport]:
+                e_lo: float, e_hi: float, *, mesh_points: int = 200) -> list[SolveReport]:
     """Scan [e_lo, e_hi], bracket crossings of Re(eigenvalue) = 1, refine.
 
-    The mesh phase runs on scan_grid where one is given, else on the
-    coarsest grid of grid's half-width that resolves every mesh energy's
-    real poles, with MESH_MIN_POINTS at least and grid's own points at most
-    (see the module docstring); refinement always runs on the main grid.
+    The mesh phase runs on the coarsest grid that resolves the mesh
+    (_resolving_grid), refinement always on grid.
     Returns every converged solution, ordered by energy; solutions within
     REFINE_TOL of each other are one root, reported once.
 
@@ -665,7 +654,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     energies = np.linspace(e_lo, e_hi, mesh_points)
     fine_coupling = _coupling(model, grid, potential)
     batch = _mesh_kernels(model, energies)
-    mesh_grid = scan_grid or _resolving_grid(grid, batch[0])
+    mesh_grid = _resolving_grid(grid, batch[0])
     mesh = (_shared_ops(model, mesh_grid, potential)
             or (potential, _coupling(model, mesh_grid, potential), None, 1.0))
     values = _mesh_branch_values(model, energies, mesh_grid, *mesh, batch)

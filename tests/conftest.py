@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bicforge as bf
+from bicforge import solver
 
 GAMMA, NU, MU = 0.5, 0.7, 1.0
 Q_REAL = 2.0632495726496685        # real pole magnitude at the embedded energy
@@ -33,19 +34,26 @@ def grid_30_4096() -> bf.Grid:
 
 
 @pytest.fixture(scope="session")
+def mesh_of():
+    """(kernels, grid) of the energy mesh find_energy probes for a model,
+    main grid, window and mesh size: its kernel batch and the grid it
+    derives from that batch."""
+    def derive(model, grid, lo, hi, mesh_points):
+        kernels, _ = solver._mesh_kernels(model, np.linspace(lo, hi, mesh_points))
+        return kernels, solver._resolving_grid(grid, kernels)
+    return derive
+
+
+@pytest.fixture(scope="session")
 def bic_state_2048(soc, socbic_pot, grid_30_2048):
     """Solved embedded state at n=2048 (energy refined on the same grid)."""
-    reps = bf.find_energy(soc, grid_30_2048, socbic_pot, 0.67, 0.71,
-                          mesh_points=5,
-                          scan_grid=bf.Grid.symmetric(30.0, 1024))
+    reps = bf.find_energy(soc, grid_30_2048, socbic_pot, 0.67, 0.71, mesh_points=5)
     return reps[0]
 
 
 @pytest.fixture(scope="session")
 def bic_state_4096(soc, socbic_pot, grid_30_4096):
-    reps = bf.find_energy(soc, grid_30_4096, socbic_pot, 0.67, 0.71,
-                          mesh_points=5,
-                          scan_grid=bf.Grid.symmetric(30.0, 1024))
+    reps = bf.find_energy(soc, grid_30_4096, socbic_pot, 0.67, 0.71, mesh_points=5)
     return reps[0]
 
 

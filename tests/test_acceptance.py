@@ -70,8 +70,7 @@ def test_criterion_2_exact_bic_certification():
     res = {}
     for n in (2048, 4096):
         grid = bf.Grid.symmetric(30.0, n)
-        reps = bf.find_energy(model, grid, pot, 0.67, 0.71, mesh_points=5,
-                              scan_grid=bf.Grid.symmetric(30.0, 1024))
+        reps = bf.find_energy(model, grid, pot, 0.67, 0.71, mesh_points=5)
         br = bf.classify(model, reps[0].state, pot, reps[0].energy)
         res[n] = br.residual_rel
     assert res[4096] < res[2048]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bicforge as bf
-from bicforge import cli
+from bicforge import cli, solver
 from bicforge.errors import GridTooCoarse, NoSolutionInRange
 
 
@@ -264,14 +264,25 @@ def test_negative_nu_warns_as_positive_nu_does(capsys):
         assert captured.err == ""
 
 
-def test_bic_verify_sizes_its_mesh_for_fast_poles(capsys):
+def test_soc_bic_well_past_cosh_overflow_reads_exact_bic(capsys):
+    # at half-width 1100 more than half the well's samples were NaN: the
+    # report read QuasiBIC with a null residual after four warning lines
+    rc = cli.main(["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1",
+                   "--half-width", "1100", "--n-points", "16384"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (cli.EXIT_OK, "")
+    results = check_report(captured.out)["results"]
+    assert results["verdict"] == "ExactBIC" and results["residual_rel"] < 1e-3
+
+
+def test_bic_verify_sizes_its_mesh_for_fast_poles(capsys, mesh_of):
     # at mu = 2 the rescaled window's real poles reach |p| ~ 3: a fixed
     # 512-point mesh grid on half-width 30 gives dx*p ~ 0.35 and fails
-    model, well = bf.soc_model(gamma=0.5, mu=2.0), bf.Scaled(bf.SocBic(0.5, 0.7), 0.9)
-    lo, hi = cli._soc_window(0.5, 0.7, 2.0, 0.3, 0.2)
+    kernels, _ = mesh_of(bf.soc_model(gamma=0.5, mu=2.0), bf.Grid.symmetric(30.0, 4096),
+                         *cli._soc_window(0.5, 0.7, 2.0, 0.3, 0.2), 48)
     with pytest.raises(GridTooCoarse, match="dx.p = 0.3"):
-        bf.find_energy(model, bf.Grid.symmetric(30.0, 4096), well, lo, hi, mesh_points=48,
-                       scan_grid=bf.Grid.symmetric(30.0, 512))
+        for kernel in kernels:
+            solver._check_grid(kernel, bf.Grid.symmetric(30.0, 512))
     rc = cli.main(["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "2",
                    "--scale", "0.9"])
     captured = capsys.readouterr()
@@ -280,17 +291,18 @@ def test_bic_verify_sizes_its_mesh_for_fast_poles(capsys):
         pytest.approx(1.71803, abs=1e-5)]
 
 
-def test_model_file_sizes_its_mesh_for_a_wide_band_spread(tmp_path, capsys):
+def test_model_file_sizes_its_mesh_for_a_wide_band_spread(tmp_path, capsys, mesh_of):
     # a0 = 0.8 (sigma_z + sigma_x) spreads its bands by 2.26 > 1.84: at
     # half-width 40 a fixed 512-point mesh grid cannot resolve the real poles
     # near the window's top, where |p| reaches sqrt(2 * 2.26)
-    model, pots = bf.two_band_model(0.8, 0.8), [bf.Delta(-1.0), None]
+    model = bf.two_band_model(0.8, 0.8)
     path = tmp_path / "model.json"
     bf.save_model(path, model, [{"variant": "delta", "strength": -1.0}, None])
     edge = float(np.sqrt(1.28)) * (1.0 - 1e-4)
+    kernels, _ = mesh_of(model, bf.Grid.symmetric(40.0, 2049), -edge, edge, 48)
     with pytest.raises(GridTooCoarse):
-        bf.find_energy(model, bf.Grid.symmetric(40.0, 2049), pots, -edge, edge,
-                       mesh_points=48, scan_grid=bf.Grid.symmetric(40.0, 512))
+        for kernel in kernels:
+            solver._check_grid(kernel, bf.Grid.symmetric(40.0, 512))
     rc = cli.main(["bic-verify", "--model-file", str(path), "--n-points", "2049",
                    "--half-width", "40", "--mesh-points", "48", f"--e-window={-edge!r}:{edge!r}"])
     captured = capsys.readouterr()
@@ -797,12 +809,25 @@ def test_kernel_check_overflowing_energy_is_an_error_row():
      "bicforge: gamma^2 nu^2 overflows at gamma = -0.5, nu = -1e+300"),
     ("scan --param gamma --range 0:1:2 --nu 0.5 --mu -1e300 --n-points 512", cli.EXIT_OK,
      "Error(mu^2 - nu^2 gamma^2 overflows"),
+    ("oracle --single-band --lambda 1e300 --half-width 1e-8 --n 128 --k 2 --target 1e-8",
+     cli.EXIT_USAGE, "bicforge: the potential coupling V(x) B overflows on the grid"),
+    ("oracle --single-band --lambda 0.5 --half-width 1e300 --n 128 --k 1 --target 1e-320 "
+     "--x-cut 2", cli.EXIT_USAGE, "bicforge: kinetic scale 1/(2m dx^2) underflows to 0"),
+    ("delta-bound --two-band --mu -0.5 --g 1e300 --lambda -1", cli.EXIT_USAGE,
+     "bicforge: closed-form lambda_critical = -inf is not finite"),
+    ("delta-bound --mu -1e300 --g 1e-320 --b1 -1e300 --b2 -1 --mass 1e-320", cli.EXIT_USAGE,
+     "bicforge: closed-form amp_ratio divides by m <v2|B|v1>, which underflows to 0"),
+    ("scan --param gamma --range -1e300:0:1 --gamma 0 --nu 1e-8 --mu 1e-8 --n-points 64 "
+     "--mesh-points 2", cli.EXIT_OK, "Error(gamma^2 nu^2 overflows at gamma = -1e+300"),
 ], ids=["soc_window_empty", "scan_soc_window_empty", "single_band_e_b", "two_band_e_b",
         "general_b_e_b", "kernel_check_c0_d0", "oracle_kinetic_inf", "oracle_kinetic_zero_div",
-        "soc_bic_radicand", "scan_e_bic_radicand"])
+        "soc_bic_radicand", "scan_e_bic_radicand", "oracle_coupling_inf",
+        "oracle_kinetic_zero", "lambda_critical", "general_b_amp_ratio",
+        "scan_numpy_scalar_param"])
 def test_overflowing_input_ends_in_one_line(capsys, argv, code, fragment):
     # each ended in a traceback (ValueError, OverflowError, ZeroDivisionError,
-    # RuntimeError) or printed numpy warning lines before its one line
+    # RuntimeError, ArpackError), printed numpy warning lines before its one
+    # line, or wrote a NaN into its report
     rc = cli.main(argv.split())
     captured = capsys.readouterr()
     assert rc == code

@@ -216,8 +216,7 @@ def test_refinement_monotonicity(bic_state_2048, bic_state_4096, soc, socbic_pot
 def test_perturbation_sensitivity(bic_state_4096, soc, socbic_pot, grid_30_4096):
     base = bf.classify(soc, bic_state_4096.state, socbic_pot, bic_state_4096.energy)
     scaled = bf.Scaled(socbic_pot, 1.1)
-    reps = bf.find_energy(soc, grid_30_4096, scaled, 0.45, 0.85, mesh_points=25,
-                          scan_grid=bf.Grid.symmetric(30.0, 1024))
+    reps = bf.find_energy(soc, grid_30_4096, scaled, 0.45, 0.85, mesh_points=25)
     worst = min(
         (bf.classify(soc, r.state, scaled, r.energy) for r in reps),
         key=lambda b: b.residual_rel)
@@ -246,7 +245,6 @@ def test_scan_scale_minimum_at_unity(soc):
         "scale", 0.8, 1.2, 41,
         grid=bf.Grid.symmetric(30.0, 1024),
         e_window=lambda v: (0.45, 0.9),
-        scan_grid=bf.Grid.symmetric(30.0, 512),
         mesh_points=12)
     assert len(table.rows) == 41
     res = [r.residual_rel for r in table.rows]
@@ -267,7 +265,6 @@ def test_scan_nu_all_admissible_values_host_exact_bic(soc):
         "nu", 0.45, 0.85, 5,
         grid=bf.Grid.symmetric(30.0, 2048),
         e_window=lambda v: tuple(np.add(bf.e_bic_analytic(0.5, v, 1.0), (-0.05, 0.05))),
-        scan_grid=bf.Grid.symmetric(30.0, 512),
         mesh_points=7)
     assert len(table.rows) == 5
     assert all(r.verdict == "ExactBIC" for r in table.rows)
@@ -281,7 +278,6 @@ def test_scan_records_errors_and_continues(soc):
         "nu", 0.7, 2.1, 3,
         grid=bf.Grid.symmetric(30.0, 1024),
         e_window=lambda v: tuple(np.add(bf.e_bic_analytic(0.5, v, 1.0), (-0.05, 0.05))),
-        scan_grid=bf.Grid.symmetric(30.0, 512),
         mesh_points=5)
     assert len(table.rows) == 3
     assert table.rows[0].error is None
@@ -335,8 +331,7 @@ def _rows_outside_scan(model, family, values, **kw):
     for v in values:
         try:
             reports = bf.find_energy(model, kw["grid"], family(v), *kw["e_window"],
-                                     mesh_points=kw["mesh_points"],
-                                     scan_grid=kw["scan_grid"])
+                                     mesh_points=kw["mesh_points"])
             rep, br = min(((r, bf.classify(model, r.state, family(v), r.energy))
                            for r in reports), key=lambda t: t[1].residual_rel)
             rows.append(ScanRow(float(v), rep.energy, br.residual_rel, br.tail_rel,
@@ -346,11 +341,11 @@ def _rows_outside_scan(model, family, values, **kw):
     return tuple(rows)
 
 
-def _scan_and_reference(monkeypatch, model, family, lo, hi, steps, **kw):
+def _scan_and_reference(monkeypatch, mesh_of, model, family, lo, hi, steps, **kw):
     """The scan's rows and mesh-grid k's, then the same of per-row solves."""
     calls = _recorded_eigs(monkeypatch)
     table = bf.scan_parameter(lambda v: model, family, "p", lo, hi, steps, **kw)
-    mesh_n = kw["scan_grid"].n_points
+    mesh_n = mesh_of(model, kw["grid"], *kw["e_window"], kw["mesh_points"])[1].n_points
     in_scan = [k for n, k in calls if n == mesh_n]
     calls.clear()
     rows = _rows_outside_scan(model, family, np.linspace(lo, hi, steps), **kw)
@@ -358,29 +353,27 @@ def _scan_and_reference(monkeypatch, model, family, lo, hi, steps, **kw):
 
 
 @pytest.mark.filterwarnings("ignore:grid half-width")
-def test_scale_scan_solves_each_mesh_energy_once(monkeypatch, capsys):
+def test_scale_scan_solves_each_mesh_energy_once(monkeypatch, capsys, mesh_of):
     from bicforge import cli
-    from bicforge import solver
     calls = _recorded_eigs(monkeypatch)
     assert cli.main(["scan", "--param", "scale", "--range", "0.9:1.1:3",
                      "--gamma", "0.5", "--nu", "0.7", "--mu", "1"]) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 4
     # the mesh grid find_energy sizes for the window, below the main 2048
-    energies = np.linspace(*cli._soc_window(0.5, 0.7, 1.0, 0.3, 0.3), 48)
-    kernels, _ = solver._mesh_kernels(bf.soc_model(gamma=0.5, mu=1.0), energies)
-    n_mesh = solver._resolving_grid(bf.Grid.symmetric(30.0, 2048), kernels).n_points
+    n_mesh = mesh_of(bf.soc_model(gamma=0.5, mu=1.0), bf.Grid.symmetric(30.0, 2048),
+                     *cli._soc_window(0.5, 0.7, 1.0, 0.3, 0.3), 24)[1].n_points
     assert n_mesh < 2048
     assert len([k for n, k in calls if n == n_mesh]) == 24   # was 72, 24 per row
 
 
-def test_shared_mesh_rows_equal_per_row_solves(monkeypatch, soc):
+def test_shared_mesh_rows_equal_per_row_solves(monkeypatch, mesh_of, soc):
     # factors -0.5, 0, 0.5, 1, 1.5: the zero row has no potential, and only
     # the negative row needs the MESH_K fallback at every mesh energy, so
     # the scan asks for each set once per energy and every row is unchanged
     family = lambda v: bf.Scaled(bf.SocBic(0.5, 0.7), v)
     rows, in_scan, expected, per_row = _scan_and_reference(
-        monkeypatch, soc, family, -0.5, 1.5, 5, grid=bf.Grid.symmetric(30.0, 1024),
-        e_window=(0.45, 0.9), scan_grid=bf.Grid.symmetric(30.0, 512), mesh_points=12)
+        monkeypatch, mesh_of, soc, family, -0.5, 1.5, 5, grid=bf.Grid.symmetric(30.0, 1024),
+        e_window=(0.45, 0.9), mesh_points=12)
     assert rows == expected
     assert [r.verdict for r in rows] == ["Error", "Error", "QuasiBIC", "ExactBIC",
                                          "QuasiBIC"]
@@ -389,7 +382,7 @@ def test_shared_mesh_rows_equal_per_row_solves(monkeypatch, soc):
 
 
 @pytest.mark.parametrize("case", ["nu", "tabulated"])
-def test_unshared_scans_solve_every_row(monkeypatch, soc, case):
+def test_unshared_scans_solve_every_row(monkeypatch, mesh_of, soc, case):
     # a nu scan changes the well itself, and a table's arrays have no hash:
     # neither shares a mesh eigensolve, and neither raises
     if case == "nu":
@@ -399,8 +392,8 @@ def test_unshared_scans_solve_every_row(monkeypatch, soc, case):
         table = bf.Tabulated(x=xs, v=bf.potential_soc_bic(0.5, 0.7, xs))
         family, lo, hi = (lambda v: bf.Scaled(table, v)), 0.95, 1.05
     rows, in_scan, expected, per_row = _scan_and_reference(
-        monkeypatch, soc, family, lo, hi, 3, grid=bf.Grid.symmetric(30.0, 1024),
-        e_window=(0.6, 0.78), scan_grid=bf.Grid.symmetric(30.0, 512), mesh_points=7)
+        monkeypatch, mesh_of, soc, family, lo, hi, 3, grid=bf.Grid.symmetric(30.0, 1024),
+        e_window=(0.6, 0.78), mesh_points=7)
     assert rows == expected
     assert all(r.error is None for r in rows)
     assert in_scan == per_row and len(in_scan) >= 21
@@ -410,8 +403,7 @@ def test_shared_mesh_keeps_the_coverage_warning(soc):
     # the slowest rate of every row is its mesh kernel's at the window edge
     # 0.95: rows that read the shared mesh record it as the first row did
     import warnings
-    kw = dict(grid=bf.Grid.symmetric(30.0, 1024), e_window=(0.1, 0.95),
-              scan_grid=bf.Grid.symmetric(30.0, 512), mesh_points=12)
+    kw = dict(grid=bf.Grid.symmetric(30.0, 1024), e_window=(0.1, 0.95), mesh_points=12)
     family = lambda v: bf.Scaled(bf.SocBic(0.5, 0.7), v)
     with warnings.catch_warnings(record=True) as in_scan:
         warnings.simplefilter("always")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bicforge as bf
-from bicforge.errors import InvalidRadicand, SingularDenominator
+from bicforge.errors import InvalidRadicand, ModelError, SingularDenominator
 from bicforge.potentials import decay_scale, load_tabulated, spec_from_dict
 
 
@@ -21,6 +21,29 @@ def test_soc_bic_even_and_decaying():
     # asymptotic rate exp(-2 nu |x|)
     ratio = bf.potential_soc_bic(0.5, 0.7, 10.0) / bf.potential_soc_bic(0.5, 0.7, 9.0)
     assert ratio == pytest.approx(np.exp(-2 * 0.7), rel=1e-3)
+
+
+def test_soc_bic_far_tail_is_zero_where_cosh_overflows():
+    # cosh^2(nu x) overflows past |nu x| ~ 355: the formula read inf/inf there
+    # and returned NaN after numpy's overflow warnings. bic-verify at
+    # half-width 1100 then read QuasiBIC with a null residual
+    x = np.linspace(-1100.0, 1100.0, 16384)
+    v = bf.potential_soc_bic(0.5, 0.7, x)
+    far = np.abs(0.7 * x) > 360.0
+    assert far.sum() > 8000 and np.all(v[far] == 0.0)
+    near = np.abs(0.7 * x) < 170.0
+    assert np.array_equal(v[near], bf.potential_soc_bic(0.5, 0.7, x[near]))
+    assert bf.potential_soc_bic(0.5, 0.7, 1e300) == 0.0
+
+
+def test_non_finite_samples_are_a_model_error():
+    # a strength or factor that overflows on the grid reached the solver and
+    # the oracle as inf
+    grid = bf.Grid.symmetric(1e-8, 128)
+    with pytest.raises(ModelError, match="not finite"):
+        bf.sample_potential(bf.Delta(1e300), grid)
+    with pytest.raises(ModelError, match="not finite"):
+        bf.sample_potential(bf.Scaled(bf.Delta(1e300), 1e10), bf.Grid.symmetric(1.0, 65))
 
 
 def test_soc_bic_invalid_radicand():

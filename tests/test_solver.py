@@ -205,7 +205,7 @@ def test_find_energy_skips_branch_switch_bracket(monkeypatch, soc, e_bic):
     # points near E = 0.82; no eigenvalue crosses 1 there, so that bracket
     # costs no fine-grid eigensolve
     from bicforge import solver
-    grid, scan_grid = bf.Grid.symmetric(30.0, 768), bf.Grid.symmetric(30.0, 512)
+    grid = bf.Grid.symmetric(30.0, 768)
     fine = []
     eigs = solver.eigs
 
@@ -217,8 +217,7 @@ def test_find_energy_skips_branch_switch_bracket(monkeypatch, soc, e_bic):
     monkeypatch.setattr(solver, "eigs", counted)
     lo, hi = _scaled_window(e_bic)
     mesh = np.linspace(lo, hi, 12)
-    reps = bf.find_energy(soc, grid, SCALED_WELL, lo, hi, mesh_points=12,
-                          scan_grid=scan_grid)
+    reps = bf.find_energy(soc, grid, SCALED_WELL, lo, hi, mesh_points=12)
     assert [r.energy for r in reps] == [pytest.approx(0.72998, abs=5e-4)]
     assert not [e for e in fine if mesh[9] <= e <= mesh[10]]
     assert len(fine) <= 8   # root bracket: 2 ends, secant steps, solve_state
@@ -378,7 +377,7 @@ def test_find_energy_certifies_every_operator_on_first_pass(monkeypatch, soc, e_
     calls = _recording_eigs(monkeypatch)
     lo, hi = _scaled_window(e_bic)
     reps = bf.find_energy(soc, bf.Grid.symmetric(30.0, 2048), SCALED_WELL, lo, hi,
-                          mesh_points=48, scan_grid=bf.Grid.symmetric(30.0, 1024))
+                          mesh_points=48)
     assert [r.energy for r in reps] == [pytest.approx(0.72998, abs=5e-4)]
     ops = [op for op, _ in calls]
     assert len({id(op) for op in ops}) == len(ops) > 48
@@ -414,7 +413,8 @@ def test_mesh_values_equal_the_per_energy_branch_values(n_bands):
     energies = np.linspace(-0.55, 0.75, 24)
     coupling = solver._coupling(model, grid, pots)
     ops = {}
-    got = solver._mesh_branch_values(model, energies, grid, pots, coupling, ops)
+    got = solver._mesh_branch_values(model, energies, grid, pots, coupling, ops, 1.0,
+                                     solver._mesh_kernels(model, energies))
     assert all(op.direct for op in ops.values()) and len(ops) == len(energies)
     want = [solver._branch_value(model, e, grid, pots, coupling) for e in energies]
     assert got == want
