@@ -23,8 +23,8 @@ from . import oracle as oracle_mod
 from .criterion import classify, fourier_line, scan_parameter
 from .delta import (boundary_residual, general_b_kappa, general_b_solution,
                     lambda_critical, single_band_bound, two_band_solution)
-from .errors import (BicforgeError, CheckFailure, DegeneratePoles, GridTooLarge,
-                     ModelError, NoBoundState, NoNearUnitEigenvalue, NoSolutionInRange)
+from .errors import (BicforgeError, CheckFailure, DegeneratePoles, ModelError,
+                     NoBoundState, NoNearUnitEigenvalue, NoSolutionInRange, ResourceLimit)
 from .green import (apply_inverse_operator, constantA_kernel, derivative_jump, residue_green,
                     soc_kernel)
 from .grids import MIN_POINTS, Grid
@@ -41,6 +41,8 @@ EXIT_NO_BOUND = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_RESOURCE = 4
 EXIT_CHECK = 5
+
+MAX_TRIALS = 10_000   # kernel-check random trials, about 0.5 ms each
 
 
 class _Parser(argparse.ArgumentParser):
@@ -386,6 +388,8 @@ def _cmd_kernel_check(args) -> int:
     if args.trials < 1:
         # no trial would leave the randomized row passing at deviation 0
         raise BicforgeError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise ResourceLimit(f"kernel-check refuses --trials {args.trials} > {MAX_TRIALS}")
     rng = np.random.default_rng(args.seed)
     seps = (-2.0, -0.3, 0.0, 0.3, 2.0)
     rows = []
@@ -608,7 +612,7 @@ def main(argv=None) -> int:
         except (NoSolutionInRange, NoNearUnitEigenvalue) as exc:
             print(f"bicforge: solver did not converge: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        except GridTooLarge as exc:
+        except ResourceLimit as exc:
             print(f"bicforge: resource limit: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
         except CheckFailure as exc:

@@ -57,7 +57,11 @@ class GridTooCoarse(BicforgeError):
     """Grid spacing cannot resolve the requested oscillation."""
 
 
-class GridTooLarge(BicforgeError):
+class ResourceLimit(BicforgeError):
+    """A request beyond a size or work bound, refused before the work."""
+
+
+class GridTooLarge(ResourceLimit):
     """Oracle diagonalization refused beyond the supported matrix size."""
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 # eigh is unused here but stays bound: bench/tracer.py wraps oracle.eigh
 from scipy.linalg import eigh, eigvalsh  # noqa: F401
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import GridTooLarge, ModelError
 from .grids import Grid, SpinorField
@@ -116,11 +116,12 @@ def eigen_near(h: FdHamiltonian, e_target: float, k: int
 
     One shift-invert Lanczos run about e_target (sparse LU of H - e_target).
     The start vector is fixed so that repeated calls are bit-identical.
+    Raises ModelError where a solve with that LU is not finite.
     """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K} (oracle stays small and checkable)")
     v0 = np.random.default_rng(0).standard_normal(h.dim)
-    vals, vecs = eigsh(h.matrix, k=k, sigma=e_target, v0=v0)
+    vals, vecs = eigsh(h.matrix, k=k, sigma=e_target, v0=v0, OPinv=_shift_invert(h, e_target))
     out = []
     for j in np.argsort(vals, kind="stable"):
         psi = vecs[:, j].reshape(h.grid.n_points, h.n_bands).astype(complex)
@@ -129,6 +130,30 @@ def eigen_near(h: FdHamiltonian, e_target: float, k: int
         out.append((float(vals[j]), SpinorField(grid=h.grid, values=psi)))
     out.sort(key=lambda t: abs(t[0] - e_target))
     return out
+
+
+def _shift_invert(h: FdHamiltonian, e_target: float) -> LinearOperator:
+    """(H - e_target)^-1 from the sparse LU eigsh builds itself, with the
+    same bits, whose solves raise ModelError where they are not finite.
+
+    Far out, rounding in the LU leaves (H - e_target) near-singular: at
+    two-band g = 1e300 and e_target = 1e300 the factors are finite but a
+    solve overflows to inf and NaN, and ARPACK fails on it after LAPACK has
+    printed to stdout. Which Lanczos vector overflows first is not known
+    before the run (at g = 3.16e161 the start vector's solve is finite and
+    the third is NaN), so every solve is checked as ARPACK asks for it.
+    """
+    shifted = h.matrix - e_target * sp.eye(h.dim)
+    real = not np.issubdtype(shifted.dtype, np.complexfloating)
+    lu = splu(shifted.T if real else shifted.tocsc())  # csr^T is csc; H is symmetric
+
+    def solve(x):
+        y = lu.solve(np.asarray(x).astype(shifted.dtype))
+        if not np.isfinite(y).all():
+            raise ModelError(f"the shift-invert factorisation of H - {e_target:g} overflows")
+        return y
+
+    return LinearOperator(shifted.shape, matvec=solve, dtype=shifted.dtype)
 
 
 def localization(state: SpinorField, x_cut: float) -> LocalizationMetrics:

@@ -49,6 +49,17 @@ resolves the real poles of its own kernel batch (_resolving_grid). A
 probe's cost grows with its grid: the spin-orbit wells of bench/ take 512
 points at n = 2048 and 4096, and its delta models 512-587 at n = 2049.
 
+Refinement starts where the mesh already is (_mesh_seed): at the root
+inside the bracket of the cubic through up to four mesh values about it,
+with a Newton step on that cubic's slope, then secant steps. A step that
+leaves the mesh bracket widened by one mesh step bisects instead; a guard
+on the last two points, which may lie 1e-8 apart, would bisect forever.
+The start and the slope are rounded to 20 bits, so that the last bits of
+the mesh values (a shared mesh row reads s * lambda_base, a row alone
+lambda(s V)) never reach the fine solve. In the README's 41-row scale
+scan a bracket takes 3.3 fine eigensolves on average, where starting from
+both of its ends took 6.1, and the scan makes 263 eigs calls, not 420.
+
 At strength s the map of Scaled(base, s) is s times the map of base, so its
 spectrum is s times base's. Inside a shared_mesh block (every
 criterion.scan_parameter call), find_energy calls share their mesh probes
@@ -91,6 +102,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
@@ -622,6 +634,32 @@ def _mesh_branch_values(model: BandModel, energies, grid: Grid, potential,
     return values
 
 
+def _mesh_seed(energies: np.ndarray, h: list[float], i: int) -> tuple[float, float]:
+    """Where refinement of mesh bracket i starts, and the slope of h there:
+    the root inside the bracket of the cubic through the finite mesh values
+    among the bracket's ends and its two neighbours, nearest the linear
+    root, or the linear root where the cubic has none there. The start is
+    rounded to 2**-20 of the mesh step and the slope to 20 significant bits
+    (NaN where it is 0 or not finite): a shared mesh reads s * lambda_base
+    where a row alone reads lambda(s V), and the two differ in their last
+    bits, which the fine solve must not see."""
+    ea, eb = float(energies[i]), float(energies[i + 1])
+    ha, hb = h[i], h[i + 1]
+    t, slope = ha / (ha - hb), (hb - ha) / (eb - ea)
+    js = [j for j in range(max(i - 1, 0), min(i + 3, len(h))) if np.isfinite(h[j])]
+    with np.errstate(all="ignore"):
+        coef = npoly.polyfit(np.subtract(js, i), [h[j] for j in js], len(js) - 1)
+        if np.isfinite(coef).all():
+            roots = [r.real for r in npoly.polyroots(coef) if r.imag == 0 and 0 <= r.real <= 1]
+            if roots:
+                t = min(roots, key=lambda r: abs(r - t))
+                slope = npoly.polyval(t, npoly.polyder(coef)) / (eb - ea)
+        t = round(t * 2**20) / 2**20
+        m, ex = np.frexp(slope)
+        slope = float(np.ldexp(np.round(m * 2**20), ex - 20))
+    return (1 - t) * ea + t * eb, slope if np.isfinite(slope) and slope else float("nan")
+
+
 def _plural(n: int, noun: str, plural: str) -> str:
     return f"{n} {noun if n == 1 else plural}"
 
@@ -632,7 +670,9 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     """Scan [e_lo, e_hi], bracket crossings of Re(eigenvalue) = 1, refine.
 
     The mesh phase runs on the coarsest grid that resolves the mesh
-    (_resolving_grid), refinement always on grid.
+    (_resolving_grid), refinement always on grid. Refinement starts at the
+    mesh's own root in the bracket, rounded so that the mesh values' last
+    bits do not reach it (_mesh_seed), and ends at a step under REFINE_TOL.
     Returns every converged solution, ordered by energy; solutions within
     REFINE_TOL of each other are one root, reported once.
 
@@ -669,28 +709,32 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     rejected = []
     for i in range(len(energies) - 1):
         ha, hb = h[i], h[i + 1]
-        if np.isnan(ha) or np.isnan(hb) or ha * hb > 0 or (ha == 0 and hb == 0):
+        if not (np.isfinite(ha) and np.isfinite(hb)) or ha * hb > 0 or (ha == 0 and hb == 0):
             continue
         brackets += 1
         if above[i] is not None and above[i] == above[i + 1]:
             switches += 1
             continue
         ea, eb = float(energies[i]), float(energies[i + 1])
-        fa, fb = fine(ea), fine(eb)
+        lo, hi = 2.0 * ea - eb, 2.0 * eb - ea  # the mesh bracket widened by a step
+        e, slope = _mesh_seed(energies, h, i)
+        # a Newton step with the mesh slope, then secant steps; ea, the mesh
+        # end farther from the start, is where a first bisection would head
+        ea, eb, fb = ea if eb - e < e - ea else eb, e, fine(e)
         converged = False
         for _ in range(80):
-            if fb == fa:
-                break
-            e_new = eb - fb * (eb - ea) / (fb - fa)
-            lo, hi = min(ea, eb), max(ea, eb)
-            if not (lo - abs(hi - lo) <= e_new <= hi + abs(hi - lo)):
-                e_new = 0.5 * (ea + eb)  # secant left the bracket; bisect
+            e_new = eb - fb / slope
+            if not lo <= e_new <= hi:
+                e_new = 0.5 * (ea + eb)  # the step left the widened bracket; bisect
             if abs(e_new - eb) < REFINE_TOL:
                 eb = e_new
                 converged = True
                 break
             ea, fa = eb, fb
             eb, fb = e_new, fine(e_new)
+            if fb == fa:
+                break
+            slope = (fb - fa) / (eb - ea)
         if not converged and abs(fb) > RESIDUAL_LIMIT:
             stalls += 1
             continue

@@ -746,6 +746,19 @@ def test_kernel_check_seed_and_trials_exit_usage(capsys, argv, message):
     assert (captured.out, captured.err) == ("", f"bicforge: {message}\n")
 
 
+def test_kernel_check_refuses_too_many_trials(capsys):
+    # --trials 100000000 ran for more than 100 s; the bound refuses it at once
+    import time
+    start = time.perf_counter()
+    rc = cli.main(["kernel-check", "--trials", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RESOURCE
+    assert (captured.out, captured.err) == (
+        "", f"bicforge: resource limit: kernel-check refuses --trials 100000000 > "
+            f"{cli.MAX_TRIALS}\n")
+
+
 @pytest.mark.parametrize("param, value, base", [
     ("nu", "0.7", ["--gamma", "0.5", "--mu", "1"]),
     ("gamma", "0.5", ["--nu", "0.7", "--mu", "1"]),
@@ -819,17 +832,20 @@ def test_kernel_check_overflowing_energy_is_an_error_row():
      "bicforge: closed-form amp_ratio divides by m <v2|B|v1>, which underflows to 0"),
     ("scan --param gamma --range -1e300:0:1 --gamma 0 --nu 1e-8 --mu 1e-8 --n-points 64 "
      "--mesh-points 2", cli.EXIT_OK, "Error(gamma^2 nu^2 overflows at gamma = -1e+300"),
+    ("oracle --two-band --mu -0.5 --g 1e300 --lambda 2 --target 1e300 --n 64 --k 2",
+     cli.EXIT_USAGE, "bicforge: the shift-invert factorisation of H - 1e+300 overflows"),
 ], ids=["soc_window_empty", "scan_soc_window_empty", "single_band_e_b", "two_band_e_b",
         "general_b_e_b", "kernel_check_c0_d0", "oracle_kinetic_inf", "oracle_kinetic_zero_div",
         "soc_bic_radicand", "scan_e_bic_radicand", "oracle_coupling_inf",
         "oracle_kinetic_zero", "lambda_critical", "general_b_amp_ratio",
-        "scan_numpy_scalar_param"])
-def test_overflowing_input_ends_in_one_line(capsys, argv, code, fragment):
+        "scan_numpy_scalar_param", "oracle_shift_invert"])
+def test_overflowing_input_ends_in_one_line(capfd, argv, code, fragment):
     # each ended in a traceback (ValueError, OverflowError, ZeroDivisionError,
     # RuntimeError, ArpackError), printed numpy warning lines before its one
-    # line, or wrote a NaN into its report
+    # line, or wrote a NaN into its report; capfd also sees what LAPACK
+    # prints to fd 1 (the shift-invert oracle printed DLASCL lines there)
     rc = cli.main(argv.split())
-    captured = capsys.readouterr()
+    captured = capfd.readouterr()
     assert rc == code
     assert "bicforge: warning:" not in captured.err
     assert fragment in captured.err + captured.out
@@ -839,3 +855,5 @@ def test_overflowing_input_ends_in_one_line(capsys, argv, code, fragment):
     else:
         (line,) = captured.err.splitlines()
         assert line.startswith("bicforge: ")
+    if code == cli.EXIT_USAGE:
+        assert captured.out == ""

@@ -400,6 +400,139 @@ def test_root_on_a_mesh_point_is_reported_once(monkeypatch):
     assert [r.energy for r in reps] == [0.25]
 
 
+# --- refinement starts at the mesh's own root --------------------------------
+
+def _refine(monkeypatch, mesh_h, fine_h, mesh_points):
+    """find_energy's roots on [0, 1] where the mesh reads Re(lambda) - 1 =
+    mesh_h(E) and the fine grid fine_h(E), solve_state accepting every
+    energy, and the energies of the fine probes."""
+    probes = []
+
+    def fine(model, e, *a):
+        probes.append(e)
+        return complex(1.0 + fine_h(e)), None
+
+    monkeypatch.setattr(solver, "_mesh_branch_values", lambda model, es, *a: [
+        (complex(1.0 + mesh_h(e)), None) for e in es])
+    monkeypatch.setattr(solver, "_branch_value", fine)
+    monkeypatch.setattr(solver, "solve_state", lambda model, e, *a, **kw: solver.SolveReport(
+        energy=float(e), operator_eigenvalue=1.0, state=None, fixed_point_residual=0.0))
+    reps = bf.find_energy(bf.single_band_model(lam=-1.0), bf.Grid.symmetric(20.0, 256),
+                          UNIT_DELTA, 0.0, 1.0, mesh_points=mesh_points)
+    return [r.energy for r in reps], probes
+
+
+def test_refinement_starts_on_a_zero_mesh_value(monkeypatch):
+    # the mesh value at 0.25 is exactly 0: both brackets start there, and
+    # one fine probe each confirms it
+    h = lambda e: np.tanh(3.0 * (e - 0.25))
+    roots, probes = _refine(monkeypatch, h, h, 5)
+    assert roots == [0.25]
+    assert probes == [0.25, 0.25]
+
+
+def test_refinement_falls_back_to_the_linear_root(monkeypatch):
+    # a cubic whose only real root lies outside the bracket starts the
+    # secant at the linear root instead
+    from types import SimpleNamespace
+    poly = np.polynomial.polynomial
+    monkeypatch.setattr(solver, "npoly", SimpleNamespace(
+        polyfit=poly.polyfit, polyval=poly.polyval, polyder=poly.polyder,
+        polyroots=lambda coef: np.array([3.0 + 0j])))
+    h = lambda e: (e - 0.3) * (1.0 + e * e)
+    roots, probes = _refine(monkeypatch, h, h, 9)
+    assert roots == [pytest.approx(0.3, abs=1e-12)]
+    ha, hb = h(0.25), h(0.375)
+    assert probes[0] == pytest.approx(0.25 - 0.125 * ha / (hb - ha), abs=1e-6 * 0.125)
+    assert len(probes) <= 4
+
+
+def test_refinement_skips_a_nan_neighbour(monkeypatch):
+    # the neighbour above the bracket [0.25, 0.375] failed on the mesh: the
+    # interpolant uses the three values left
+    h = lambda e: np.sin(2.0 * (e - 0.3))
+    mesh_h = lambda e: np.nan if e == 0.5 else h(e)
+    roots, probes = _refine(monkeypatch, mesh_h, h, 9)
+    assert roots == [pytest.approx(0.3, abs=1e-12)]
+    assert len(probes) <= 3
+
+
+def test_refinement_reaches_a_fine_root_just_outside_the_mesh_bracket(monkeypatch):
+    # the mesh root 0.37 lies in [0.25, 0.375], the fine root 0.38 above it:
+    # the secant may leave the bracket by up to one mesh step
+    roots, probes = _refine(monkeypatch, lambda e: e - 0.37, lambda e: np.sin(e - 0.38), 9)
+    assert roots == [pytest.approx(0.38, abs=1e-12)]
+    assert len(probes) <= 4
+
+
+def test_bic_verify_refines_each_bracket_in_three_fine_probes(monkeypatch, capsys):
+    from bicforge import cli
+    seeds, probes = [], []
+    seed, branch_value = solver._mesh_seed, solver._branch_value
+    monkeypatch.setattr(solver, "_mesh_seed", lambda *a: seeds.append(a[2]) or seed(*a))
+    monkeypatch.setattr(solver, "_branch_value",
+                        lambda *a: probes.append(a[1]) or branch_value(*a))
+    assert cli.main(["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1"]) == cli.EXIT_OK
+    assert '"verdict": "ExactBIC"' in capsys.readouterr().out
+    assert seeds and len(probes) <= 3 * len(seeds)
+
+
+def _delta_roots(a0, lam, lo, hi):
+    """Bound energies in (lo, hi) of a delta of strength lam on channel 1,
+    mass 1: the roots of lam sum_j |V_1j|^2 (-1 / kappa_j) = 1 over the
+    closed channels, kappa_j = sqrt(2 (eps_j - E)), one at most between
+    consecutive band edges eps_j, where the left side rises to +inf."""
+    from scipy.optimize import brentq
+    eps, vecs = np.linalg.eigh(a0)
+    weight = np.abs(vecs[0]) ** 2
+
+    def f(e):
+        closed = eps > e
+        return -lam * float(np.sum(weight[closed] / np.sqrt(2.0 * (eps[closed] - e)))) - 1.0
+
+    edges = [lo, *eps[(eps > lo) & (eps < hi)], hi]
+    roots = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        a, b = a + 1e-13, b - 1e-13
+        if f(a) < 0.0 < f(b):
+            roots.append(brentq(f, a, b, xtol=1e-15, rtol=1e-15))
+    return roots
+
+
+@pytest.mark.filterwarnings("ignore:grid half-width")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n_bands", [2, 3])
+def test_delta_models_reproduce_the_closed_form_roots(n_bands, seed):
+    # a seeded a0 with every root at least 3 mesh steps from a band edge,
+    # where the mesh can miss it; a single-site delta is exact in dx
+    rng = np.random.default_rng(seed)
+    mesh_points = 48
+    while True:
+        if n_bands == 2:
+            mu, g = rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.0)
+            a0 = np.array([[mu, g], [g, -mu]])
+        else:
+            q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            a0 = (q * rng.uniform(-1.0, 1.0, 3)) @ q.T
+            a0 = (a0 + a0.T) / 2.0
+        lam = rng.uniform(-1.5, -0.5)
+        eps = np.linalg.eigvalsh(a0)
+        pad = 1e-4 * (eps[-1] - eps[0])
+        lo, hi = eps[0] + pad, eps[-1] - pad
+        want = _delta_roots(a0, lam, lo, hi)
+        step = (hi - lo) / (mesh_points - 1)
+        if want and np.abs(np.subtract.outer(want, eps)).min() >= 3.0 * step:
+            break
+    zero = np.zeros((n_bands, n_bands))
+    model = bf.BandModel(n_bands, 1.0, a0, zero, zero)
+    pots = [bf.Delta(lam)] + [None] * (n_bands - 1)
+    reps = bf.find_energy(model, bf.Grid.symmetric(40.0, 2049), pots, lo, hi,
+                          mesh_points=mesh_points)
+    got = [r.energy for r in reps]
+    assert len(got) == len(want)
+    assert np.abs(np.subtract(got, want)).max() < 1e-10
+
+
 @pytest.mark.parametrize("n_bands", [2, 3])
 def test_mesh_values_equal_the_per_energy_branch_values(n_bands):
     # the batched kernels and the stacked direct-path eigvals give each mesh
