@@ -1,7 +1,7 @@
 """bicforge: bound states in the continuum for 1D multiband Hamiltonians.
 
 Library layers:
-  models/spectral  -- band models, dispersion poles, region classification
+  models/spectral  -- band models, momentum poles, region classification
   delta            -- closed-form solutions for point couplings
   green            -- residue-calculus Green kernels + closed-form cross-checks
   solver           -- integral-equation fixed-point solver on a grid
@@ -13,8 +13,7 @@ from .models import (BandModel, general_b_model, load_model, save_model,
                      sigma_x, sigma_y, sigma_z, single_band_model, soc_model,
                      two_band_model)
 from .spectral import (EnergyRegion, PoleLabel, PoleSet, RegionTag,
-                       classify_region, dispersion_coeffs, dispersion_coeffs_many,
-                       poles, poles_many, soc_poles)
+                       classify_region, poles, poles_many, soc_poles)
 from .delta import (DeltaSolution, bare_extended_mode, boundary_residual,
                     extended_green_1d, general_b_kappa, general_b_solution,
                     lambda_critical, single_band_bound, two_band_bound_energy,

@@ -164,8 +164,6 @@ def _cmd_delta_bound(args) -> int:
         "amp_ext": sol.amp_ext,
         "in_gap": sol.in_gap,
         "verdict": verdict,
-        # the poles come first: they refuse a mass whose 1/(2m) overflows
-        # before the residual divides by it
         "poles": _pole_table(model, sol.e_b),
         "boundary_residual_norm": float(np.linalg.norm(boundary_residual(sol, model.b, mass))),
         **extra,

@@ -10,8 +10,8 @@ class ModelError(BicforgeError):
 
 
 class DegeneratePolynomial(BicforgeError):
-    """Dispersion polynomial leading coefficient underflowed, or a
-    coefficient is not finite."""
+    """The pencil whose eigenvalues are the momentum poles has a non-finite
+    entry."""
 
 
 class DegeneratePoles(BicforgeError):

@@ -1,9 +1,10 @@
 """Energy-domain Green's functions G_E(dx) built by residue calculus.
 
-G_E(dx) = (1/2pi) Int (E - H0(p))^{-1} exp(i p dx) dp. The integrand is
-adj(E - H0(p)) exp(i p dx) / f(p) with f the dispersion determinant, so the
-integral is a sum over the momentum poles, one term per pole with residue
-R_p = adj(E - H0(p)) / f'(p). Which side of the source a term lives on
+G_E(dx) = (1/2pi) Int Q(p)^{-1} exp(i p dx) dp with Q(p) = E - H0(p), so
+the integral is a sum over the momentum poles, one term per pole with the
+residue of Q^{-1} there. At a simple pole that residue is
+R_p = v w^H / (w^H Q'(p) v), Q'(p) = -a1 - (p/m) I, with v and w the right
+and left null vectors of Q(p). Which side of the source a term lives on
 follows from the sign of Im p alone:
 
 * Im p > 0: i R_p exp(i p dx) for dx > 0 (contour closed above);
@@ -17,10 +18,9 @@ a parallel constant term, or N > 2 bands) takes the same path.
 
 residue_green is the batch of one energy of residue_green_many, which
 builds the kernels of a whole energy mesh from one poles_many and one
-batched adjugate over every pole of every energy. Each kernel has the bits
-of its energy alone: f'(p) stays one scalar polyval per pole, because
-numpy's vectorised complex arithmetic rounds differently, and the first
-energy in order whose poles coincide raises its own DegeneratePoles.
+stacked SVD of Q(p) over every pole of every energy, whose last singular
+vectors are v and w. Each kernel has the bits of its energy alone, and the
+first energy in order whose poles coincide raises its own DegeneratePoles.
 GreenKernel.evaluate is likewise the batch of one kernel of evaluate_many.
 
 For a single band this reproduces (m/p0) sin(p0 dx) sign(dx) above the band
@@ -39,15 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import DegeneratePoles, GapViolation, ModelError, SingularG
 from .models import BandModel
 # poles stays bound here: bench/test_bench.py pins green.poles as a tracer binding site
 from .spectral import PoleLabel, PoleSet, poles, poles_many, soc_poles  # noqa: F401
 
-# Poles closer than this trigger DegeneratePoles: the residue weight 1/f'(p)
-# blows up. Callers should offset the energy (e.g. by 1e-6 * gap).
+# Poles closer than this trigger DegeneratePoles: the residue weight
+# 1/(w^H Q'(p) v) blows up. Callers should offset the energy (e.g. by 1e-6 * gap).
 DEGENERATE_POLE_TOL = 1e-7
 
 
@@ -119,25 +118,10 @@ def evaluate_many(kernels, dx, rows=None, cols=None) -> np.ndarray:
     return out
 
 
-def _adjugates(m: np.ndarray) -> np.ndarray:
-    """adj(m[k]) for a stack of square matrices, shape (K, N, N)."""
-    k, n = m.shape[0], m.shape[1]
-    if n == 1:
-        return np.ones((k, 1, 1), dtype=complex)
-    if n == 2:
-        return np.stack([np.stack([m[:, 1, 1], -m[:, 0, 1]], axis=-1),
-                         np.stack([-m[:, 1, 0], m[:, 0, 0]], axis=-1)], axis=1)
-    # keep[i] lists the indices other than i; minors[:, i, j] drops row i, column j
-    keep = np.array([[c for c in range(n) if c != i] for i in range(n)])
-    minors = m[:, keep[:, None, :, None], keep[None, :, None, :]]
-    sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
-    return (sign * np.linalg.det(minors)).transpose(0, 2, 1)
-
-
 def residue_green(model: BandModel, energy: float) -> GreenKernel:
     """Generic kernel for any model: one term per momentum pole.
 
-    Residue matrices are adj(E - H0(p)) / f'(p) at each pole; a pole
+    Residue matrices are v w^H / (w^H Q'(p) v) at each pole; a pole
     labeled real keeps its real part only. Coincident poles (band edges)
     raise DegeneratePoles.
     """
@@ -157,9 +141,9 @@ def _check_distinct(ps: PoleSet) -> None:
 
 def residue_green_many(model: BandModel, energies) -> list[GreenKernel]:
     """residue_green at a sequence of energies, from one poles_many and one
-    batched pass of adjugates over every pole of every energy. The first
-    energy, in order, whose poles coincide raises DegeneratePoles, with the
-    message it raises alone."""
+    stacked SVD of Q(p) over every pole of every energy. The first energy,
+    in order, whose poles coincide raises DegeneratePoles, with the message
+    it raises alone."""
     n = model.n_bands
     sets = poles_many(model, energies)
     roots = np.array([ps.roots for ps in sets], dtype=complex).reshape(len(sets), 2 * n)
@@ -170,18 +154,19 @@ def residue_green_many(model: BandModel, energies) -> list[GreenKernel]:
     tol = 2.0 * DEGENERATE_POLE_TOL * (1.0 + np.abs(roots).max(axis=1, initial=0.0))
     for e in np.flatnonzero((gaps < tol[:, None, None]).any(axis=(1, 2))):
         _check_distinct(sets[e])
-    dcoeffs = np.array([ps.coeffs[1:] for ps in sets]).reshape(len(sets), 2 * n)
-    dcoeffs = dcoeffs * np.arange(1, 2 * n + 1)
-    moms = [[complex(root.real) if label is PoleLabel.REAL else complex(root)
-             for root, label in zip(ps.roots, ps.labels)] for ps in sets]
+    real = np.array([[label is PoleLabel.REAL for label in ps.labels] for ps in sets],
+                    dtype=bool).reshape(roots.shape)
+    moms = np.where(real, roots.real, roots).reshape(-1)
     shift = np.repeat(np.asarray(energies, dtype=float), 2 * n)
-    adj = _adjugates(shift[:, None, None] * np.eye(n)
-                     - model.h0_many([p for row in moms for p in row]))
+    u, _, vh = np.linalg.svd(shift[:, None, None] * np.eye(n) - model.h0_many(moms))
+    v, w = vh[:, -1].conj(), u[:, :, -1].conj()
+    dq = -model.a1 - (moms / model.mass)[:, None, None] * np.eye(n)
+    res = v[:, :, None] * w[:, None, :] / np.einsum("ki,kij,kj->k", w, dq, v)[:, None, None]
     return [GreenKernel(energy=ps.energy, n_bands=n,
-                        terms=tuple(KernelTerm(pole=p, residue=a / polyval(p, dc))
-                                    for p, a in zip(row, adjs)))
-            for ps, row, adjs, dc in zip(sets, moms, adj.reshape(len(sets), 2 * n, n, n),
-                                         dcoeffs)]
+                        terms=tuple(KernelTerm(pole=complex(p), residue=r)
+                                    for p, r in zip(row, rs)))
+            for ps, row, rs in zip(sets, moms.reshape(len(sets), 2 * n),
+                                   res.reshape(len(sets), 2 * n, n, n))]
 
 
 def _standing_terms(q: float, m_sin: np.ndarray, m_cs: np.ndarray) -> list[KernelTerm]:

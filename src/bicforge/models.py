@@ -62,6 +62,11 @@ class BandModel:
             raise ModelError("mass must be positive")
         if not np.isfinite(self.mass):
             raise ModelError(f"mass must be finite, got {self.mass}")
+        with np.errstate(over="ignore"):
+            two_m = 2.0 * np.float64(self.mass)
+            if not (np.isfinite(two_m) and np.isfinite(1.0 / two_m)):
+                raise ModelError(f"mass {self.mass:g} is out of range: 2*mass or "
+                                 "1/(2*mass) is not finite")
         for name in ("a0", "a1", "b"):
             m = _check_hermitian(getattr(self, name), name)
             if m.shape != (self.n_bands, self.n_bands):
@@ -75,11 +80,8 @@ class BandModel:
 
     def h0_many(self, ps) -> np.ndarray:
         """Free Hamiltonian matrices at a sequence of momenta, shape (K, N, N)."""
-        # each p is squared as a scalar: numpy's vectorised complex multiply
-        # rounds differently, and the pole energies would move in the last bits
-        kinetic = np.array([p * p / (2.0 * self.mass) for p in ps], dtype=complex)
         moms = np.asarray(ps, dtype=complex)[:, None, None]
-        return kinetic[:, None, None] * np.eye(self.n_bands) + self.a0 + self.a1 * moms
+        return (moms * moms / (2.0 * self.mass)) * np.eye(self.n_bands) + self.a0 + self.a1 * moms
 
     @property
     def has_linear_term(self) -> bool:

@@ -106,7 +106,8 @@ import numpy.polynomial.polynomial as npoly
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
-from .errors import DegeneratePoles, GridTooCoarse, NoNearUnitEigenvalue, NoSolutionInRange
+from .errors import (DegeneratePoles, GridTooCoarse, ModelError, NoNearUnitEigenvalue,
+                     NoSolutionInRange)
 from .green import GreenKernel, evaluate_many, residue_green, residue_green_many
 from .grids import Grid, SpinorField
 from .models import BandModel
@@ -152,9 +153,17 @@ def _coupling(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence)
     terms = coupling_terms(potential, model.b)
     w = grid.weights
     f = np.zeros((grid.n_points, model.n_bands, model.n_bands), dtype=complex)
-    for spec, bk in terms:
-        f += (sample_potential(spec, grid) * w)[:, None, None] * bk
-    nonzero = np.abs(f) > 0
+    # an overflow shows as a non-finite squared norm, refused below, where the
+    # Arnoldi start vector's norm would overflow. A ufunc sum, not
+    # np.linalg.norm: its BLAS dot over this many entries wakes OpenBLAS
+    # threads that then spin against the solver's own work
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec, bk in terms:
+            f += (sample_potential(spec, grid) * w)[:, None, None] * bk
+        mag = np.abs(f)
+        if not np.isfinite(np.sum(mag ** 2)):
+            raise ModelError("the potential coupling V(x) B has no finite norm on the grid")
+    nonzero = mag > 0
     support = np.flatnonzero(nonzero.any(axis=(1, 2)))
     rows = np.flatnonzero(nonzero.any(axis=(0, 2)))
     cols = np.flatnonzero(nonzero.any(axis=(0, 1)))

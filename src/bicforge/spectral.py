@@ -1,16 +1,19 @@
-"""Dispersion determinant, momentum poles, and spectral-region classification.
+"""Momentum poles of the free Hamiltonian and spectral-region classification.
 
-At fixed energy E the determinant det(E - H0(p)) is a degree-2N polynomial
-in p. Its roots (the momentum poles) decide everything downstream: real
-poles carry extended standing-wave components, complex poles carry
-evanescent ones, and the window with both kinds is the only place a
-(quasi-)BIC can live.
+At fixed energy the poles are the 2N momenta p where E - H0(p) is singular.
+They decide everything downstream: real poles carry extended standing-wave
+components, complex poles carry evanescent ones, and the window with both
+kinds is the only place a (quasi-)BIC can live.
 
-dispersion_coeffs and poles are batches of one energy of their _many forms,
-which serve a whole energy mesh with one h0_many over every (energy,
-sample) point, one stacked determinant, one FFT along the sample axis and
-one stacked companion eigensolve. Each energy of a batch gets the bits it
-gets alone: numpy's batched det, eigvals and fft round as single calls do.
+E - H0(p) = -(1/2m) [p^2 I + 2m a1 p - 2m (E - a0)] is a monic matrix
+quadratic, so its poles are the eigenvalues of the companion linearisation
+L(E) = [[0, I], [2m (E - a0), -2m a1]], whose eigenvector at p is (v, p v)
+with (E - H0(p)) v = 0 (Tisseur and Meerbergen, SIAM Rev. 43, 235 (2001)).
+
+poles is the batch of one energy of poles_many, which serves a whole energy
+mesh with one stacked eigensolve of the pencils. Each energy of a batch
+gets the bits it gets alone: numpy's batched eigvals rounds as single calls
+do.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from .errors import ComplexInnerRoot, DegeneratePolynomial
 from .models import BandModel
 
 # A root counts as real when its imaginary part is below this times (1+|Re|).
-# Companion-matrix roots at degree <= ~12 are accurate far beyond 1e-9.
+# Pencil eigenvalues of small models (2N <= ~12) are accurate far beyond 1e-9.
 REAL_POLE_TOL = 1e-9
 
 
@@ -39,58 +42,13 @@ class RegionTag(str, Enum):
     ALL_COMPLEX = "AllComplex"
 
 
-def dispersion_coeffs(model: BandModel, energy: float) -> np.ndarray:
-    """Coefficients (ascending order) of det(E*I - H0(p)) as a polynomial in p.
-
-    The determinant is sampled on a circle of 2N+1 points in the complex
-    p-plane and inverted with a discrete Fourier transform; this is exact
-    for a polynomial of known degree and avoids symbolic expansion. The
-    leading coefficient is (-1/(2m))^N, and all coefficients are real
-    because the matrix is Hermitian for real p. DegeneratePolynomial when
-    the leading coefficient underflows or any coefficient is not finite.
-    """
-    return dispersion_coeffs_many(model, [energy])[0]
-
-
-def dispersion_coeffs_many(model: BandModel, energies) -> np.ndarray:
-    """dispersion_coeffs at a sequence of energies, shape (len, 2N+1): one
-    h0_many over every (energy, sample) point, one stacked determinant and
-    one FFT along the sample axis."""
-    n = model.n_bands
-    deg = 2 * n
-    lead = (-1.0 / (2.0 * model.mass)) ** n
-    if abs(lead) < np.finfo(float).tiny * 1e4:
-        raise DegeneratePolynomial("leading dispersion coefficient underflows")
-    es = np.asarray(energies, dtype=float)
-    # Sampling radius near the natural momentum scale keeps the DFT inversion
-    # well conditioned.
-    scale = float(np.abs(model.a0).max() + np.abs(model.a1).max())
-    radius = (1.0 + np.sqrt(2.0 * model.mass * (np.abs(es) + scale)))[:, None]
-    k = np.arange(deg + 1)
-    pts = radius * np.exp(2j * np.pi * k / (deg + 1))
-    # an overflow shows as a non-finite coefficient, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        h0 = model.h0_many(pts.reshape(-1)).reshape(es.size, deg + 1, n, n)
-        vals = np.linalg.det(es[:, None, None, None] * np.eye(n) - h0)
-        coeffs = np.fft.fft(vals, axis=-1) / (deg + 1)
-        coeffs = coeffs / radius ** k
-    coeffs = coeffs.real  # imaginary parts are pure roundoff
-    coeffs[:, -1] = lead  # known exactly
-    finite = np.isfinite(coeffs).all(axis=1)
-    if not finite.all():
-        raise DegeneratePolynomial(f"dispersion coefficients are not finite at energy "
-                                   f"{es[~finite][0]:g}")
-    return coeffs
-
-
 @dataclass(frozen=True)
 class PoleSet:
-    """All 2N momentum roots of the dispersion determinant at one energy."""
+    """All 2N momentum poles of E - H0(p) at one energy."""
 
     energy: float
     roots: np.ndarray           # complex, sorted by (|Im|, Re, Im)
     labels: tuple[PoleLabel, ...]
-    coeffs: np.ndarray          # the dispersion polynomial they are roots of
 
     @property
     def real_poles(self) -> np.ndarray:
@@ -115,30 +73,40 @@ _LABELS = (PoleLabel.LOWER, PoleLabel.UPPER, PoleLabel.REAL)
 def poles(model: BandModel, energy: float) -> PoleSet:
     """Find and classify all momentum poles at the given energy.
 
-    Roots are the eigenvalues of the companion matrix of the dispersion
-    polynomial (as numpy.polynomial.polyroots builds it), sorted
-    deterministically by (|Im|, Re, Im) so reports diff cleanly.
+    Poles are the eigenvalues of the pencil L(E), sorted deterministically
+    by (|Im|, Re, Im) so reports diff cleanly.
     """
     return poles_many(model, [energy])[0]
 
 
 def poles_many(model: BandModel, energies) -> list[PoleSet]:
-    """poles at a sequence of energies: one dispersion_coeffs_many and one
-    stacked companion eigensolve, sorted and labelled per batch."""
-    coeffs = dispersion_coeffs_many(model, energies)
-    count, deg = coeffs.shape[0], coeffs.shape[1] - 1
-    comp = np.zeros((count, deg, deg))
-    comp.reshape(count, deg * deg)[:, deg::deg + 1] = 1.0
-    comp[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
-    roots = np.linalg.eigvals(comp).astype(complex)
+    """poles at a sequence of energies: one stacked eigensolve of the
+    pencils L(E), sorted and labelled per batch. DegeneratePolynomial names
+    the first energy whose pencil has a non-finite entry."""
+    n = model.n_bands
+    es = np.asarray(energies, dtype=float)
+    two_m = 2.0 * model.mass
+    pencil = np.zeros((es.size, 2 * n, 2 * n), dtype=complex)
+    pencil[:, :n, n:] = np.eye(n)
+    # an overflow shows as a non-finite entry, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pencil[:, n:, :n] = two_m * (es[:, None, None] * np.eye(n) - model.a0)
+        pencil[:, n:, n:] = -two_m * model.a1
+    finite = np.isfinite(pencil).all(axis=(1, 2))
+    if not finite.all():
+        raise DegeneratePolynomial(f"the pencil of E - H0(p) is not finite at energy "
+                                   f"{es[~finite][0]:g}")
+    # a real pencil keeps real arithmetic, whose complex poles come in exact
+    # conjugate pairs
+    roots = np.linalg.eigvals(pencil if pencil.imag.any() else pencil.real).astype(complex)
     real = ~roots.imag.any(axis=1)
     order = np.lexsort((roots.imag, roots.real, np.abs(roots.imag)))
-    roots = roots[np.arange(count)[:, None], order]
+    roots = roots[np.arange(es.size)[:, None], order]
     codes = np.where(np.abs(roots.imag) < REAL_POLE_TOL * (1.0 + np.abs(roots.real)),
                      2, roots.imag > 0).tolist()
     return [PoleSet(energy=e, roots=r.real.copy() if is_real else r,
-                    labels=tuple(_LABELS[c] for c in code), coeffs=c_row)
-            for e, r, is_real, code, c_row in zip(energies, roots, real, codes, coeffs)]
+                    labels=tuple(_LABELS[c] for c in code))
+            for e, r, is_real, code in zip(energies, roots, real, codes)]
 
 
 @dataclass(frozen=True)

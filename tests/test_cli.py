@@ -784,20 +784,27 @@ def test_delta_bound_overflowing_mass_exit_usage():
     # 1/(2m) overflows: a LinAlgError traceback after numpy's overflow warnings
     rc, out, err = run_cli("delta-bound", "--lambda", "-1", "--mass", "1e-320")
     assert (rc, out) == (cli.EXIT_USAGE, "")
-    assert err == "bicforge: dispersion coefficients are not finite at energy -4.99994e-321\n"
+    assert err == ("bicforge: mass 9.99989e-321 is out of range: 2*mass or 1/(2*mass) "
+                   "is not finite\n")
 
 
 def test_kernel_check_overflowing_energy_is_an_error_row():
-    # the circle samples overflow: a LinAlgError traceback
-    rc, out, err = run_cli("kernel-check", "--trials", "1", "--energies", "0.3,1e300")
+    # each ended in a LinAlgError traceback. At 1e300 the two bands' poles
+    # agree to about 1e-150 relative; at 1e308 the pencil's 2m E overflows
+    rc, out, err = run_cli("kernel-check", "--trials", "1", "--energies", "0.3,1e300,1e308")
     assert rc == cli.EXIT_CHECK
-    assert err == "bicforge: check failure: 1 kernel check(s) failed\n"
+    assert err == "bicforge: check failure: 2 kernel check(s) failed\n"
     rows = {r["check"]: r for r in check_report(out)["results"]["rows"]}
     assert rows["two_band_requested_energy_0.3"]["status"] == "pass"
     assert rows["two_band_requested_energy_1e+300"] == {
         "check": "two_band_requested_energy_1e+300", "max_deviation": None,
+        "tolerance": 1e-10, "status": "DegeneratePoles",
+        "detail": "poles -1.41421e+150 and -1.41421e+150 coincide at E=1e+300; "
+                  "offset the energy"}
+    assert rows["two_band_requested_energy_1e+308"] == {
+        "check": "two_band_requested_energy_1e+308", "max_deviation": None,
         "tolerance": 1e-10, "status": "error",
-        "detail": "dispersion coefficients are not finite at energy 1e+300"}
+        "detail": "the pencil of E - H0(p) is not finite at energy 1e+308"}
 
 
 @pytest.mark.parametrize("argv, code, fragment", [
@@ -813,7 +820,7 @@ def test_kernel_check_overflowing_energy_is_an_error_row():
      "bicforge: closed-form e_b = -inf is not finite"),
     ("kernel-check --mu 0.5 --g 1e-320 --trials 1 --energies -1e-8", cli.EXIT_CHECK,
      '"detail": "c0, d0 overflow at g = 9.99989e-321; use residue_green"'),
-    ("oracle --single-band --lambda -1 --target -0.5 --n 256 --mass 1e-320", cli.EXIT_USAGE,
+    ("oracle --single-band --lambda -1 --target -0.5 --n 256 --mass 1e-308", cli.EXIT_USAGE,
      "bicforge: kinetic scale 1/(2m dx^2) overflows"),
     ("oracle --two-band --lambda -0.5 --g 0 --mu -1 --mass 1e-8 --target 1e-320 --k 20 "
      "--half-width 1e-320 --n 64", cli.EXIT_USAGE,
@@ -828,17 +835,20 @@ def test_kernel_check_overflowing_energy_is_an_error_row():
      "--x-cut 2", cli.EXIT_USAGE, "bicforge: kinetic scale 1/(2m dx^2) underflows to 0"),
     ("delta-bound --two-band --mu -0.5 --g 1e300 --lambda -1", cli.EXIT_USAGE,
      "bicforge: closed-form lambda_critical = -inf is not finite"),
-    ("delta-bound --mu -1e300 --g 1e-320 --b1 -1e300 --b2 -1 --mass 1e-320", cli.EXIT_USAGE,
+    ("delta-bound --mu -1e300 --g 1e-320 --b1 -1e300 --b2 -1 --mass 1e-308", cli.EXIT_USAGE,
      "bicforge: closed-form amp_ratio divides by m <v2|B|v1>, which underflows to 0"),
     ("scan --param gamma --range -1e300:0:1 --gamma 0 --nu 1e-8 --mu 1e-8 --n-points 64 "
      "--mesh-points 2", cli.EXIT_OK, "Error(gamma^2 nu^2 overflows at gamma = -1e+300"),
     ("oracle --two-band --mu -0.5 --g 1e300 --lambda 2 --target 1e300 --n 64 --k 2",
      cli.EXIT_USAGE, "bicforge: the shift-invert factorisation of H - 1e+300 overflows"),
+    ("bic-verify --gamma -1e-8 --nu -0.5 --mu 2 --scale -1e300 --half-width 1 "
+     "--mesh-points 257 --n-points 257", cli.EXIT_USAGE,
+     "bicforge: the potential coupling V(x) B has no finite norm on the grid"),
 ], ids=["soc_window_empty", "scan_soc_window_empty", "single_band_e_b", "two_band_e_b",
         "general_b_e_b", "kernel_check_c0_d0", "oracle_kinetic_inf", "oracle_kinetic_zero_div",
         "soc_bic_radicand", "scan_e_bic_radicand", "oracle_coupling_inf",
         "oracle_kinetic_zero", "lambda_critical", "general_b_amp_ratio",
-        "scan_numpy_scalar_param", "oracle_shift_invert"])
+        "scan_numpy_scalar_param", "oracle_shift_invert", "coupling_norm"])
 def test_overflowing_input_ends_in_one_line(capfd, argv, code, fragment):
     # each ended in a traceback (ValueError, OverflowError, ZeroDivisionError,
     # RuntimeError, ArpackError), printed numpy warning lines before its one

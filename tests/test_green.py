@@ -201,20 +201,8 @@ def test_evanescent_terms_do_not_overflow_on_the_growing_side():
     assert np.allclose(g, -np.exp(-kappa * np.abs(dx)) / kappa, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_adjugates_equal_det_times_inverse(n):
-    from bicforge.green import _adjugates
-    rng = np.random.default_rng(40 + n)
-    m = rng.normal(size=(25, n, n)) + 1j * rng.normal(size=(25, n, n))
-    want = np.linalg.det(m)[:, None, None] * np.linalg.inv(m)
-    got = _adjugates(m)
-    assert got.shape == (25, n, n)
-    scale = np.abs(want).max(axis=(1, 2))
-    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
-
-
 def test_residues_are_annihilated_at_every_pole():
-    # (E - H0(p)) adj(E - H0(p)) = f(p) I vanishes at a root of f
+    # each residue is v w^H with (E - H0(p)) v = 0 at its pole
     rng = np.random.default_rng(3)
 
     def herm():
@@ -233,17 +221,17 @@ def test_residue_green_computes_the_dispersion_polynomial_once(monkeypatch):
     import sys
     from bicforge import spectral
     calls = []
-    coeffs = spectral.dispersion_coeffs_many
+    batched = spectral.poles_many
 
     def counted(*args):
         calls.append(args)
-        return coeffs(*args)
+        return batched(*args)
 
     # count through every module that binds the batched function, which
-    # dispersion_coeffs also calls, not spectral alone
+    # poles also calls, not spectral alone
     for name, mod in list(sys.modules.items()):
-        if name.startswith("bicforge") and getattr(mod, "dispersion_coeffs_many", None) is coeffs:
-            monkeypatch.setattr(mod, "dispersion_coeffs_many", counted)
+        if name.startswith("bicforge") and getattr(mod, "poles_many", None) is batched:
+            monkeypatch.setattr(mod, "poles_many", counted)
     rng = np.random.default_rng(8)
     herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     models = [bf.single_band_model(), bf.two_band_model(mu=0.3, g=1.0),
@@ -272,14 +260,12 @@ BATCH_IDS = ["1-band", "2-band", "2-band-a1", "3-band", "3-band-a1"]
 def test_batch_equals_one_energy_at_a_time(model):
     # bit for bit: the batch shares its linear algebra calls, not its rounding
     energies = list(np.random.default_rng(4).uniform(-2.0, 2.0, 17))
-    coeffs = bf.dispersion_coeffs_many(model, energies)
     kernels = bf.residue_green_many(model, energies)
     tables = bf.evaluate_many(kernels, SEPS, [0], [model.n_bands - 1])
     assert all(t.tobytes() == k.evaluate(SEPS, [0], [model.n_bands - 1]).tobytes()
                for t, k in zip(tables, kernels))
-    for e, c, ps, k in zip(energies, coeffs, bf.poles_many(model, energies), kernels):
+    for e, ps, k in zip(energies, bf.poles_many(model, energies), kernels):
         one = bf.poles(model, e)
-        assert c.tobytes() == bf.dispersion_coeffs(model, e).tobytes()
         assert ps.roots.dtype == one.roots.dtype
         assert ps.roots.tobytes() == one.roots.tobytes()
         assert ps.labels == one.labels and ps.energy == e
@@ -307,3 +293,69 @@ def test_evaluate_many_refuses_kernels_with_unequal_term_counts():
     two = bf.residue_green(bf.two_band_model(mu=0.3, g=1.0), 0.2)
     with pytest.raises(ValueError):
         bf.evaluate_many([one, two], SEPS)
+
+
+# --- accuracy near band edges ----------------------------------------------------
+
+def _worst_relative_errors(kernel, reference):
+    """Largest relative pole and residue errors of kernel against a list of
+    (pole, residue) pairs, each matched to the kernel's nearest pole."""
+    pole_err = res_err = 0.0
+    for p, r in reference:
+        t = min(kernel.terms, key=lambda t: abs(t.pole - p))
+        pole_err = max(pole_err, abs(t.pole - p) / abs(p))
+        res_err = max(res_err, np.abs(t.residue - r).max() / np.abs(r).max())
+    return pole_err, res_err
+
+
+def _eigen_terms(model, e):
+    """Closed-form poles and residues of an a1 = 0 model from eigh(a0) =
+    (eps_j, P_j): p = +/-sqrt(2m(E - eps_j)), residue -(m/p) P_j."""
+    eps, vecs = np.linalg.eigh(model.a0)
+    out = []
+    for eps_j, v in zip(eps, vecs.T):
+        p = complex(np.emath.sqrt(2.0 * model.mass * (e - eps_j)))
+        out += [(s * p, -(model.mass / (s * p)) * np.outer(v, v.conj())) for s in (1, -1)]
+    return out
+
+
+def _random_three_band():
+    q = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+    a0 = (q * np.array([-0.9, 0.1, 0.7])) @ q.T
+    return bf.BandModel(3, 0.8, (a0 + a0.T) / 2.0, np.zeros((3, 3)), np.eye(3))
+
+
+# the near-edge 3-band model of the delta-root regression in test_solver.py
+EDGE_A0 = np.array([[-0.6468507311657, -0.012201502291798737, 0.004573738995202237],
+                    [-0.012201502291798737, -0.6570661189070178, -0.0011665250916461168],
+                    [0.004573738995202237, -0.0011665250916461168, -0.6317577642262803]])
+
+
+@pytest.mark.parametrize("model", [bf.two_band_model(mu=0.3, g=0.7, mass=1.3),
+                                   bf.BandModel(3, 1.0, EDGE_A0, np.zeros((3, 3)), np.eye(3)),
+                                   _random_three_band()],
+                         ids=["2-band", "3-band-edge", "3-band-random"])
+def test_poles_and_residues_near_the_lowest_band_edge(model):
+    # 1e-4 above the edge two poles sit at |p| ~ 0.015. The reference loses
+    # bits of its own in E - eps_j, so the bound is 3e-12 relative; worst
+    # measured 6.3e-13 (3-band-edge), a margin of 4.7x
+    e0 = np.linalg.eigvalsh(model.a0)[0]
+    for d in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1):
+        k = bf.residue_green(model, e0 + d)
+        assert max(_worst_relative_errors(k, _eigen_terms(model, e0 + d))) < 3e-12
+
+
+@pytest.mark.parametrize("gamma, mu, mass", [(0.5, 1.0, 1.0), (0.3, 0.8, 1.5), (0.8, 1.2, 0.7)])
+def test_spin_orbit_poles_and_residues_match_the_closed_forms(gamma, mu, mass):
+    # across the mixed window, 1e-4 from its edges included: 5e-12 relative;
+    # worst measured 1.1e-12, a margin of 4.6x
+    model = bf.soc_model(gamma=gamma, mu=mu, mass=mass)
+    edges = np.array([1e-4, 1e-3, 1e-2, 1e-1])
+    for e in np.concatenate([-mu + edges, np.linspace(-0.9 * mu, 0.9 * mu, 7), mu - edges]):
+        k = bf.residue_green(model, e)
+        closed = bf.soc_kernel(model, e)
+        p_plus, p_minus = bf.soc_poles(gamma, mu, mass, e)
+        for p in (p_plus, -p_plus, p_minus, -p_minus):
+            assert min(abs(t.pole - p) for t in k.terms) < 5e-12 * abs(p)
+        terms = [(t.pole, t.residue) for t in closed.terms]
+        assert max(_worst_relative_errors(k, terms)) < 5e-12

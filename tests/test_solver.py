@@ -742,3 +742,23 @@ def test_no_blas_pools_without_proc_maps(monkeypatch, soc):
         monkeypatch.undo()
         solver._blas_pools.cache_clear()
     assert np.array_equal(vals, expected)
+
+
+@pytest.mark.filterwarnings("ignore:grid half-width")
+def test_near_edge_three_band_kernel_is_smooth_at_its_delta_root():
+    # bench point model seed 1, round 2, model 1: poles at |p| = 0.085, 0.12
+    # and 0.24, where the kernel read noise of about 1e-8 relative and the
+    # solved root missed the closed form by 1.06e-10
+    a0 = np.array([[-0.6468507311657, -0.012201502291798737, 0.004573738995202237],
+                   [-0.012201502291798737, -0.6570661189070178, -0.0011665250916461168],
+                   [0.004573738995202237, -0.0011665250916461168, -0.6317577642262803]])
+    lam, lo, hi = -0.842592, -0.6652568534816713, -0.629536188547783
+    (want,) = _delta_roots(a0, lam, lo, hi)
+    zero = np.zeros((3, 3))
+    model = bf.BandModel(3, 1.0, a0, zero, zero)
+    k00 = [bf.residue_green(model, want + d)(0.0)[0, 0].real
+           for d in (-1e-10, 0.0, 1e-10, 2e-10)]
+    assert np.all(np.diff(k00) < 0)
+    reps = bf.find_energy(model, bf.Grid.symmetric(40.0, 2049), [bf.Delta(lam), None, None],
+                          lo, hi, mesh_points=48)
+    assert [abs(r.energy - want) < 1e-12 for r in reps] == [True]
