@@ -34,8 +34,9 @@ direct path instead: the dense form of the same operator (support_matrix).
 
 ARPACK runs with every OpenBLAS thread pool in the process at one thread
 (_serial_blas), and each pool gets its count back afterwards. A solve at
-k=3 and n = 1024-4096 takes about 21 matvecs, and the BLAS vector work
-between them is too small to split. On 2 vCPUs one eigs(k=3) took as long
+k=3 and n = 1024-4096 takes about 21 matvecs from the flat start and 9-16
+from a warm one (see below), and the BLAS vector work between them is too
+small to split. On 2 vCPUs one eigs(k=3) took as long
 either way (3.0-3.9 ms at n=1024, 8.2-12.6 ms at 4096), but threaded it
 used twice its wall time in CPU: the pool's worker spins on the second CPU.
 Two processes that each ran six bench `arnoldi` rounds at once took 44 s
@@ -52,13 +53,26 @@ points at n = 2048 and 4096, and its delta models 512-587 at n = 2049.
 Refinement starts where the mesh already is (_mesh_seed): at the root
 inside the bracket of the cubic through up to four mesh values about it,
 with a Newton step on that cubic's slope, then secant steps. A step that
-leaves the mesh bracket widened by one mesh step bisects instead; a guard
-on the last two points, which may lie 1e-8 apart, would bisect forever.
+leaves the mesh bracket widened by one mesh step, and cut to the energy
+window, bisects instead, so no probe and no root lies outside the window;
+a guard on the last two points, which may lie 1e-8 apart, would bisect
+forever.
 The start and the slope are rounded to 20 bits, so that the last bits of
 the mesh values (a shared mesh row reads s * lambda_base, a row alone
 lambda(s V)) never reach the fine solve. In the README's 41-row scale
 scan a bracket takes 3.3 fine eigensolves on average, where starting from
 both of its ends took 6.1, and the scan makes 263 eigs calls, not 420.
+
+The fine probes of one bracket lie at most a mesh step apart, most far
+closer, so each hands its Ritz vectors to the next (eigenvector
+continuation). The bracket's first probe starts ARPACK flat; every later
+secant probe, and the bracket's solve_state, starts its first pass from
+the normalised sum of the previous probe's FIRST_PASS_K Ritz vectors on a
+factorization of WARM_NCV vectors, not ARPACK's default 20. A warm pass
+that fails to converge or to certify reruns flat, as any first pass does.
+The 41-row scan's 263 eigs calls take 3,917 matvecs, not 5,523, with a
+byte-identical CSV. Mesh probes keep the flat start: a warm chain along
+the mesh would save a further 9% of its matvecs but move its values' bits.
 
 At strength s the map of Scaled(base, s) is s times the map of base, so its
 spectrum is s times base's. Inside a shared_mesh block (every
@@ -348,6 +362,10 @@ DIRECT_SUPPORT_LIMIT = 512
 # Eigenvalues the first Arnoldi pass asks for: so few converge within
 # ARPACK's default 20-vector factorization.
 FIRST_PASS_K = 3
+# Factorization size of a first pass that starts from the previous fine
+# probe's Ritz vectors (see _near_one): such a start already lies near the
+# answer, so it converges in about 12 matvecs where a flat one takes 21.
+WARM_NCV = 8
 
 
 @functools.cache
@@ -407,22 +425,27 @@ def _serial_blas():
                     put(n)
 
 
-def _arnoldi(op: _ConvMap, k: int, want_vectors: bool):
+def _arnoldi(op: _ConvMap, k: int, want_vectors: bool, v0: np.ndarray | None = None):
     """The k eigenvalues of largest modulus, their eigenvectors if asked for
     (else None), and whether ARPACK converged: a run that did not returns
-    the eigenvalues that did. Each set is solved once and kept on op, so
-    the rows that share a mesh operator share its sets."""
-    key = (k, want_vectors)
+    the eigenvalues that did. Without v0 the run starts flat on ARPACK's
+    default factorization; a warm start v0 takes WARM_NCV vectors. Each set
+    is solved once and kept on op, so the rows that share a mesh operator
+    share its sets."""
+    key = (k, want_vectors, v0 is None)
     if key not in op.sets:
-        # deterministic Arnoldi start: B applied to the full map's flat vector,
-        # so the Krylov spaces are B times the full map's; flat where B kills it
         dim = op.shape[0]
-        v0 = op.coupling.psi.sum(axis=2).reshape(-1)
-        norm = np.linalg.norm(v0)
-        v0 = v0 / norm if norm > 0 else np.full(dim, 1.0 / np.sqrt(dim))
+        ncv = None if v0 is None else min(WARM_NCV, dim)
+        if v0 is None:
+            # deterministic Arnoldi start: B applied to the full map's flat
+            # vector, so the Krylov spaces are B times the full map's; flat
+            # where B kills it
+            v0 = op.coupling.psi.sum(axis=2).reshape(-1)
+            norm = np.linalg.norm(v0)
+            v0 = v0 / norm if norm > 0 else np.full(dim, 1.0 / np.sqrt(dim))
         try:
             with _serial_blas():
-                out = eigs(op, k=k, which="LM", v0=v0, tol=1e-11,
+                out = eigs(op, k=k, which="LM", v0=v0, ncv=ncv, tol=1e-11,
                            return_eigenvectors=want_vectors)
             op.sets[key] = (*out, True) if want_vectors else (out, None, True)
         except ArpackNoConvergence as exc:
@@ -430,7 +453,8 @@ def _arnoldi(op: _ConvMap, k: int, want_vectors: bool):
     return op.sets[key]
 
 
-def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0):
+def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0,
+              chain: list | None = None):
     """Eigenvalue nearest 1 of s times op, its eigenvector on the coupled
     subspace (None unless asked for, or for lambda = 0), and the number of
     eigenvalues with Re(lambda) > 1, or None where it is unknown. The
@@ -449,7 +473,14 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0):
     they certify the answer: the one nearest 1 lies closer than 1 - m, where
     m < 1 is their smallest modulus and 1 - m the least distance from 1 of
     any eigenvalue not returned, so the pick and the count are those of any
-    larger k. Otherwise, or if that pass fails, it reruns with k.
+    larger k. Otherwise, or if that pass fails, it reruns with k from the
+    flat start.
+
+    chain carries a warm start from one fine probe of a find_energy bracket
+    to the next: empty, the first pass starts flat; holding a vector, it
+    starts there on WARM_NCV vectors (_arnoldi). A converged first pass
+    leaves the normalised sum of its Ritz vectors in chain for the next
+    probe. None, the default, starts flat and keeps nothing.
     """
     def scaled(vals):
         return vals if s == 1.0 or vals is None else s * vals
@@ -473,7 +504,11 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0):
         complete = False
         if FIRST_PASS_K < k:
             try:
-                vals, vecs, converged = _arnoldi(op, FIRST_PASS_K, want_vectors)
+                vals, vecs, converged = _arnoldi(
+                    op, FIRST_PASS_K, want_vectors or chain is not None, chain[0] if chain else None)
+                if chain is not None and converged:
+                    start = vecs.sum(axis=1)
+                    chain[:] = [start / np.linalg.norm(start)]
                 vals = scaled(vals)
                 complete = converged and bool(
                     np.abs(vals - 1.0).min() < 1.0 - np.abs(vals).min())
@@ -508,8 +543,15 @@ def solve_state(model: BandModel, energy: float, grid: Grid,
     The state is rescaled so its peak channel amplitude is 1 and its global
     phase makes the peak real; fixed_point_residual = |psi - M psi|/|psi|.
     """
-    op = _ConvMap(model, energy, grid, potential)
-    lam, w, _ = _near_one(op, STATE_K, want_vectors=True)
+    return _solve_state(model, energy, grid, potential)
+
+
+def _solve_state(model: BandModel, energy: float, grid: Grid, potential,
+                 coupling: _Coupling | None = None, chain: list | None = None) -> SolveReport:
+    """solve_state on the grid's prebuilt coupling (None to build it), its
+    first Arnoldi pass warm-started from a bracket's chain (see _near_one)."""
+    op = _ConvMap(model, energy, grid, potential, coupling)
+    lam, w, _ = _near_one(op, STATE_K, True, chain=chain)
     if abs(lam - 1.0) > ACCEPT_EIG_DISTANCE:
         raise NoNearUnitEigenvalue(
             f"nearest map eigenvalue {lam:.6g} is {abs(lam - 1):.3g} away from 1",
@@ -522,11 +564,12 @@ def solve_state(model: BandModel, energy: float, grid: Grid,
                        fixed_point_residual=float(resid))
 
 
-def _branch_value(model: BandModel, energy: float, grid: Grid,
-                  potential, coupling: _Coupling) -> tuple[complex, int | None]:
-    """Eigenvalue nearest 1 and the count of eigenvalues with Re > 1 (or None)."""
+def _branch_value(model: BandModel, energy: float, grid: Grid, potential,
+                  coupling: _Coupling, chain: list | None = None) -> tuple[complex, int | None]:
+    """Eigenvalue nearest 1 and the count of eigenvalues with Re > 1 (or None);
+    chain is a find_energy bracket's warm start (see _near_one)."""
     op = _ConvMap(model, energy, grid, potential, coupling)
-    lam, _, above = _near_one(op, MESH_K, want_vectors=False)
+    lam, _, above = _near_one(op, MESH_K, False, chain=chain)
     return lam, above
 
 
@@ -681,7 +724,9 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     The mesh phase runs on the coarsest grid that resolves the mesh
     (_resolving_grid), refinement always on grid. Refinement starts at the
     mesh's own root in the bracket, rounded so that the mesh values' last
-    bits do not reach it (_mesh_seed), and ends at a step under REFINE_TOL.
+    bits do not reach it (_mesh_seed), and ends at a step under REFINE_TOL;
+    every fine probe lies inside [e_lo, e_hi], and each after a bracket's
+    first starts Arnoldi from the previous one's Ritz vectors (_near_one).
     Returns every converged solution, ordered by energy; solutions within
     REFINE_TOL of each other are one root, reported once.
 
@@ -710,8 +755,10 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
     h = [float(lam.real) - 1.0 for lam, _ in values]
     above = [count for _, count in values]
 
+    chain = []  # the warm start of the bracket's next fine probe (see _near_one)
+
     def fine(e: float) -> float:
-        return float(_branch_value(model, e, grid, potential, fine_coupling)[0].real) - 1.0
+        return float(_branch_value(model, e, grid, potential, fine_coupling, chain)[0].real) - 1.0
 
     reports = []
     brackets = switches = stalls = high_residual = 0
@@ -725,7 +772,9 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
             switches += 1
             continue
         ea, eb = float(energies[i]), float(energies[i + 1])
-        lo, hi = 2.0 * ea - eb, 2.0 * eb - ea  # the mesh bracket widened by a step
+        # the mesh bracket widened by a step, inside the window
+        lo, hi = max(2.0 * ea - eb, e_lo), min(2.0 * eb - ea, e_hi)
+        chain.clear()  # the bracket's first fine probe starts flat
         e, slope = _mesh_seed(energies, h, i)
         # a Newton step with the mesh slope, then secant steps; ea, the mesh
         # end farther from the start, is where a first bisection would head
@@ -748,7 +797,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
             stalls += 1
             continue
         try:
-            rep = solve_state(model, eb, grid, potential)
+            rep = _solve_state(model, eb, grid, potential, fine_coupling, chain)
         except NoNearUnitEigenvalue as exc:
             rejected.append(exc.distance)
             continue

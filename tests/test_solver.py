@@ -392,7 +392,7 @@ def test_root_on_a_mesh_point_is_reported_once(monkeypatch):
         (complex(1.0 + (e - 0.25)), None) for e in es])
     monkeypatch.setattr(solver, "_branch_value",
                         lambda model, e, *a: (complex(1.0 + (e - 0.25)), None))
-    monkeypatch.setattr(solver, "solve_state", lambda model, e, *a, **kw: solver.SolveReport(
+    monkeypatch.setattr(solver, "_solve_state", lambda model, e, *a, **kw: solver.SolveReport(
         energy=float(e), operator_eigenvalue=1.0, state=None, fixed_point_residual=0.0))
     model = bf.single_band_model(lam=-1.0)
     reps = bf.find_energy(model, bf.Grid.symmetric(20.0, 256), UNIT_DELTA, 0.0, 1.0,
@@ -415,7 +415,7 @@ def _refine(monkeypatch, mesh_h, fine_h, mesh_points):
     monkeypatch.setattr(solver, "_mesh_branch_values", lambda model, es, *a: [
         (complex(1.0 + mesh_h(e)), None) for e in es])
     monkeypatch.setattr(solver, "_branch_value", fine)
-    monkeypatch.setattr(solver, "solve_state", lambda model, e, *a, **kw: solver.SolveReport(
+    monkeypatch.setattr(solver, "_solve_state", lambda model, e, *a, **kw: solver.SolveReport(
         energy=float(e), operator_eigenvalue=1.0, state=None, fixed_point_residual=0.0))
     reps = bf.find_energy(bf.single_band_model(lam=-1.0), bf.Grid.symmetric(20.0, 256),
                           UNIT_DELTA, 0.0, 1.0, mesh_points=mesh_points)
@@ -762,3 +762,116 @@ def test_near_edge_three_band_kernel_is_smooth_at_its_delta_root():
     reps = bf.find_energy(model, bf.Grid.symmetric(40.0, 2049), [bf.Delta(lam), None, None],
                           lo, hi, mesh_points=48)
     assert [abs(r.energy - want) < 1e-12 for r in reps] == [True]
+
+
+@pytest.mark.filterwarnings("ignore:grid half-width")
+def test_secant_stays_inside_the_energy_window():
+    # bench point model seed 24, round 14, model 1: the bracket widened by a
+    # mesh step reached below the window's lower end, and the secant reported
+    # a root at -0.5338, below every band
+    a0 = np.array([[0.6291782586413265, 0.5691978592932316, 0.2172238808654517],
+                   [0.5691978592932316, -0.23720143326423399, 0.10964124645115308],
+                   [0.2172238808654517, 0.10964124645115308, -0.4799197169272888]])
+    lam, lo, hi = -0.585321, -0.5221313318336042, 0.9524594470538853
+    zero = np.zeros((3, 3))
+    model = bf.BandModel(3, 1.0, a0, zero, zero)
+    reps = bf.find_energy(model, bf.Grid.symmetric(40.0, 2049), [bf.Delta(lam), None, None],
+                          lo, hi, mesh_points=48)
+    assert [r.energy for r in reps] == [pytest.approx(0.848351223247338, abs=1e-10)]
+    assert _delta_roots(a0, lam, lo, hi) == [pytest.approx(0.848351223247338, abs=1e-12)]
+    assert all(lo <= r.energy <= hi for r in reps)
+
+
+# --- warm starts along a bracket's secant chain ------------------------------
+
+def _eigs_log(monkeypatch, fake=None):
+    """Patch solver.eigs to record (op, k, warm, matvecs) per call, warm
+    meaning a WARM_NCV factorization; fake(k, warm), where given, answers
+    instead of ARPACK with eigenvalues, and unit vectors where asked for."""
+    calls, eigs = [], solver.eigs
+
+    def recorded(op, k, **kwargs):
+        warm = kwargs.get("ncv") is not None
+        if fake is not None:
+            calls.append((op, k, warm, 0))
+            vals = fake(k, warm)
+            vecs = np.eye(op.shape[0], len(vals), dtype=complex)
+            return (vals, vecs) if kwargs["return_eigenvectors"] else vals
+        count, matvec = [0], op._matvec
+        op._matvec = lambda u: count.__setitem__(0, count[0] + 1) or matvec(u)
+        try:
+            return eigs(op, k=k, **kwargs)
+        finally:
+            del op._matvec
+            calls.append((op, k, warm, count[0]))
+
+    monkeypatch.setattr(solver, "eigs", recorded)
+    return calls
+
+
+def test_warm_probes_take_fewer_matvecs_than_a_flat_start(monkeypatch, soc, e_bic):
+    # bic-verify's rescaled window: each refined bracket's first fine probe
+    # starts flat, its later secant probes and its state solve start warm
+    grid = bf.Grid.symmetric(30.0, 2048)
+    calls = _eigs_log(monkeypatch)
+    seeds, seed = [], solver._mesh_seed
+    monkeypatch.setattr(solver, "_mesh_seed", lambda *a: seeds.append(a[2]) or seed(*a))
+    lo, hi = _scaled_window(e_bic)
+    reps = bf.find_energy(soc, grid, SCALED_WELL, lo, hi, mesh_points=48)
+    assert [r.energy for r in reps] == [pytest.approx(0.72998, abs=5e-4)]
+    mesh = [c for c in calls if c[0].grid is not grid]
+    fine = [c for c in calls if c[0].grid is grid]
+    assert mesh and not any(warm for _, _, warm, _ in mesh)
+    assert fine[0][2] is False
+    assert sum(not warm for _, _, warm, _ in fine) == len(seeds)
+    warm = [matvecs for _, _, w, matvecs in fine if w]
+    flat = [matvecs for _, _, w, matvecs in fine if not w]
+    assert len(warm) >= 2 * len(seeds)   # a secant probe and the state each
+    assert max(warm) <= 16 < 21 <= min(flat)
+    assert {k for _, k, _, _ in calls} == {solver.FIRST_PASS_K}
+
+
+@pytest.mark.parametrize("state", [False, True])
+@pytest.mark.parametrize("outcome", ["no_convergence", "not_certified"])
+def test_warm_pass_falls_back_to_the_flat_run(monkeypatch, soc, outcome, state):
+    # a warm first pass that does not converge, or does not certify, reruns
+    # from the flat start with MESH_K (a secant probe) or STATE_K (the state)
+    from scipy.sparse.linalg import ArpackNoConvergence
+    grid = bf.Grid.symmetric(30.0, 512)
+    coupling = solver._coupling(soc, grid, SCALED_WELL)
+    full = np.array([3.0, 2.5, 1.2, 0.9, 0.6, 0.2])
+
+    def fake(k, warm):
+        if not warm:
+            return full
+        if outcome == "no_convergence":
+            raise ArpackNoConvergence("not converged", np.array([3.0]), None)
+        return np.array([3.0, 2.5, 0.6])
+
+    calls = _eigs_log(monkeypatch, fake)
+    dim = coupling.support.size * coupling.rows.size
+    chain = [np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)]
+    if state:
+        rep = solver._solve_state(soc, 0.8, grid, SCALED_WELL, coupling, chain)
+        lam, k = rep.operator_eigenvalue, solver.STATE_K
+    else:
+        lam, _ = solver._branch_value(soc, 0.8, grid, SCALED_WELL, coupling, chain)
+        k = solver.MESH_K
+    assert [(k_, warm) for _, k_, warm, _ in calls] == [(solver.FIRST_PASS_K, True), (k, False)]
+    assert lam == 0.9
+
+
+def test_warm_start_keeps_the_roots(monkeypatch, soc, socbic_pot, e_bic):
+    # the same roots, within REFINE_TOL, with every fine probe started flat
+    grid = bf.Grid.symmetric(30.0, 2048)
+    lo, hi = _scaled_window(e_bic)
+    wells = [(SCALED_WELL, lo, hi), (socbic_pot, e_bic - 0.3, min(e_bic + 0.2, 0.98))]
+    warm = [[r.energy for r in bf.find_energy(soc, grid, pot, a, b, mesh_points=48)]
+            for pot, a, b in wells]
+    near_one = solver._near_one
+    monkeypatch.setattr(solver, "_near_one", lambda op, k, vectors, s=1.0, chain=None:
+                        near_one(op, k, vectors, s))
+    flat = [[r.energy for r in bf.find_energy(soc, grid, pot, a, b, mesh_points=48)]
+            for pot, a, b in wells]
+    assert [len(roots) for roots in warm] == [len(roots) for roots in flat] == [1, 1]
+    assert np.abs(np.subtract(warm, flat)).max() < solver.REFINE_TOL
