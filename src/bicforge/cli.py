@@ -27,7 +27,7 @@ from .errors import (BicforgeError, CheckFailure, DegeneratePoles, ModelError,
                      NoBoundState, NoNearUnitEigenvalue, NoSolutionInRange, ResourceLimit)
 from .green import (apply_inverse_operator, constantA_kernel, derivative_jump, residue_green,
                     soc_kernel)
-from .grids import MIN_POINTS, Grid
+from .grids import MIN_POINTS, Grid, warns_coverage_once
 from .models import (BandModel, general_b_model, load_model, sigma_y, single_band_model,
                      soc_model, two_band_model)
 from .potentials import Delta, Scaled, SocBic, e_bic_analytic, spec_from_dict
@@ -216,6 +216,7 @@ def _decode_potentials(docs: list, base_dir: Path) -> list:
         raise ModelError(f"bad potential entry: {exc}") from exc
 
 
+@warns_coverage_once  # once for its find_energy and classify calls
 def _cmd_bic_verify(args) -> int:
     grid = _checked_grid(args.half_width, args.n_points)
     if args.mesh_points is None:

@@ -36,7 +36,7 @@ import scipy.fft  # by module: a bound `fft` is traced as solver.fft (bench/trac
 
 from .errors import BicforgeError, GridTooCoarse, WindowTooShort
 from .green import GreenKernel, residue_green
-from .grids import Grid, SpinorField
+from .grids import Grid, SpinorField, record_coverage
 from .models import BandModel
 from .potentials import PotentialSpec, coupling_terms, sample_potential
 from .solver import find_energy, shared_mesh
@@ -278,7 +278,8 @@ def classify(model: BandModel, state: SpinorField,
     A single spec couples through the model's B matrix; a per-channel list
     diag(V_1, ..., V_N) couples channel by channel. The source and the
     kernel are built once: the signed real poles come from the kernel's
-    terms.
+    terms. The verdict reads the state's tail, so the kernel's decay rate
+    joins the coverage warning of the call in flight (bic-verify's), if any.
     """
     region = classify_region(model, energy)
     if region.tag is not RegionTag.MIXED:
@@ -293,6 +294,7 @@ def classify(model: BandModel, state: SpinorField,
 
     grid = state.grid
     kernel = residue_green(model, energy)
+    record_coverage(grid, kernel.decay_rate)
     signed_poles = kernel.real_momenta
     pos_poles = np.array(sorted({abs(p) for p in signed_poles}))
     projectors = _standing_projectors(model, kernel)

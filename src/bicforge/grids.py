@@ -1,6 +1,9 @@
 """Uniform symmetric grids and sampled N-component wave functions."""
 from __future__ import annotations
 
+import functools
+import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,3 +83,40 @@ class SpinorField:
 
     def peak_amplitude(self) -> float:
         return float(np.abs(self.values).max())
+
+
+# (half-width, decay rate) of every record_coverage inside the outermost
+# warns_coverage_once call in flight, which warns once for all of them
+_COVERAGE: ContextVar[list | None] = ContextVar("coverage", default=None)
+
+
+def record_coverage(grid: Grid, rate: float) -> None:
+    """Note that a result read on grid depends on something that decays at
+    rate; a no-op outside a warns_coverage_once call."""
+    seen = _COVERAGE.get()
+    if seen is not None:
+        seen.append((grid.x_max, rate))
+
+
+def warns_coverage_once(fn):
+    """Warn at most once per call of fn, nested calls included, when a rate
+    recorded inside it spans more than a tenth of its grid's half-width; the
+    warning quotes the slowest rate seen."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _COVERAGE.get() is not None:
+            return fn(*args, **kwargs)
+        seen = []
+        token = _COVERAGE.set(seen)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _COVERAGE.reset(token)
+            if seen:
+                x_max, slowest = min(seen, key=lambda s: s[0] * s[1])
+                if np.isfinite(slowest) and x_max * slowest < 10.0:
+                    warnings.warn(f"grid half-width {x_max:g} is under 10 decay "
+                                  f"lengths (rate {slowest:g})", stacklevel=2)
+
+    return wrapper

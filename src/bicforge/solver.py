@@ -24,19 +24,22 @@ with K[:, R], the lift, gives back both the eigenvector v = A w / lambda of
 an eigenvector w of BA and the full map M v = A (B v) for the residual. A
 dense B keeps R = C = every channel and S every site where V is nonzero.
 
-Each Arnoldi eigensolve first asks ARPACK for the 3 eigenvalues of largest
+Each Arnoldi eigensolve first asks for the 3 eigenvalues of largest
 modulus. That set certifies the answer when its eigenvalue nearest 1 lies
 closer than 1 - m, m being its smallest modulus (so m < 1): every eigenvalue
 not returned has modulus at most m, so it is farther from 1 and has Re < 1.
 Otherwise the solve reruns with MESH_K eigenvalues on the energy mesh and in
 the secant steps, or STATE_K for the final state. A small support takes the
 direct path instead: the dense form of the same operator (support_matrix).
+On the mesh that first pass is one lockstep batch over the mesh energies
+(_solve_mesh_arnoldi, below); everywhere else, and for every mesh energy
+the batch leaves, it is one ARPACK call.
 
-ARPACK runs with every OpenBLAS thread pool in the process at one thread
-(_serial_blas), and each pool gets its count back afterwards. A solve at
-k=3 and n = 1024-4096 takes about 21 matvecs from the flat start and 9-16
-from a warm one (see below), and the BLAS vector work between them is too
-small to split. On 2 vCPUs one eigs(k=3) took as long
+ARPACK, and the mesh batch, run with every OpenBLAS thread pool in the
+process at one thread (_serial_blas), and each pool gets its count back
+afterwards. A solve at k=3 and n = 1024-4096 takes about 21 matvecs from
+the flat start and 9-16 from a warm one (see below), and the BLAS vector
+work between them is too small to split. On 2 vCPUs one eigs(k=3) took as long
 either way (3.0-3.9 ms at n=1024, 8.2-12.6 ms at 4096), but threaded it
 used twice its wall time in CPU: the pool's worker spins on the second CPU.
 Two processes that each ran six bench `arnoldi` rounds at once took 44 s
@@ -61,7 +64,7 @@ The start and the slope are rounded to 20 bits, so that the last bits of
 the mesh values (a shared mesh row reads s * lambda_base, a row alone
 lambda(s V)) never reach the fine solve. In the README's 41-row scale
 scan a bracket takes 3.3 fine eigensolves on average, where starting from
-both of its ends took 6.1, and the scan makes 263 eigs calls, not 420.
+both of its ends took 6.1, and the scan makes 263 eigensolves, not 420.
 
 The fine probes of one bracket lie at most a mesh step apart, most far
 closer, so each hands its Ritz vectors to the next (eigenvector
@@ -70,7 +73,7 @@ secant probe, and the bracket's solve_state, starts its first pass from
 the normalised sum of the previous probe's FIRST_PASS_K Ritz vectors on a
 factorization of WARM_NCV vectors, not ARPACK's default 20. A warm pass
 that fails to converge or to certify reruns flat, as any first pass does.
-The 41-row scan's 263 eigs calls take 3,917 matvecs, not 5,523, with a
+The 41-row scan's fine eigs calls took 3,413 matvecs, not 5,019, with a
 byte-identical CSV. Mesh probes keep the flat start: a warm chain along
 the mesh would save a further 9% of its matvecs but move its values' bits.
 
@@ -87,15 +90,25 @@ operator, so every result keeps its bits.
 The mesh is built as one batch (_mesh_branch_values): one
 residue_green_many gives the kernels of every mesh energy (_mesh_kernels);
 on the direct path one evaluate_many gives their tables, and stacked
-eigvals calls their eigenvalues (_solve_direct). Every mesh energy keeps
-the bits of its own probe, and the first one that fails raises as probing
-one energy at a time would. Secant steps and solve_state build one kernel
-at a time.
+eigvals calls their eigenvalues (_solve_direct), each energy with the bits
+of its own probe. On the Arnoldi path the first passes run as one lockstep
+Arnoldi over the mesh energies (_solve_mesh_arnoldi): on the 512-point mesh
+grid ARPACK's fixed cost per call is most of a probe's cost, and the batch
+shares every step. An energy the batch does not converge runs ARPACK as
+before. The first mesh energy that fails raises as probing one energy at a
+time would. Secant steps and solve_state build one kernel at a time.
 
-Grid coverage is recorded when an operator's eigenvalues are read
-(_near_one), so an operator read again, a shared mesh operator included,
-counts again; an operator without support, the zero map, reads no kernel
-and records none.
+Grid coverage is recorded where a result reads something that decays
+(grids.warns_coverage_once). An eigenvalue read (_near_one) records the
+potential's decay: the map on the support reads the kernel at support
+separations only, so a mesh eigenvalue does not move with the half-width
+at equal dx. An operator read again, a shared mesh operator included,
+counts again; an operator without support, the zero map, records none.
+The kernel's own rate is recorded where a state's tail past the grid
+matters: where a state is lifted to the full grid (_solve_state, so
+solve_state and every root find_energy returns), by criterion.classify,
+which fits the tail, and by assemble_map, whose matrix maps full-grid
+states.
 
 Every form of the map reads one table of kernel samples, K at the grid
 separations dx*d (_kernel_samples): the dense support_matrix and the FFT
@@ -109,7 +122,6 @@ import contextlib
 import ctypes
 import functools
 import threading
-import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,7 +135,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 from .errors import (DegeneratePoles, GridTooCoarse, ModelError, NoNearUnitEigenvalue,
                      NoSolutionInRange)
 from .green import GreenKernel, evaluate_many, residue_green, residue_green_many
-from .grids import Grid, SpinorField
+from .grids import Grid, SpinorField, record_coverage, warns_coverage_once
 from .models import BandModel
 from .potentials import PotentialSpec, Scaled, coupling_terms, decay_scale, sample_potential
 
@@ -193,42 +205,6 @@ def _check_grid(kernel: GreenKernel, grid: Grid) -> GreenKernel:
     return kernel
 
 
-# (half-width, slowest decay rate) at every read of an operator's eigenvalues
-# and every assemble_map inside the outermost public call in flight, which
-# warns once for all of them
-_COVERAGE: ContextVar[list | None] = ContextVar("coverage", default=None)
-
-
-def _record_coverage(grid: Grid, kernel: GreenKernel, coupling: _Coupling) -> None:
-    seen = _COVERAGE.get()
-    if seen is not None:
-        seen.append((grid.x_max, min(kernel.decay_rate, coupling.decay)))
-
-
-def _warns_coverage_once(fn):
-    """Warn at most once per call of fn, nested public calls included, when
-    a kernel or potential it met decays over more than a tenth of the grid
-    half-width; the warning quotes the slowest rate seen."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if _COVERAGE.get() is not None:
-            return fn(*args, **kwargs)
-        seen = []
-        token = _COVERAGE.set(seen)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _COVERAGE.reset(token)
-            if seen:
-                x_max, slowest = min(seen, key=lambda s: s[0] * s[1])
-                if np.isfinite(slowest) and x_max * slowest < 10.0:
-                    warnings.warn(f"grid half-width {x_max:g} is under 10 decay "
-                                  f"lengths (rate {slowest:g})", stacklevel=2)
-
-    return wrapper
-
-
 def _kernel_samples(kernels: list[GreenKernel], n: int, dx: float, rows=None,
                     cols=None) -> np.ndarray:
     """Each kernel's blocks at the separations of n sites, index
@@ -237,22 +213,27 @@ def _kernel_samples(kernels: list[GreenKernel], n: int, dx: float, rows=None,
 
 
 def _convolve(kf: np.ndarray, m: int, sites: np.ndarray | slice, u: np.ndarray) -> np.ndarray:
-    """Sum_j K(x_i - x_j) u_j at all i of a range of m sites, for a source u
-    of shape (len(sites), channels) at the given offsets into that range;
-    kf is the FFT of _kernel_samples on m sites."""
-    src = np.zeros((kf.shape[0], u.shape[1]), dtype=complex)
-    src[sites] = u
-    uf = fft(src, axis=0, overwrite_x=True)
-    yf = np.einsum("dab,db->da", kf, uf)
-    return ifft(yf, axis=0, overwrite_x=True)[m - 1:2 * m - 1]
+    """Sum_j K(x_i - x_j) u_j at all i of a range of m sites, shape
+    (..., C, m), for sources u of shape (..., channels, len(sites)) at the
+    given offsets into that range; kf (..., C, channels, separation) is
+    _sample_fft on m sites. Leading axes are a batch of kernels."""
+    src = np.zeros(u.shape[:-1] + kf.shape[-1:], dtype=complex)
+    src[..., sites] = u
+    uf = fft(src, axis=-1, overwrite_x=True)
+    yf = np.einsum("...abd,...bd->...ad", kf, uf)
+    return ifft(yf, axis=-1, overwrite_x=True)[..., m - 1:2 * m - 1]
 
 
-def _sample_fft(kernel: GreenKernel, n: int, dx: float, rows=None, cols=None) -> np.ndarray:
-    return fft(_kernel_samples([kernel], n, dx, rows, cols)[0], n=next_fast_len(2 * n - 1),
-               axis=0)
+def _sample_fft(kernels: list[GreenKernel], n: int, dx: float, rows=None,
+                cols=None) -> np.ndarray:
+    """The FFT of each kernel's _kernel_samples on n sites, index (kernel,
+    C, R, separation), each transform contiguous."""
+    samples = _kernel_samples(kernels, n, dx, rows, cols)
+    return fft(np.ascontiguousarray(samples.transpose(0, 2, 3, 1)),
+               n=next_fast_len(2 * n - 1), axis=-1)
 
 
-@_warns_coverage_once
+@warns_coverage_once
 def assemble_map(model: BandModel, energy: float, grid: Grid,
                  potential: PotentialSpec | Sequence) -> np.ndarray:
     """Dense (nN x nN) matrix of the discretized self-consistency map.
@@ -262,7 +243,7 @@ def assemble_map(model: BandModel, energy: float, grid: Grid,
     """
     kernel = _check_grid(residue_green(model, energy), grid)
     coupling = _coupling(model, grid, potential)
-    _record_coverage(grid, kernel, coupling)
+    record_coverage(grid, min(kernel.decay_rate, coupling.decay))
     n, nb = grid.n_points, model.n_bands
     samples = _kernel_samples([kernel], n, grid.dx)[0]
     idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
@@ -316,12 +297,22 @@ class _ConvMap(LinearOperator):
         """FFT of K[C, R] across the support's span, taken at the first
         matvec: the direct path probes the mesh without convolving at all."""
         c = self.coupling
-        return _sample_fft(self.kernel, self._span, self.grid.dx, c.cols, c.rows)
+        return _sample_fft([self.kernel], self._span, self.grid.dx, c.cols, c.rows)[0]
 
     def _matvec(self, u: np.ndarray) -> np.ndarray:
-        c = self.coupling
-        y = _convolve(self._kf, self._span, self._at, u.reshape(-1, c.rows.size))
-        return np.einsum("jrc,jc->jr", c.psi, y[self._at]).reshape(-1)
+        return self._apply(self._kf, u.reshape(-1))  # LinearOperator may pass a column
+
+    def _apply(self, kf: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The matvec of u (..., sites x R) on the kernel transforms kf
+        (..., C, R, separation): leading axes are a batch of energies."""
+        y = _convolve(kf, self._span, self._at, self._source(u))
+        w = np.einsum("jrc,...cj->...jr", self.coupling.psi, y[..., self._at])
+        return w.reshape(u.shape)
+
+    def _source(self, u: np.ndarray) -> np.ndarray:
+        """Vectors on the coupled subspace, (..., sites x R), as _convolve's
+        sources (..., R, sites)."""
+        return np.swapaxes(u.reshape(u.shape[:-1] + (-1, self.coupling.rows.size)), -1, -2)
 
     def support_matrix(self, samples: np.ndarray | None = None) -> np.ndarray:
         """Dense form of this operator,
@@ -340,19 +331,19 @@ class _ConvMap(LinearOperator):
         """K[:, R] applied to a source w on the coupled subspace, on the full
         grid: lift(w) / lambda is the map's eigenvector for an eigenvector w
         of this operator, and lift of the restriction is the full map."""
-        u = w.reshape(-1, self.coupling.rows.size)
-        return _convolve(self._lift_kf, self.grid.n_points, self.support, u).reshape(-1)
+        y = _convolve(self._lift_kf, self.grid.n_points, self.support, self._source(w))
+        return y.T.reshape(-1)
 
     @cached_property
     def _lift_kf(self) -> np.ndarray:
-        return _sample_fft(self.kernel, self.grid.n_points, self.grid.dx,
-                           np.arange(self.n_bands), self.coupling.rows)
+        return _sample_fft([self.kernel], self.grid.n_points, self.grid.dx,
+                           np.arange(self.n_bands), self.coupling.rows)[0]
 
     def full_matvec(self, v: np.ndarray) -> np.ndarray:
         """The full (nN) map applied to v: the lift of psi_j v_j[C]."""
         c = self.coupling
         vs = v.reshape(self.grid.n_points, self.n_bands)[np.ix_(self.support, c.cols)]
-        return self.lift(np.einsum("jrc,jc->jr", c.psi, vs))
+        return self.lift(np.einsum("jrc,jc->jr", c.psi, vs).reshape(-1))
 
 
 # Potential support (sites x channels) small enough for a direct dense eig.
@@ -425,24 +416,28 @@ def _serial_blas():
                     put(n)
 
 
+def _flat_start(op: _ConvMap) -> np.ndarray:
+    """The deterministic Arnoldi start: B applied to the full map's flat
+    vector, so the Krylov spaces are B times the full map's; flat where B
+    kills it."""
+    v0 = op.coupling.psi.sum(axis=2).reshape(-1)
+    norm = np.linalg.norm(v0)
+    return v0 / norm if norm > 0 else np.full(op.shape[0], 1.0 / np.sqrt(op.shape[0]))
+
+
 def _arnoldi(op: _ConvMap, k: int, want_vectors: bool, v0: np.ndarray | None = None):
     """The k eigenvalues of largest modulus, their eigenvectors if asked for
     (else None), and whether ARPACK converged: a run that did not returns
     the eigenvalues that did. Without v0 the run starts flat on ARPACK's
     default factorization; a warm start v0 takes WARM_NCV vectors. Each set
     is solved once and kept on op, so the rows that share a mesh operator
-    share its sets."""
+    share its sets; on a mesh operator _solve_mesh_arnoldi may have stored
+    the flat FIRST_PASS_K set already."""
     key = (k, want_vectors, v0 is None)
     if key not in op.sets:
-        dim = op.shape[0]
-        ncv = None if v0 is None else min(WARM_NCV, dim)
+        ncv = None if v0 is None else min(WARM_NCV, op.shape[0])
         if v0 is None:
-            # deterministic Arnoldi start: B applied to the full map's flat
-            # vector, so the Krylov spaces are B times the full map's; flat
-            # where B kills it
-            v0 = op.coupling.psi.sum(axis=2).reshape(-1)
-            norm = np.linalg.norm(v0)
-            v0 = v0 / norm if norm > 0 else np.full(dim, 1.0 / np.sqrt(dim))
+            v0 = _flat_start(op)
         try:
             with _serial_blas():
                 out = eigs(op, k=k, which="LM", v0=v0, ncv=ncv, tol=1e-11,
@@ -488,7 +483,7 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0,
     dim = op.shape[0]
     if op.support.size == 0:  # a zero map reads no kernel
         return 0.0 + 0.0j, None, 0
-    _record_coverage(op.grid, op.kernel, op.coupling)
+    record_coverage(op.grid, op.coupling.decay)
     if op.direct:
         key = ("direct", want_vectors)
         if key not in op.sets:
@@ -535,7 +530,7 @@ def _fix_phase(values: np.ndarray) -> np.ndarray:
     return values / peak if abs(peak) else values
 
 
-@_warns_coverage_once
+@warns_coverage_once
 def solve_state(model: BandModel, energy: float, grid: Grid,
                 potential: PotentialSpec | Sequence) -> SolveReport:
     """Eigenvector of the map for the eigenvalue nearest 1.
@@ -549,13 +544,16 @@ def solve_state(model: BandModel, energy: float, grid: Grid,
 def _solve_state(model: BandModel, energy: float, grid: Grid, potential,
                  coupling: _Coupling | None = None, chain: list | None = None) -> SolveReport:
     """solve_state on the grid's prebuilt coupling (None to build it), its
-    first Arnoldi pass warm-started from a bracket's chain (see _near_one)."""
+    first Arnoldi pass warm-started from a bracket's chain (see _near_one).
+    The state's tail runs past the grid as its kernel decays, so that rate
+    joins the coverage warning."""
     op = _ConvMap(model, energy, grid, potential, coupling)
     lam, w, _ = _near_one(op, STATE_K, True, chain=chain)
     if abs(lam - 1.0) > ACCEPT_EIG_DISTANCE:
         raise NoNearUnitEigenvalue(
             f"nearest map eigenvalue {lam:.6g} is {abs(lam - 1):.3g} away from 1",
             distance=abs(lam - 1.0))
+    record_coverage(grid, op.kernel.decay_rate)
     values = _fix_phase((op.lift(w) / lam).reshape(grid.n_points, model.n_bands))
     resid = np.linalg.norm(op.full_matvec(values.reshape(-1)) - values.reshape(-1))
     resid /= np.linalg.norm(values)
@@ -609,8 +607,12 @@ def _shared_ops(model: BandModel, grid: Grid, potential):
 
 
 # Entries of the kernel tables or support matrices that one stacked
-# direct-path step holds at most.
+# direct-path step holds at most, and of the Krylov bases and kernel
+# transforms of one chunk of the batched mesh Arnoldi.
 STACK_ENTRIES = 1 << 16
+# Arnoldi steps of the batched mesh first pass: ARPACK's default factorization
+# size (ncv) at k = FIRST_PASS_K.
+MESH_NCV = 20
 
 
 def _solve_direct(ops: list[_ConvMap]) -> None:
@@ -628,6 +630,53 @@ def _solve_direct(ops: list[_ConvMap]) -> None:
         mats = np.array([op.support_matrix(table) for op, table in zip(chunk, samples)])
         for op, vals in zip(chunk, np.linalg.eigvals(mats)):
             op.sets[("direct", False)] = vals, None
+
+
+def _solve_mesh_arnoldi(ops: list[_ConvMap]) -> None:
+    """Fill the flat first-pass set of each Arnoldi-path operator (all on one
+    grid and coupling) that converges within MESH_NCV Arnoldi steps. Per
+    chunk of at most STACK_ENTRIES entries of Krylov basis and kernel
+    transform, the steps run from _arnoldi's flat start on every energy in
+    lockstep: one stacked FFT convolution per step, classical Gram-Schmidt
+    applied twice, one stacked eig of the Hessenberg matrices. An energy
+    keeps its FIRST_PASS_K Ritz values of largest modulus where each passes
+    ARPACK's test |beta_m e_m^T y| <= tol max(eps^(2/3), |theta|), at
+    _arnoldi's tol; one that does not, or reads a non-finite number, keeps
+    nothing, and _near_one runs ARPACK for it, as it does for an operator
+    too small for MESH_NCV steps."""
+    ops = [op for op in ops if not op.direct and op.shape[0] > MESH_NCV]
+    if not ops:
+        return
+    op0, dim, m = ops[0], ops[0].shape[0], MESH_NCV
+    c, span = op0.coupling, op0._span
+    size = next_fast_len(2 * span - 1)
+    step = max(1, STACK_ENTRIES // ((m + 1) * dim + size * c.rows.size * c.cols.size))
+    floor = np.finfo(float).eps ** (2.0 / 3.0)
+    with _serial_blas(), np.errstate(all="ignore"):
+        for start in range(0, len(ops), step):
+            chunk = ops[start:start + step]
+            kf = _sample_fft([op.kernel for op in chunk], span, op0.grid.dx, c.cols, c.rows)
+            v = np.zeros((len(chunk), m + 1, dim), dtype=complex)
+            h = np.zeros((len(chunk), m + 1, m), dtype=complex)
+            v[:, 0] = _flat_start(op0)
+            for j in range(m):
+                w = op0._apply(kf, v[:, j])  # every energy of the chunk at once
+                for _ in range(2):
+                    # the projections <v_i, w> = conj(v_i^T conj(w))
+                    proj = np.conj(v[:, :j + 1] @ np.conj(w)[:, :, None])
+                    w -= (v[:, :j + 1].transpose(0, 2, 1) @ proj)[:, :, 0]
+                    h[:, :j + 1, j] += proj[:, :, 0]
+                h[:, j + 1, j] = np.linalg.norm(w, axis=1)
+                v[:, j + 1] = w / h[:, j + 1, j, None]
+            finite = np.isfinite(h).all(axis=(1, 2))
+            h[~finite] = 0.0
+            theta, y = np.linalg.eig(h[:, :m])
+            for op, ok, th, last, beta in zip(chunk, finite, theta, y[:, m - 1], h[:, m, m - 1]):
+                top = np.argsort(np.abs(th), kind="stable")[-FIRST_PASS_K:]
+                vals, bound = th[top], abs(beta) * np.abs(last[top])
+                if ok and np.isfinite(vals).all() and np.all(
+                        bound <= 1e-11 * np.maximum(floor, np.abs(vals))):
+                    op.sets[(FIRST_PASS_K, False, True)] = vals, None, True
 
 
 def _mesh_kernels(model: BandModel, energies) -> tuple[list, DegeneratePoles | None]:
@@ -656,10 +705,12 @@ def _mesh_branch_values(model: BandModel, energies, grid: Grid, potential,
     the eigenvalue is NaN where the eigensolve fails. The operators of the
     energies missing from memo (the shared operators by energy, or None to
     drop each once read, with the FFT it may hold) take their kernels from
-    batch (what _mesh_kernels returned for energies), and _solve_direct
-    solves them together. The first energy whose kernel or grid fails
-    raises after the energies before it are read, as reading one energy at
-    a time would."""
+    batch (what _mesh_kernels returned for energies); _solve_direct solves
+    those on the direct path together, and _solve_mesh_arnoldi the first
+    passes of the others, leaving ARPACK only the energies it does not
+    solve and the MESH_K reruns. The first energy whose kernel or grid
+    fails raises after the energies before it are read, as reading one
+    energy at a time would."""
     ops = {} if memo is None else memo
     kernels, failure = batch
     new = []
@@ -673,6 +724,7 @@ def _mesh_branch_values(model: BandModel, energies, grid: Grid, potential,
             break
         new.append(ops[e])
     _solve_direct(new)
+    _solve_mesh_arnoldi(new)
     values = []
     for e in energies:
         op = ops.get(e) if memo is not None else ops.pop(e, None)
@@ -716,7 +768,7 @@ def _plural(n: int, noun: str, plural: str) -> str:
     return f"{n} {noun if n == 1 else plural}"
 
 
-@_warns_coverage_once
+@warns_coverage_once
 def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence,
                 e_lo: float, e_hi: float, *, mesh_points: int = 200) -> list[SolveReport]:
     """Scan [e_lo, e_hi], bracket crossings of Re(eigenvalue) = 1, refine.

@@ -313,7 +313,8 @@ def test_model_file_sizes_its_mesh_for_a_wide_band_spread(tmp_path, capsys, mesh
 
 def test_warning_prints_as_one_line(tmp_path, capsys):
     # Python's format named the source file and line of the find_energy call
-    # and echoed that line
+    # and echoed that line. The rate is the kernel's at the root the report
+    # reads (0.296751 was a mesh probe's)
     path = tmp_path / "model.json"
     bf.save_model(path, bf.two_band_model(0.3, 1.0), [{"variant": "delta", "strength": -1.0}, None])
     rc = cli.main(["bic-verify", "--model-file", str(path), "--e-window=0.5:1.0",
@@ -322,7 +323,7 @@ def test_warning_prints_as_one_line(tmp_path, capsys):
     assert rc == cli.EXIT_OK
     assert check_report(captured.out)["status"] == "ok"
     assert captured.err == ("bicforge: warning: grid half-width 10 is under 10 decay "
-                            "lengths (rate 0.296751)\n")
+                            "lengths (rate 0.643674)\n")
 
 
 @pytest.mark.parametrize("command", [

@@ -311,15 +311,23 @@ def test_scan_row_takes_first_of_equal_least_residuals(monkeypatch):
 # --- scale scans share their mesh eigensolves -------------------------------
 
 def _recorded_eigs(monkeypatch):
-    """Patch solver.eigs to record (grid points, k) of every call."""
+    """Patch solver.eigs to record (grid points, k) of every call, and the
+    batched mesh Arnoldi to record (grid points, FIRST_PASS_K) of every
+    operator whose first pass it solves."""
     from bicforge import solver
-    calls, eigs = [], solver.eigs
+    calls, eigs, batch = [], solver.eigs, solver._solve_mesh_arnoldi
+    key = (solver.FIRST_PASS_K, False, True)
 
     def recorded(op, k, **kwargs):
         calls.append((op.grid.n_points, k))
         return eigs(op, k=k, **kwargs)
 
+    def batched(ops):
+        batch(ops)
+        calls.extend((op.grid.n_points, solver.FIRST_PASS_K) for op in ops if key in op.sets)
+
     monkeypatch.setattr(solver, "eigs", recorded)
+    monkeypatch.setattr(solver, "_solve_mesh_arnoldi", batched)
     return calls
 
 
@@ -400,20 +408,26 @@ def test_unshared_scans_solve_every_row(monkeypatch, mesh_of, soc, case):
 
 
 def test_shared_mesh_keeps_the_coverage_warning(soc):
-    # the slowest rate of every row is its mesh kernel's at the window edge
-    # 0.95: rows that read the shared mesh record it as the first row did
+    # on half-width 6 the well (rate 1.4) spans under 10 decay lengths, and
+    # (0.1, 0.5) holds no root: each row warns for its mesh alone, and rows
+    # that read the shared mesh record the well's rate as the first row did.
+    # On half-width 30 no row warns: the mesh kernel's rate 0.2827 at the
+    # window edge 0.95 was quoted for every row, though no result reads it
     import warnings
-    kw = dict(grid=bf.Grid.symmetric(30.0, 1024), e_window=(0.1, 0.95), mesh_points=12)
     family = lambda v: bf.Scaled(bf.SocBic(0.5, 0.7), v)
-    with warnings.catch_warnings(record=True) as in_scan:
-        warnings.simplefilter("always")
-        bf.scan_parameter(lambda v: soc, family, "scale", 0.9, 1.1, 3, **kw)
-    with warnings.catch_warnings(record=True) as per_row:
-        warnings.simplefilter("always")
-        _rows_outside_scan(soc, family, [0.9, 1.0, 1.1], **kw)
-    message = "grid half-width 30 is under 10 decay lengths (rate 0.2827)"
-    assert [str(w.message) for w in in_scan] == [str(w.message) for w in per_row]
-    assert [str(w.message) for w in in_scan] == [message] * 3
+    for half_width, window, message in [
+            (6.0, (0.1, 0.5), "grid half-width 6 is under 10 decay lengths (rate 1.4)"),
+            (30.0, (0.1, 0.95), None)]:
+        kw = dict(grid=bf.Grid.symmetric(half_width, 1024), e_window=window, mesh_points=12)
+        with warnings.catch_warnings(record=True) as in_scan:
+            warnings.simplefilter("always")
+            bf.scan_parameter(lambda v: soc, family, "scale", 0.9, 1.1, 3, **kw)
+        with warnings.catch_warnings(record=True) as per_row:
+            warnings.simplefilter("always")
+            _rows_outside_scan(soc, family, [0.9, 1.0, 1.1], **kw)
+        assert [str(w.message) for w in in_scan] == [str(w.message) for w in per_row]
+        assert [str(w.message) for w in in_scan] == ([message] * 3 if message else [])
+
 
 def _full_grid_peak(state, potential, b, q_max, samples=512):
     """max |F_q| with the phase sum over every grid point."""

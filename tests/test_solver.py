@@ -319,7 +319,8 @@ def test_count_unknown_when_set_may_be_partial(monkeypatch, soc, outcome):
 
 def _recording_eigs(monkeypatch, fake=None):
     """Patch solver.eigs to record (op, k) per call and answer with fake(k),
-    or with the real eigs when fake is None."""
+    or with the real eigs when fake is None; the batched mesh Arnoldi records
+    (op, FIRST_PASS_K) of every operator whose first pass it solves."""
     from bicforge import solver
     calls, eigs = [], solver.eigs
 
@@ -328,7 +329,22 @@ def _recording_eigs(monkeypatch, fake=None):
         return eigs(op, k=k, **kwargs) if fake is None else fake(k)
 
     monkeypatch.setattr(solver, "eigs", recorded)
+    _record_batch(monkeypatch, lambda op: calls.append((op, solver.FIRST_PASS_K)))
     return calls
+
+
+def _record_batch(monkeypatch, record):
+    """Patch the batched mesh Arnoldi to call record(op) for every operator
+    whose first pass it solves."""
+    batch, key = solver._solve_mesh_arnoldi, (solver.FIRST_PASS_K, False, True)
+
+    def batched(ops):
+        batch(ops)
+        for op in ops:
+            if key in op.sets:
+                record(op)
+
+    monkeypatch.setattr(solver, "_solve_mesh_arnoldi", batched)
 
 
 @pytest.mark.parametrize("energy", [0.8, 0.85, 0.72998])
@@ -372,8 +388,9 @@ def test_first_pass_falls_back_to_callers_k(monkeypatch, soc, first, lam, above,
 
 
 def test_find_energy_certifies_every_operator_on_first_pass(monkeypatch, soc, e_bic):
-    # bic-verify's rescaled window and mesh: one eigs call per operator, each
-    # with k=3, so no probe, secant step or final state pays the fallback
+    # bic-verify's rescaled window and mesh: one first pass per operator
+    # (an eigs call or the mesh batch), each with k=3, so no probe, secant
+    # step or final state pays the fallback
     calls = _recording_eigs(monkeypatch)
     lo, hi = _scaled_window(e_bic)
     reps = bf.find_energy(soc, bf.Grid.symmetric(30.0, 2048), SCALED_WELL, lo, hi,
@@ -553,22 +570,24 @@ def test_mesh_values_equal_the_per_energy_branch_values(n_bands):
     assert got == want
 
 
-def test_first_failing_mesh_energy_decides_the_error():
+def test_first_failing_mesh_energy_decides_the_error(monkeypatch):
     # the mesh -0.5, 0, 0.5, 1 ends on the band edge at 1. On a grid too
     # coarse for -0.5, that energy fails first; on a fine one the edge does,
-    # with its own message, after the energies before it were read (their
-    # coverage warning still shows)
+    # with its own message, after the energies before it were read
     model = bf.two_band_model(mu=0.0, g=1.0, lam=-1.0)
     with pytest.raises(GridTooCoarse):
         bf.find_energy(model, bf.Grid.symmetric(100.0, 401), UNIT_DELTA, -0.5, 1.0,
                        mesh_points=4)
     with pytest.raises(DegeneratePoles) as alone:
         bf.residue_green(model, 1.0)
-    with pytest.warns(UserWarning, match="grid half-width 10 "), \
-            pytest.raises(DegeneratePoles) as info:
+    read, near_one = [], solver._near_one
+    monkeypatch.setattr(solver, "_near_one",
+                        lambda op, *a, **kw: read.append(op.kernel.energy) or near_one(op, *a, **kw))
+    with pytest.raises(DegeneratePoles) as info:
         bf.find_energy(model, bf.Grid.symmetric(10.0, 401), UNIT_DELTA, -0.5, 1.0,
                        mesh_points=4)
     assert str(info.value) == str(alone.value)
+    assert read == [-0.5, 0.0, 0.5]
 
 
 @pytest.mark.parametrize("mu, n_points", [(1.0, 4096), (2.0, 4096), (2.0, 1024), (1.0, 480)])
@@ -628,17 +647,20 @@ def test_direct_path_keeps_the_structural_zero():
 
 def test_one_coverage_warning_per_call():
     # each of this find_energy's 25 operators used to warn, quoting its own
-    # rate; the call now warns once with the slowest, kappa at E = -0.1
+    # rate; a call now warns once with the slowest rate its result reads.
+    # Its eigenvalues see only the delta (no rate), not the kernel at the
+    # mesh end -0.1 (0.447214); the state it returns at -0.5 reads its
+    # kernel's kappa = 1, as solve_state's does
     model = bf.single_band_model(lam=-1.0)
     grid = bf.Grid.symmetric(5.0, 257)
-    message = "grid half-width 5 is under 10 decay lengths (rate 0.447214)"
+    message = "grid half-width 5 is under 10 decay lengths (rate 1)"
     with pytest.warns(UserWarning) as record:
         reps = bf.find_energy(model, grid, UNIT_DELTA, -0.9, -0.1, mesh_points=20)
     assert [str(w.message) for w in record] == [message]
     assert reps[0].energy == pytest.approx(-0.5, abs=1e-12)
     with pytest.warns(UserWarning) as record:
         bf.solve_state(model, -0.5, grid, UNIT_DELTA)
-    assert len(record) == 1
+    assert [str(w.message) for w in record] == [message]
 
 
 def test_arnoldi_start_when_the_coupling_annuls_the_flat_vector():
@@ -787,8 +809,12 @@ def test_secant_stays_inside_the_energy_window():
 def _eigs_log(monkeypatch, fake=None):
     """Patch solver.eigs to record (op, k, warm, matvecs) per call, warm
     meaning a WARM_NCV factorization; fake(k, warm), where given, answers
-    instead of ARPACK with eigenvalues, and unit vectors where asked for."""
+    instead of ARPACK with eigenvalues, and unit vectors where asked for. An
+    operator whose first pass the mesh batch solves, from the flat start in
+    MESH_NCV steps, records (op, FIRST_PASS_K, False, MESH_NCV)."""
     calls, eigs = [], solver.eigs
+    _record_batch(monkeypatch, lambda op: calls.append(
+        (op, solver.FIRST_PASS_K, False, solver.MESH_NCV)))
 
     def recorded(op, k, **kwargs):
         warm = kwargs.get("ncv") is not None
@@ -875,3 +901,138 @@ def test_warm_start_keeps_the_roots(monkeypatch, soc, socbic_pot, e_bic):
             for pot, a, b in wells]
     assert [len(roots) for roots in warm] == [len(roots) for roots in flat] == [1, 1]
     assert np.abs(np.subtract(warm, flat)).max() < solver.REFINE_TOL
+
+
+# --- the mesh's first passes as one lockstep Arnoldi batch -------------------
+
+FIRST_PASS = (solver.FIRST_PASS_K, False, True)   # the set key of a flat first pass
+
+
+def _soc_mesh(points=48):
+    """The spin-orbit well of bic-verify --scale 0.9 (R = C = 1): model,
+    potential, mesh grid and mesh energies."""
+    return (bf.soc_model(gamma=0.5, mu=1.0), SCALED_WELL, bf.Grid.symmetric(30.0, 512),
+            np.linspace(0.39, 0.98, points))
+
+
+def _three_band_mesh():
+    """A 3-band model with a linear term and a complex a0, a smooth well on
+    every channel (R = C = 3), its grid and mesh energies."""
+    a0 = np.array([[0.4, 0.2 - 0.1j, 0.05j], [0.2 + 0.1j, -0.3, 0.15], [-0.05j, 0.15, 0.1]])
+    a1 = np.array([[0.0, 0.3j, 0.0], [-0.3j, 0.0, 0.1], [0.0, 0.1, 0.2]])
+    model = bf.BandModel(3, 1.0, a0, a1, np.eye(3))
+    pots = [bf.Scaled(bf.SocBic(0.5, 0.7), s) for s in (1.0, 0.6, -0.4)]
+    return model, pots, bf.Grid.symmetric(20.0, 256), np.linspace(-0.2, 0.6, 16)
+
+
+MESHES = {"soc": _soc_mesh, "three_band": _three_band_mesh}
+
+
+def _mesh_ops(model, pots, grid, energies):
+    kernels, failure = solver._mesh_kernels(model, energies)
+    assert failure is None
+    coupling = solver._coupling(model, grid, pots)
+    return [_ConvMap(model, e, grid, pots, coupling, k) for e, k in zip(energies, kernels)]
+
+
+@pytest.mark.parametrize("case, channels", [("soc", 1), ("three_band", 3)])
+def test_mesh_batch_matches_the_arpack_first_pass(case, channels):
+    # every energy the batch solves reads ARPACK's three eigenvalues to 1e-12
+    # relative, the same pick nearest 1 (of a pair equally near 1, either)
+    # and the same count above 1
+    ops, ref = (_mesh_ops(*MESHES[case]()) for _ in range(2))
+    assert ops[0].coupling.rows.size == ops[0].coupling.cols.size == channels
+    assert not ops[0].direct
+    solver._solve_mesh_arnoldi(ops)
+    solved = [(op, r) for op, r in zip(ops, ref) if FIRST_PASS in op.sets]
+    assert len(solved) >= 0.9 * len(ops)
+    for op, r in solved:
+        got, want = op.sets[FIRST_PASS][0], solver._arnoldi(r, solver.FIRST_PASS_K, False)[0]
+        tol = 1e-12 * np.abs(want).max()
+        assert np.abs(np.subtract.outer(got, want)).min(axis=1).max() <= tol
+        assert np.abs(np.subtract.outer(want, got)).min(axis=1).max() <= tol
+        (lam, _, above), (lam_ref, _, above_ref) = (
+            solver._near_one(o, solver.MESH_K, False) for o in (op, r))
+        assert above == above_ref
+        tied = [w for w in want if abs(abs(w - 1.0) - abs(lam_ref - 1.0)) <= tol]
+        assert min(abs(lam - w) for w in tied) <= tol
+
+
+@pytest.mark.parametrize("case", ["soc", "three_band"])
+def test_mesh_batch_chunks_do_not_change_a_value(monkeypatch, case):
+    # a chunk of one energy and one chunk of every energy give the same bits
+    sets = []
+    for entries in (1, 1 << 40):
+        monkeypatch.setattr(solver, "STACK_ENTRIES", entries)
+        ops = _mesh_ops(*MESHES[case]())
+        solver._solve_mesh_arnoldi(ops)
+        sets.append([op.sets.get(FIRST_PASS) for op in ops])
+    one, whole = sets
+    assert any(s is not None for s in one)
+    assert [s is None for s in one] == [s is None for s in whole]
+    assert all(a is None or np.array_equal(a[0], b[0]) for a, b in zip(one, whole))
+
+
+@pytest.mark.parametrize("outcome", ["not_converged", "non_finite"])
+def test_mesh_energy_the_batch_leaves_gets_the_arpack_outcome(monkeypatch, outcome):
+    # an energy whose batch does not converge, or reads a non-finite number,
+    # keeps no set, and its mesh value is the one ARPACK gives it alone
+    model, pot, grid, energies = _soc_mesh(8)
+    if outcome == "not_converged":
+        monkeypatch.setattr(solver, "MESH_NCV", 5)
+        left = set(energies)
+    else:
+        left, samples = {energies[1]}, solver._kernel_samples
+
+        def poisoned(kernels, *args):
+            out = samples(kernels, *args)
+            if len(kernels) > 1:   # the batch's tables, not a single probe's
+                out[[k.energy in left for k in kernels]] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "_kernel_samples", poisoned)
+    batched = []
+    _record_batch(monkeypatch, lambda op: batched.append(op.kernel.energy))
+    coupling = solver._coupling(model, grid, pot)
+    got = solver._mesh_branch_values(model, energies, grid, pot, coupling, None, 1.0,
+                                     solver._mesh_kernels(model, energies))
+    assert set(batched) == set(energies) - left
+    for e, value in zip(energies, got):
+        if e in left:
+            assert value == solver._branch_value(model, e, grid, pot, coupling)
+
+
+def test_mesh_batch_memory_does_not_grow_with_the_mesh():
+    # each chunk holds at most STACK_ENTRIES entries of Krylov basis and
+    # kernel transform, so ten times the mesh takes no more memory at once
+    import tracemalloc
+    peaks = []
+    for points in (48, 480):
+        ops = _mesh_ops(*_soc_mesh(points))
+        tracemalloc.start()
+        try:
+            solver._solve_mesh_arnoldi(ops)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(FIRST_PASS in op.sets for op in ops[:48])
+    assert peaks[1] < 1.2 * peaks[0]
+    assert peaks[0] < 8 * 16 * solver.STACK_ENTRIES
+
+
+def test_mesh_eigenvalues_do_not_depend_on_the_half_width(soc):
+    # at equal dx the map on the support reads the kernel at the same
+    # separations, so the slow kernel at the mesh end 0.98 (rate 0.18) moves
+    # no mesh eigenvalue from half-width 30 to 60: a mesh read records only
+    # the potential's decay
+    energies = np.linspace(0.9, 0.98, 4)
+    values = []
+    for half_width, n in ((30.0, 512), (60.0, 1023)):
+        grid = bf.Grid.symmetric(half_width, n)
+        coupling = solver._coupling(soc, grid, SCALED_WELL)
+        values.append(solver._mesh_branch_values(soc, energies, grid, SCALED_WELL, coupling,
+                                                 None, 1.0, solver._mesh_kernels(soc, energies)))
+    assert bf.residue_green(soc, 0.98).decay_rate * 30.0 < 10.0
+    (narrow, wide) = values
+    assert [a for _, a in narrow] == [a for _, a in wide]
+    assert np.abs([l1 - l2 for (l1, _), (l2, _) in zip(narrow, wide)]).max() < 1e-12
