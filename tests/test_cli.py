@@ -760,6 +760,38 @@ def test_kernel_check_refuses_too_many_trials(capsys):
             f"{cli.MAX_TRIALS}\n")
 
 
+SCALE_SCAN = ["scan", "--param", "scale", "--gamma", "0.5", "--nu", "0.7", "--mu", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*SCALE_SCAN, "--range", "0.9:1.1:1000000000"],
+     f"scan refuses --range step count 1000000000 > {cli.MAX_SCAN_ROWS}"),
+    ([*SCALE_SCAN, "--range", "0.9:1.1:3", "--n-points", "40000000"],
+     f"scan refuses --n-points 40000000 > {cli.MAX_POINTS}"),
+    ([*SCALE_SCAN, "--range", "0.9:1.1:3", "--mesh-points", "3000000"],
+     f"scan refuses --mesh-points 3000000 > {cli.MAX_MESH_POINTS}"),
+    (["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1", "--n-points", "1024", "--mesh-points", "3000000"],
+     f"bic-verify refuses --mesh-points 3000000 > {cli.MAX_MESH_POINTS}"),
+    (["bic-verify", "--gamma", "0.5", "--nu", "0.7", "--mu", "1", "--n-points", "40000000"],
+     f"bic-verify refuses --n-points 40000000 > {cli.MAX_POINTS}"),
+], ids=["scan_rows", "scan_points", "scan_mesh", "bic_verify_mesh", "bic_verify_points"])
+def test_sizes_beyond_their_bounds_are_refused_before_allocating(capsys, argv, message):
+    # each ended in a numpy memory-error traceback under a 1.5 GB address
+    # space (a 7.45 GiB linspace of rows, the mesh's kernel batch, a 2.38 GiB
+    # coupling array); the bounds refuse them before any array is built
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_RESOURCE
+    assert (captured.out, captured.err) == ("", f"bicforge: resource limit: {message}\n")
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("param, value, base", [
     ("nu", "0.7", ["--gamma", "0.5", "--mu", "1"]),
     ("gamma", "0.5", ["--nu", "0.7", "--mu", "1"]),

@@ -15,6 +15,12 @@ from bicforge.solver import _ConvMap
 UNIT_DELTA = bf.Delta(1.0)
 
 
+def _op(model, energy, grid, potential):
+    """The map's operator at one energy on its coupled subspace."""
+    return _ConvMap(bf.residue_green(model, energy), grid,
+                    solver._coupling(model, grid, potential))
+
+
 def test_assembled_map_shape_and_delta_fixed_point():
     model = bf.single_band_model(lam=-1.0)
     grid = bf.Grid.symmetric(40.0, 1025)
@@ -51,7 +57,7 @@ def test_operator_matches_dense_matrix():
              (model, two_sites, 2)]
     for mod, pot, dim in cases:
         dense = bf.assemble_map(mod, 0.55, grid, pot)
-        op = _ConvMap(mod, 0.55, grid, pot)
+        op = _op(mod, 0.55, grid, pot)
         assert op.shape == (dim, dim)
         assert np.allclose(op.full_matvec(v), dense @ v, atol=1e-11 * np.abs(dense @ v).max())
         small = op.matmat(np.eye(dim))
@@ -64,7 +70,7 @@ def test_socbic_map_has_unit_eigenvalue_at_analytic_energy(e_bic, soc, socbic_po
                                                            grid_30_2048):
     m = bf.assemble_map(soc, e_bic, grid_30_2048, socbic_pot)
     assert m.shape == (4096, 4096)
-    op = _ConvMap(soc, e_bic, grid_30_2048, socbic_pot)
+    op = _op(soc, e_bic, grid_30_2048, socbic_pot)
     from bicforge.solver import _near_one
     lam, _, _ = _near_one(op, 16, want_vectors=False)
     assert abs(lam - 1.0) < 1e-3
@@ -274,7 +280,7 @@ def test_count_exact_on_support_matrix_path(energy, count):
     from bicforge.solver import _near_one
     model = bf.single_band_model(lam=-1.0)
     grid = bf.Grid.symmetric(40.0, 513)
-    op = _ConvMap(model, energy, grid, UNIT_DELTA)
+    op = _op(model, energy, grid, UNIT_DELTA)
     _, _, above = _near_one(op, 12, want_vectors=False)
     assert above == _dense_count_above_one(model, energy, grid, UNIT_DELTA) == count
 
@@ -284,7 +290,7 @@ def test_count_exact_after_converged_arnoldi(soc):
     grid = bf.Grid.symmetric(22.0, 400)
     nearest, counts = [], []
     for energy in (0.8, 0.85):
-        op = _ConvMap(soc, energy, grid, SCALED_WELL)
+        op = _op(soc, energy, grid, SCALED_WELL)
         assert op.support.size * op.n_bands > 512   # not the direct path
         lam, _, above = _near_one(op, 12, want_vectors=False)
         assert above == _dense_count_above_one(soc, energy, grid, SCALED_WELL)
@@ -309,7 +315,7 @@ def test_count_unknown_when_set_may_be_partial(monkeypatch, soc, outcome):
         return vals
 
     monkeypatch.setattr(solver, "eigs", fake_eigs)
-    op = _ConvMap(soc, 0.8, bf.Grid.symmetric(30.0, 512), SCALED_WELL)
+    op = _op(soc, 0.8, bf.Grid.symmetric(30.0, 512), SCALED_WELL)
     lam, _, above = solver._near_one(op, 12, want_vectors=False)
     assert lam == 1.5
     assert above is None
@@ -353,7 +359,7 @@ def test_first_pass_matches_dense_reference(monkeypatch, soc, energy):
     from bicforge.solver import _near_one
     calls = _recording_eigs(monkeypatch)
     grid = bf.Grid.symmetric(22.0, 400)
-    op = _ConvMap(soc, energy, grid, SCALED_WELL)
+    op = _op(soc, energy, grid, SCALED_WELL)
     lam, _, above = _near_one(op, 12, want_vectors=False)
     assert [k for _, k in calls] == [3]
     vals = np.linalg.eigvals(bf.assemble_map(soc, energy, grid, SCALED_WELL))
@@ -381,7 +387,7 @@ def test_first_pass_falls_back_to_callers_k(monkeypatch, soc, first, lam, above,
         return first
 
     calls = _recording_eigs(monkeypatch, fake)
-    op = _ConvMap(soc, 0.8, bf.Grid.symmetric(30.0, 512), SCALED_WELL)
+    op = _op(soc, 0.8, bf.Grid.symmetric(30.0, 512), SCALED_WELL)
     got_lam, _, got_above = solver._near_one(op, 12, want_vectors=False)
     assert [k for _, k in calls] == ks
     assert (got_lam, got_above) == (lam, above)
@@ -405,7 +411,8 @@ def test_root_on_a_mesh_point_is_reported_once(monkeypatch):
     # the mesh point 0.25 is the root itself: both adjacent brackets close on
     # it, and the two reports are one root
     from bicforge import solver
-    monkeypatch.setattr(solver, "_mesh_branch_values", lambda model, es, *a: [
+    monkeypatch.setattr(solver, "_mesh_kernels", lambda model, es, grid: ([], grid))
+    monkeypatch.setattr(solver, "_mesh_branch_values", lambda es, *a: [
         (complex(1.0 + (e - 0.25)), None) for e in es])
     monkeypatch.setattr(solver, "_branch_value",
                         lambda model, e, *a: (complex(1.0 + (e - 0.25)), None))
@@ -429,7 +436,8 @@ def _refine(monkeypatch, mesh_h, fine_h, mesh_points):
         probes.append(e)
         return complex(1.0 + fine_h(e)), None
 
-    monkeypatch.setattr(solver, "_mesh_branch_values", lambda model, es, *a: [
+    monkeypatch.setattr(solver, "_mesh_kernels", lambda model, es, grid: ([], grid))
+    monkeypatch.setattr(solver, "_mesh_branch_values", lambda es, *a: [
         (complex(1.0 + mesh_h(e)), None) for e in es])
     monkeypatch.setattr(solver, "_branch_value", fine)
     monkeypatch.setattr(solver, "_solve_state", lambda model, e, *a, **kw: solver.SolveReport(
@@ -563,31 +571,51 @@ def test_mesh_values_equal_the_per_energy_branch_values(n_bands):
     energies = np.linspace(-0.55, 0.75, 24)
     coupling = solver._coupling(model, grid, pots)
     ops = {}
-    got = solver._mesh_branch_values(model, energies, grid, pots, coupling, ops, 1.0,
-                                     solver._mesh_kernels(model, energies))
+    kernels, _ = solver._mesh_kernels(model, energies, grid)
+    got = solver._mesh_branch_values(energies, kernels, grid, coupling, ops, 1.0)
     assert all(op.direct for op in ops.values()) and len(ops) == len(energies)
-    want = [solver._branch_value(model, e, grid, pots, coupling) for e in energies]
+    want = [solver._branch_value(model, e, grid, coupling) for e in energies]
     assert got == want
 
 
 def test_first_failing_mesh_energy_decides_the_error(monkeypatch):
     # the mesh -0.5, 0, 0.5, 1 ends on the band edge at 1. On a grid too
     # coarse for -0.5, that energy fails first; on a fine one the edge does,
-    # with its own message, after the energies before it were read
+    # with its own message. Either raises before any mesh energy is read
     model = bf.two_band_model(mu=0.0, g=1.0, lam=-1.0)
+    read, near_one = [], solver._near_one
+    monkeypatch.setattr(solver, "_near_one",
+                        lambda op, *a, **kw: read.append(op.kernel.energy) or near_one(op, *a, **kw))
     with pytest.raises(GridTooCoarse):
         bf.find_energy(model, bf.Grid.symmetric(100.0, 401), UNIT_DELTA, -0.5, 1.0,
                        mesh_points=4)
     with pytest.raises(DegeneratePoles) as alone:
         bf.residue_green(model, 1.0)
-    read, near_one = [], solver._near_one
-    monkeypatch.setattr(solver, "_near_one",
-                        lambda op, *a, **kw: read.append(op.kernel.energy) or near_one(op, *a, **kw))
     with pytest.raises(DegeneratePoles) as info:
         bf.find_energy(model, bf.Grid.symmetric(10.0, 401), UNIT_DELTA, -0.5, 1.0,
                        mesh_points=4)
     assert str(info.value) == str(alone.value)
-    assert read == [-0.5, 0.0, 0.5]
+    assert read == []
+
+
+@pytest.mark.filterwarnings("ignore:grid half-width")
+@pytest.mark.parametrize("half_width, error", [(100.0, GridTooCoarse), (10.0, DegeneratePoles)])
+def test_failing_shared_row_leaves_no_operator_in_the_memo(half_width, error):
+    # a row whose mesh fails builds no operator for the rows after it to
+    # share; a row that passes on the same base keeps its mesh operators
+    model = bf.two_band_model(mu=0.0, g=1.0, lam=-1.0)
+    grid = bf.Grid.symmetric(half_width, 401)
+    pot = bf.Scaled(UNIT_DELTA, 1.0)
+
+    def shared():
+        return [e for _, _, ops in solver._MESH.get().values() for e in ops]
+
+    with solver.shared_mesh():
+        with pytest.raises(error):
+            bf.find_energy(model, grid, pot, -0.5, 1.0, mesh_points=4)
+        assert shared() == []
+        assert len(bf.find_energy(model, grid, pot, -1.5, -1.1, mesh_points=3)) == 1
+        assert shared() == list(np.linspace(-1.5, -1.1, 3))
 
 
 @pytest.mark.parametrize("mu, n_points", [(1.0, 4096), (2.0, 4096), (2.0, 1024), (1.0, 480)])
@@ -598,9 +626,8 @@ def test_mesh_grid_resolves_every_mesh_pole(mu, n_points):
     grid = bf.Grid.symmetric(30.0, n_points)
     e0 = bf.e_bic_analytic(0.5, 0.7, mu)
     energies = np.linspace(e0 - 0.3, min(e0 + 0.2, 0.98 * mu), 48)
-    kernels, failure = solver._mesh_kernels(model, energies)
-    assert failure is None and len(kernels) == 48
-    mesh = solver._resolving_grid(grid, kernels)
+    kernels, mesh = solver._mesh_kernels(model, energies, grid)
+    assert len(kernels) == 48
     assert min(solver.MESH_MIN_POINTS, n_points) <= mesh.n_points <= n_points
     assert mesh.x_max == pytest.approx(grid.x_max, rel=1e-14)
     for kernel in kernels:
@@ -637,7 +664,7 @@ def test_direct_path_keeps_the_structural_zero():
     model = bf.BandModel(3, 1.0, a0, np.zeros((3, 3)), np.zeros((3, 3)))
     pots = [bf.Delta(-1.0), None, None]
     grid = bf.Grid.symmetric(10.0, 257)
-    op = _ConvMap(model, 1.9, grid, pots)
+    op = _op(model, 1.9, grid, pots)
     assert op.shape == (1, 1) and abs(op.support_matrix()[0, 0] - 1.0) > 1.0
     lam, _, above = _near_one(op, 12, want_vectors=False)
     vals = np.linalg.eigvals(bf.assemble_map(model, 1.9, grid, pots))
@@ -669,7 +696,7 @@ def test_arnoldi_start_when_the_coupling_annuls_the_flat_vector():
     from bicforge.solver import _near_one
     model = bf.soc_model(gamma=0.5, mu=1.0, b=np.array([[0.5, -0.5], [-0.5, 0.5]]))
     grid = bf.Grid.symmetric(20.0, 384)
-    op = _ConvMap(model, 0.8, grid, bf.SocBic(0.5, 0.7))
+    op = _op(model, 0.8, grid, bf.SocBic(0.5, 0.7))
     assert op.shape == (768, 768) and not op.coupling.psi.sum(axis=2).any()
     lam, _, above = _near_one(op, 12, want_vectors=False)
     vals = np.linalg.eigvals(bf.assemble_map(model, 0.8, grid, bf.SocBic(0.5, 0.7)))
@@ -699,7 +726,7 @@ def _threads(pools):
 
 
 def _arnoldi_op(soc):
-    return _ConvMap(soc, 0.8, bf.Grid.symmetric(22.0, 400), SCALED_WELL)
+    return _op(soc, 0.8, bf.Grid.symmetric(22.0, 400), SCALED_WELL)
 
 
 def test_arnoldi_runs_on_one_blas_thread(monkeypatch, soc, pools_at_two):
@@ -878,10 +905,10 @@ def test_warm_pass_falls_back_to_the_flat_run(monkeypatch, soc, outcome, state):
     dim = coupling.support.size * coupling.rows.size
     chain = [np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)]
     if state:
-        rep = solver._solve_state(soc, 0.8, grid, SCALED_WELL, coupling, chain)
+        rep = solver._solve_state(soc, 0.8, grid, coupling, chain)
         lam, k = rep.operator_eigenvalue, solver.STATE_K
     else:
-        lam, _ = solver._branch_value(soc, 0.8, grid, SCALED_WELL, coupling, chain)
+        lam, _ = solver._branch_value(soc, 0.8, grid, coupling, chain)
         k = solver.MESH_K
     assert [(k_, warm) for _, k_, warm, _ in calls] == [(solver.FIRST_PASS_K, True), (k, False)]
     assert lam == 0.9
@@ -929,10 +956,9 @@ MESHES = {"soc": _soc_mesh, "three_band": _three_band_mesh}
 
 
 def _mesh_ops(model, pots, grid, energies):
-    kernels, failure = solver._mesh_kernels(model, energies)
-    assert failure is None
+    kernels, _ = solver._mesh_kernels(model, energies, grid)
     coupling = solver._coupling(model, grid, pots)
-    return [_ConvMap(model, e, grid, pots, coupling, k) for e, k in zip(energies, kernels)]
+    return [_ConvMap(k, grid, coupling) for k in kernels]
 
 
 @pytest.mark.parametrize("case, channels", [("soc", 1), ("three_band", 3)])
@@ -994,12 +1020,12 @@ def test_mesh_energy_the_batch_leaves_gets_the_arpack_outcome(monkeypatch, outco
     batched = []
     _record_batch(monkeypatch, lambda op: batched.append(op.kernel.energy))
     coupling = solver._coupling(model, grid, pot)
-    got = solver._mesh_branch_values(model, energies, grid, pot, coupling, None, 1.0,
-                                     solver._mesh_kernels(model, energies))
+    kernels, _ = solver._mesh_kernels(model, energies, grid)
+    got = solver._mesh_branch_values(energies, kernels, grid, coupling, {}, 1.0)
     assert set(batched) == set(energies) - left
     for e, value in zip(energies, got):
         if e in left:
-            assert value == solver._branch_value(model, e, grid, pot, coupling)
+            assert value == solver._branch_value(model, e, grid, coupling)
 
 
 def test_mesh_batch_memory_does_not_grow_with_the_mesh():
@@ -1030,8 +1056,8 @@ def test_mesh_eigenvalues_do_not_depend_on_the_half_width(soc):
     for half_width, n in ((30.0, 512), (60.0, 1023)):
         grid = bf.Grid.symmetric(half_width, n)
         coupling = solver._coupling(soc, grid, SCALED_WELL)
-        values.append(solver._mesh_branch_values(soc, energies, grid, SCALED_WELL, coupling,
-                                                 None, 1.0, solver._mesh_kernels(soc, energies)))
+        kernels, _ = solver._mesh_kernels(soc, energies, grid)
+        values.append(solver._mesh_branch_values(energies, kernels, grid, coupling, {}, 1.0))
     assert bf.residue_green(soc, 0.98).decay_rate * 30.0 < 10.0
     (narrow, wide) = values
     assert [a for _, a in narrow] == [a for _, a in wide]
