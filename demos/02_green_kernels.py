@@ -43,9 +43,9 @@ e_bic = bf.e_bic_analytic(0.5, 0.7, 1.0)
 ka, kb = bf.residue_green(soc, e_bic), bf.soc_kernel(soc, e_bic)
 dev = max(np.abs(ka(d) - kb(d)).max() for d in seps)
 print(f"residues vs closed form at the embedded energy: {dev:.2e}")
-for t in kb.terms:
-    side = "both sides" if t.pole.imag == 0 else ("dx > 0" if t.pole.imag > 0 else "dx < 0")
-    print(f"  term pole {t.pole:+.4f}  lives on {side}")
+sides = np.select([kb.poles.imag > 0, kb.poles.imag < 0], ["dx > 0", "dx < 0"], "both sides")
+for pole, side in zip(kb.poles, sides):
+    print(f"  term pole {pole:+.4f}  lives on {side}")
 
 print("\n=== defining identity (E - H0) G = 0 away from the source ===")
 for label, model, e in (("single band", m1, -0.5),

@@ -18,8 +18,8 @@ from .delta import (DeltaSolution, bare_extended_mode, boundary_residual,
                     extended_green_1d, general_b_kappa, general_b_solution,
                     lambda_critical, single_band_bound, two_band_bound_energy,
                     two_band_solution)
-from .green import (GreenKernel, KernelTerm, constantA_kernel,
-                    derivative_jump, evaluate_many, residue_green,
+from .green import (GreenKernel, constantA_kernel, derivative_jump,
+                    evaluate_many, evaluate_uniform, residue_green,
                     residue_green_many, soc_kernel)
 from .grids import Grid, SpinorField
 from .potentials import (Delta, PotentialSpec, Scaled, SocBic, Tabulated,

@@ -485,8 +485,7 @@ def _cmd_kernel_check(args) -> int:
     e = 0.6917497
     kern = soc_kernel(ms, e)
     q, kap = float(kern.real_momenta.max()), kern.decay_rate
-    res = {t.pole: t.residue for t in kern.terms}
-    r_q, r_mq, r_up, r_lo = res[q], res[-q], res[1j * kap], res[-1j * kap]
+    r_up, r_lo, r_q, r_mq = kern.residues  # soc_kernel's poles: i kap, -i kap, q, -q
     denom = q * q + kap * kap
     isy = np.array([[0.0, 1.0], [-1.0, 0.0]])
     variant_cs = 2.0 * 0.5 * isy / denom  # 2 m^2 gamma (i sigma_y) / (q^2+kap^2)

@@ -243,19 +243,19 @@ def _standing_projectors(model: BandModel, kernel: GreenKernel
     remains of C is the mismatch of the computed roots +p and -p, which
     close pole pairs amplify far above roundoff.
     """
-    real = sorted((t for t in kernel.terms if t.pole.imag == 0), key=lambda t: abs(t.pole))
-    groups: list[list] = []
-    for t in real:
-        if groups and abs(t.pole) - abs(groups[-1][0].pole) < 1e-8 * (1.0 + abs(t.pole)):
-            groups[-1].append(t)
-        else:
-            groups.append([t])
+    real = np.flatnonzero(kernel.poles.imag == 0)
+    real = real[np.argsort(np.abs(kernel.poles[real]), kind="stable")]
+    mags = np.abs(kernel.poles[real])
+    # a standing wave per |p|: a real pole opens a new one where its |p|
+    # lies a tolerance past the one before it
+    starts = np.flatnonzero(mags[1:] - mags[:-1] >= 1e-8 * (1.0 + mags[1:])) + 1
     out: dict[float, list[np.ndarray]] = {}
     scale = 0.0
-    zero = np.zeros((kernel.n_bands, kernel.n_bands), dtype=complex)
-    for group in groups:
-        r_plus = next((t.residue for t in group if t.pole.real > 0), zero)
-        r_minus = next((t.residue for t in group if t.pole.real < 0), zero)
+    for group in np.split(real, starts) if real.size else ():
+        p = kernel.poles[group].real
+        # the residues at +|p| and -|p|; a missing partner sums to zero
+        r_plus = kernel.residues[group[p > 0]].sum(axis=0)
+        r_minus = kernel.residues[group[p < 0]].sum(axis=0)
         m_sin = -(r_plus - r_minus) / 2.0
         m_cs = 0.5j * (r_plus + r_minus)
         scale = max(scale, np.abs(m_sin).max())
@@ -263,7 +263,7 @@ def _standing_projectors(model: BandModel, kernel: GreenKernel
         if (model.has_linear_term
                 and np.abs(m_cs).max() > 1e-12 * max(scale, np.abs(m_cs).max())):
             mats.append(m_cs)
-        key = float(abs(group[0].pole))
+        key = float(abs(p[0]))
         for mat in mats:
             nrm = np.linalg.norm(mat, 2)
             if nrm > 0:

@@ -16,12 +16,17 @@ At dx = 0 each term takes the mean of its two sides. No pairing of poles is
 needed, so a pole set without p -> -p symmetry (a linear-in-p term next to
 a parallel constant term, or N > 2 bands) takes the same path.
 
-residue_green is the batch of one energy of residue_green_many, which
-builds the kernels of a whole energy mesh from one poles_many and one
-stacked SVD of Q(p) over every pole of every energy, whose last singular
-vectors are v and w. Each kernel has the bits of its energy alone, and the
-first energy in order whose poles coincide raises its own DegeneratePoles.
-GreenKernel.evaluate is likewise the batch of one kernel of evaluate_many.
+A GreenKernel holds its 2N poles as one array and their residues as
+another. residue_green is the batch of one energy of residue_green_many,
+which builds the kernels of a whole energy mesh from one pole_arrays and
+one stacked SVD of Q(p) over every pole of every energy, whose last
+singular vectors are v and w. Each kernel has the bits of its energy alone,
+and the first energy in order whose poles coincide raises its own
+DegeneratePoles. GreenKernel.evaluate is likewise the batch of one kernel
+of evaluate_many, which evaluates every kernel, pole and separation in one
+masked pass; evaluate_uniform gives the same values at the separations of
+a uniform grid from per-step factors. Both add the terms in pole order,
+elementwise, so a kernel's values do not depend on the batch around it.
 
 For a single band this reproduces (m/p0) sin(p0 dx) sign(dx) above the band
 and -(m/kappa) exp(-kappa |dx|) below it. The derivative jump
@@ -37,13 +42,14 @@ fails it -- the kernel-check table reports that comparison).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from .errors import DegeneratePoles, GapViolation, ModelError, SingularG
 from .models import BandModel
 # poles stays bound here: bench/test_bench.py pins green.poles as a tracer binding site
-from .spectral import PoleLabel, PoleSet, poles, poles_many, soc_poles  # noqa: F401
+from .spectral import pole_arrays, poles, soc_poles  # noqa: F401
 
 # Poles closer than this trigger DegeneratePoles: the residue weight
 # 1/(w^H Q'(p) v) blows up. Callers should offset the energy (e.g. by 1e-6 * gap).
@@ -51,26 +57,18 @@ DEGENERATE_POLE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
-class KernelTerm:
-    """The residue term of one momentum pole.
-
-    A real pole has imag exactly 0; its profile is (i/2) sign(dx) R e^{ipdx}.
-    A pole with Im p > 0 contributes i R e^{ipdx} on dx > 0, one with
-    Im p < 0 contributes -i R e^{ipdx} on dx < 0, and both half of that at
-    dx = 0.
-    """
-
-    pole: complex
-    residue: np.ndarray
-
-
-@dataclass(frozen=True)
 class GreenKernel:
-    """Residue decomposition of G_E, evaluable at any spatial separation."""
+    """Residue decomposition of G_E, evaluable at any spatial separation:
+    the 2N momentum poles, shape (2N,), and the residue of Q^{-1} at each,
+    shape (2N, N, N). A real pole has imag exactly 0; its term is
+    (i/2) sign(dx) R e^{ipdx}. A pole with Im p > 0 contributes i R e^{ipdx}
+    on dx > 0, one with Im p < 0 contributes -i R e^{ipdx} on dx < 0, and
+    both half of that at dx = 0."""
 
     energy: float
     n_bands: int
-    terms: tuple[KernelTerm, ...]
+    poles: np.ndarray
+    residues: np.ndarray
 
     def evaluate(self, dx, rows=None, cols=None) -> np.ndarray:
         """Kernel matrices for an array of separations, shape (len, N, N);
@@ -84,38 +82,80 @@ class GreenKernel:
     @property
     def decay_rate(self) -> float:
         """Slowest evanescent rate (min Im p over the upper poles)."""
-        rates = [t.pole.imag for t in self.terms if t.pole.imag > 0]
-        return min(rates) if rates else float("inf")
+        rates = self.poles.imag
+        return float(rates[rates > 0].min(initial=np.inf))
 
     @property
     def real_momenta(self) -> np.ndarray:
         """The real poles, signed and sorted."""
-        return np.array(sorted(t.pole.real for t in self.terms if t.pole.imag == 0))
+        return np.sort(self.poles.real[self.poles.imag == 0])
+
+
+def _stack(kernels, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The poles (2N, kernels) and residue blocks (2N, kernels, R, C) of
+    kernels with equally many poles, pole index first."""
+    if len({k.poles.size for k in kernels}) != 1:
+        raise ValueError("kernels need equally many poles")
+    poles = np.array([k.poles for k in kernels]).T
+    res = np.array([k.residues for k in kernels]).swapaxes(0, 1)
+    return poles, res if rows is None else res[..., rows, :][..., cols]
+
+
+def _weights(sign_dx, poles: np.ndarray) -> np.ndarray:
+    """(i/2)(sign(dx) + sign(Im p)), the weight of each pole's term on the
+    side sign_dx: zero where the term does not live, and its exponential,
+    which an evanescent term overflows there, is not evaluated (inf * 0
+    would give NaN)."""
+    return 0.5j * (sign_dx + np.sign(poles.imag))
+
+
+def _exp_live(phase: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """exp(phase) where weight is nonzero, 0 elsewhere."""
+    return np.exp(phase, where=weight != 0, out=np.zeros(phase.shape, dtype=complex))
+
+
+def _pole_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the leading (pole) axis of a * b, broadcast. The products
+    fill a C-contiguous array, whose float view numpy reduces one pole
+    slice at a time, in pole order: an entry's bits do not depend on the
+    batch around it, and no BLAS call runs."""
+    return np.multiply(a, b, order="C").view(float).sum(axis=0).view(complex)
 
 
 def evaluate_many(kernels, dx, rows=None, cols=None) -> np.ndarray:
-    """GreenKernel.evaluate of kernels with equally many terms at one array
-    of separations, shape (len(kernels), len(dx), ...), in one pass per
-    term index over every kernel."""
-    if len({len(k.terms) for k in kernels}) != 1:
-        raise ValueError("evaluate_many needs kernels with equally many terms")
+    """GreenKernel.evaluate of kernels with equally many poles at one array
+    of separations, shape (len(kernels), len(dx), ...), in one masked pass
+    over every kernel, pole and separation."""
+    poles, res = _stack(kernels, rows, cols)
     dx = np.atleast_1d(np.asarray(dx, dtype=float))
-    n = kernels[0].n_bands
-    block = slice(None) if rows is None else np.ix_(rows, cols)
-    shape = (n, n) if rows is None else (len(rows), len(cols))
-    out = np.zeros((len(kernels), dx.size) + shape, dtype=complex)
-    sgn = np.sign(dx)
-    for terms in zip(*(k.terms for k in kernels)):
-        # (i/2)(sign(dx) + sign(Im p)) is zero on the side a term does not
-        # live on; its exponential is not evaluated there, where an
-        # evanescent one overflows and inf * 0 would give NaN
-        weight = 0.5j * (sgn + np.sign([t.pole.imag for t in terms])[:, None])
-        live = weight != 0
-        phase = np.array([1j * t.pole for t in terms])[:, None] * dx
-        prof = np.zeros(weight.shape, dtype=complex)
-        prof[live] = weight[live] * np.exp(phase[live])
-        out += prof[:, :, None, None] * np.array([t.residue[block] for t in terms])[:, None]
-    return out
+    weight = _weights(np.sign(dx), poles[..., None])
+    prof = weight * _exp_live(1j * poles[..., None] * dx, weight)
+    return _pole_sum(prof[..., None, None], res[:, :, None])
+
+
+def evaluate_uniform(kernels, n: int, dx: float, rows=None, cols=None) -> np.ndarray:
+    """evaluate_many at the separations dx*d of n sites, d = i - j at index
+    d + (n-1) on the second axis, shape (len(kernels), 2n - 1, ...).
+
+    On its side s = +/-1 a term's exponential at |d| = aB + b, B =
+    ceil(sqrt(n)), is e^{i p dx s B a} e^{i p dx s b}: two tables of about
+    sqrt(n) exponentials each, evaluated only on the side where the term
+    lives, where both have modulus at most 1. dx = 0 takes the mean of the
+    two sides, as every term does.
+    """
+    poles, res = _stack(kernels, rows, cols)
+    block = isqrt(n - 1) + 1
+    sides = np.array([1.0, -1.0])[:, None]
+    weight = _weights(sides, poles[:, None])                         # (2N, 2, K)
+    step = 1j * dx * sides * poles[:, None]
+    fine = _exp_live(step[..., None] * np.arange(block), weight[..., None])
+    coarse = weight[..., None] * _exp_live(
+        step[..., None] * (block * np.arange(-(-n // block))), weight[..., None])
+    coarse = coarse[..., None, None] * res[:, None, :, None]        # (2N, 2, K, A, R, C)
+    sums = _pole_sum(coarse[:, :, :, :, None], fine[:, :, :, None, :, None, None])
+    sums = sums.reshape(sums.shape[:2] + (-1,) + sums.shape[-2:])[:, :, :n]
+    center = 0.5 * (sums[0, :, :1] + sums[1, :, :1])
+    return np.concatenate([sums[1, :, :0:-1], center, sums[0, :, 1:]], axis=1)
 
 
 def residue_green(model: BandModel, energy: float) -> GreenKernel:
@@ -128,58 +168,56 @@ def residue_green(model: BandModel, energy: float) -> GreenKernel:
     return residue_green_many(model, [energy])[0]
 
 
-def _check_distinct(ps: PoleSet) -> None:
-    roots = ps.roots
+def _check_distinct(roots: np.ndarray, energy: float) -> None:
+    if not roots.imag.any():
+        roots = roots.real  # the roots as poles() reports them, for the message
     tol = DEGENERATE_POLE_TOL * (1.0 + np.abs(roots).max())
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) < tol:
                 raise DegeneratePoles(
-                    f"poles {roots[i]:.6g} and {roots[j]:.6g} coincide at E={ps.energy:g}; "
-                    "offset the energy", energy=ps.energy)
+                    f"poles {roots[i]:.6g} and {roots[j]:.6g} coincide at E={energy:g}; "
+                    "offset the energy", energy=energy)
 
 
 def residue_green_many(model: BandModel, energies) -> list[GreenKernel]:
-    """residue_green at a sequence of energies, from one poles_many and one
-    stacked SVD of Q(p) over every pole of every energy. The first energy,
-    in order, whose poles coincide raises DegeneratePoles, with the message
-    it raises alone."""
+    """residue_green at a sequence of energies, from one pole_arrays and one
+    stacked SVD of Q(p) over every pole of every energy, each kernel's
+    arrays a slice of the stacked result. The first energy, in order, whose
+    poles coincide raises DegeneratePoles, with the message it raises
+    alone."""
     n = model.n_bands
-    sets = poles_many(model, energies)
-    roots = np.array([ps.roots for ps in sets], dtype=complex).reshape(len(sets), 2 * n)
-    # a screen at twice the tolerance; _check_distinct decides with scalar
+    roots, real = pole_arrays(model, energies)
+    # a screen at twice the tolerance of the batch's largest pole, which
+    # every root passes against itself; _check_distinct decides with scalar
     # arithmetic, whose rounding the vectorised abs does not share
-    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
-    gaps[:, range(2 * n), range(2 * n)] = np.inf
-    tol = 2.0 * DEGENERATE_POLE_TOL * (1.0 + np.abs(roots).max(axis=1, initial=0.0))
-    for e in np.flatnonzero((gaps < tol[:, None, None]).any(axis=(1, 2))):
-        _check_distinct(sets[e])
-    real = np.array([[label is PoleLabel.REAL for label in ps.labels] for ps in sets],
-                    dtype=bool).reshape(roots.shape)
-    moms = np.where(real, roots.real, roots).reshape(-1)
+    tol = 2.0 * DEGENERATE_POLE_TOL * (1.0 + np.abs(roots).max(initial=0.0))
+    close = np.abs(roots[:, :, None] - roots[:, None, :]) < tol
+    if close.sum() > close.shape[0] * 2 * n:
+        for e in np.flatnonzero(close.sum(axis=(1, 2)) > 2 * n):
+            _check_distinct(roots[e], energies[e])
+    moms = np.where(real, roots.real, roots)
+    flat = moms.reshape(-1)
+    eye = np.eye(n)
     shift = np.repeat(np.asarray(energies, dtype=float), 2 * n)
-    u, _, vh = np.linalg.svd(shift[:, None, None] * np.eye(n) - model.h0_many(moms))
+    u, _, vh = np.linalg.svd(shift[:, None, None] * eye - model.h0_many(flat))
     v, w = vh[:, -1].conj(), u[:, :, -1].conj()
-    dq = -model.a1 - (moms / model.mass)[:, None, None] * np.eye(n)
+    dq = -model.a1 - (flat / model.mass)[:, None, None] * eye
     res = v[:, :, None] * w[:, None, :] / np.einsum("ki,kij,kj->k", w, dq, v)[:, None, None]
-    return [GreenKernel(energy=ps.energy, n_bands=n,
-                        terms=tuple(KernelTerm(pole=complex(p), residue=r)
-                                    for p, r in zip(row, rs)))
-            for ps, row, rs in zip(sets, moms.reshape(len(sets), 2 * n),
-                                   res.reshape(len(sets), 2 * n, n, n))]
+    return [GreenKernel(energy=e, n_bands=n, poles=p, residues=r)
+            for e, p, r in zip(energies, moms, res.reshape(moms.shape + (n, n)))]
 
 
-def _standing_terms(q: float, m_sin: np.ndarray, m_cs: np.ndarray) -> list[KernelTerm]:
-    """Real-pole terms +/-q whose sum is m_sin sin(q|dx|) + m_cs cos(q dx) sign(dx)."""
-    return [KernelTerm(pole=complex(q), residue=-m_sin - 1j * m_cs),
-            KernelTerm(pole=complex(-q), residue=m_sin - 1j * m_cs)]
-
-
-def _evanescent_terms(kappa: float, m_even: np.ndarray,
-                      m_odd: np.ndarray) -> list[KernelTerm]:
-    """Poles +/-i kappa whose sum is (m_even + m_odd sign(dx)) exp(-kappa |dx|)."""
-    return [KernelTerm(pole=1j * kappa, residue=-1j * (m_even + m_odd)),
-            KernelTerm(pole=-1j * kappa, residue=1j * (m_even - m_odd))]
+def _closed_form(energy: float, kappa: float, m_even: np.ndarray, m_odd: np.ndarray,
+                 q: float, m_sin: np.ndarray, m_cs: np.ndarray) -> GreenKernel:
+    """Two-band kernel of the poles (i kappa, -i kappa, q, -q): the first two
+    sum to (m_even + m_odd sign(dx)) exp(-kappa |dx|), the real pair to
+    m_sin sin(q|dx|) + m_cs cos(q dx) sign(dx)."""
+    return GreenKernel(
+        energy=energy, n_bands=2,
+        poles=np.array([1j * kappa, -1j * kappa, q, -q], dtype=complex),
+        residues=np.array([-1j * (m_even + m_odd), 1j * (m_even - m_odd),
+                           -m_sin - 1j * m_cs, m_sin - 1j * m_cs], dtype=complex))
 
 
 def _constant_a_params(model: BandModel) -> tuple[float, float]:
@@ -226,8 +264,7 @@ def constantA_kernel(model: BandModel, energy: float) -> GreenKernel:
     b1_mat = a * np.column_stack([v1, c0 * v1])
     b2_mat = b * np.column_stack([v2, d0 * v2])
     zero = np.zeros((2, 2))
-    terms = _evanescent_terms(kappa, b1_mat, zero) + _standing_terms(p1, b2_mat, zero)
-    return GreenKernel(energy=energy, n_bands=2, terms=tuple(terms))
+    return _closed_form(energy, kappa, b1_mat, zero, p1, b2_mat, zero)
 
 
 def _soc_params(model: BandModel) -> tuple[float, float]:
@@ -279,8 +316,7 @@ def soc_kernel(model: BandModel, energy: float) -> GreenKernel:
     m_cs = (m / (2.0 * s_root)) * gamma * isy
     m_even = -(m / (2.0 * kap * s_root)) * (w_e * eye + mu * sz)
     m_odd = -(m / (2.0 * s_root)) * gamma * isy
-    terms = _evanescent_terms(kap, m_even, m_odd) + _standing_terms(q, m_sin, m_cs)
-    return GreenKernel(energy=energy, n_bands=2, terms=tuple(terms))
+    return _closed_form(energy, kap, m_even, m_odd, q, m_sin, m_cs)
 
 
 def apply_inverse_operator(model: BandModel, kernel: GreenKernel, dx_at: float,
@@ -307,7 +343,4 @@ def derivative_jump(kernel: GreenKernel) -> np.ndarray:
 
     Every term, on either side and real or not, contributes -p R_p.
     """
-    jump = np.zeros((kernel.n_bands, kernel.n_bands), dtype=complex)
-    for t in kernel.terms:
-        jump -= t.pole * t.residue
-    return jump
+    return _pole_sum(-kernel.poles[:, None, None], kernel.residues)

@@ -89,7 +89,7 @@ operator, so every result keeps its bits.
 
 The mesh is built as one batch (_mesh_branch_values): one
 residue_green_many gives the kernels of every mesh energy (_mesh_kernels);
-on the direct path one evaluate_many gives their tables, and stacked
+on the direct path one evaluate_uniform gives their tables, and stacked
 eigvals calls their eigenvalues (_solve_direct), each energy with the bits
 of its own probe. On the Arnoldi path the first passes run as one lockstep
 Arnoldi over the mesh energies (_solve_mesh_arnoldi): on the 512-point mesh
@@ -112,10 +112,14 @@ which fits the tail, and by assemble_map, whose matrix maps full-grid
 states.
 
 Every form of the map reads one table of kernel samples, K at the grid
-separations dx*d (_kernel_samples): the dense support_matrix and the FFT
-matvec over the support's span, the lift over the full grid, and
+separations dx*d (green.evaluate_uniform): the dense support_matrix and the
+FFT matvec over the support's span, the lift over the full grid, and
 assemble_map, the explicit dense (nN x nN) matrix for inspection and
-cross-checks.
+cross-checks. The table takes each term's exponential on the side where it
+lives as the product of two tables of about sqrt(n) per-step factors, so a
+table of 2n - 1 separations costs about 4 sqrt(n) exponentials per pole,
+not 2n, and its sum over the poles runs elementwise, without BLAS: a
+matmul over the poles would wake OpenBLAS's threads outside _serial_blas.
 """
 from __future__ import annotations
 
@@ -135,7 +139,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .errors import (DegeneratePoles, GridTooCoarse, ModelError, NoNearUnitEigenvalue,
                      NoSolutionInRange)
-from .green import GreenKernel, evaluate_many, residue_green, residue_green_many
+from .green import GreenKernel, evaluate_uniform, residue_green, residue_green_many
 from .grids import Grid, SpinorField, record_coverage, warns_coverage_once
 from .models import BandModel
 from .potentials import PotentialSpec, Scaled, coupling_terms, decay_scale, sample_potential
@@ -206,13 +210,6 @@ def _check_grid(kernel: GreenKernel, grid: Grid) -> GreenKernel:
     return kernel
 
 
-def _kernel_samples(kernels: list[GreenKernel], n: int, dx: float, rows=None,
-                    cols=None) -> np.ndarray:
-    """Each kernel's blocks at the separations of n sites, index
-    d = i - j + (n-1) on the second axis."""
-    return evaluate_many(kernels, dx * np.arange(-(n - 1), n), rows, cols)
-
-
 def _convolve(kf: np.ndarray, m: int, sites: np.ndarray | slice, u: np.ndarray) -> np.ndarray:
     """Sum_j K(x_i - x_j) u_j at all i of a range of m sites, shape
     (..., C, m), for sources u of shape (..., channels, len(sites)) at the
@@ -227,9 +224,9 @@ def _convolve(kf: np.ndarray, m: int, sites: np.ndarray | slice, u: np.ndarray) 
 
 def _sample_fft(kernels: list[GreenKernel], n: int, dx: float, rows=None,
                 cols=None) -> np.ndarray:
-    """The FFT of each kernel's _kernel_samples on n sites, index (kernel,
-    C, R, separation), each transform contiguous."""
-    samples = _kernel_samples(kernels, n, dx, rows, cols)
+    """The FFT of each kernel's evaluate_uniform table on n sites, index
+    (kernel, C, R, separation), each transform contiguous."""
+    samples = evaluate_uniform(kernels, n, dx, rows, cols)
     return fft(np.ascontiguousarray(samples.transpose(0, 2, 3, 1)),
                n=next_fast_len(2 * n - 1), axis=-1)
 
@@ -246,7 +243,7 @@ def assemble_map(model: BandModel, energy: float, grid: Grid,
     coupling = _coupling(model, grid, potential)
     record_coverage(grid, min(kernel.decay_rate, coupling.decay))
     n, nb = grid.n_points, model.n_bands
-    samples = _kernel_samples([kernel], n, grid.dx)[0]
+    samples = evaluate_uniform([kernel], n, grid.dx)[0]
     idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
     blocks = np.einsum("ijab,jbc->iajc", samples[idx], coupling.factors)
     return blocks.reshape(n * nb, n * nb)
@@ -317,7 +314,7 @@ class _ConvMap(LinearOperator):
         eigenproblem instead of an Arnoldi iteration."""
         c, s = self.coupling, self.support
         if samples is None:
-            samples = _kernel_samples([self.kernel], self._span, self.grid.dx, c.cols, c.rows)[0]
+            samples = evaluate_uniform([self.kernel], self._span, self.grid.dx, c.cols, c.rows)[0]
         ks = samples[s[:, None] - s[None, :] + (self._span - 1)]
         return np.einsum("jrc,jpcs->jrps", c.psi, ks).reshape(self.shape)
 
@@ -620,7 +617,7 @@ def _solve_direct(ops: Iterable[_ConvMap]) -> None:
     step = max(1, STACK_ENTRIES // entries)
     for start in range(0, len(ops), step):
         chunk = ops[start:start + step]
-        samples = _kernel_samples([op.kernel for op in chunk], span, dx, c.cols, c.rows)
+        samples = evaluate_uniform([op.kernel for op in chunk], span, dx, c.cols, c.rows)
         mats = np.array([op.support_matrix(table) for op, table in zip(chunk, samples)])
         for op, vals in zip(chunk, np.linalg.eigvals(mats)):
             op.sets[("direct", False)] = vals, None

@@ -11,7 +11,8 @@ L(E) = [[0, I], [2m (E - a0), -2m a1]], whose eigenvector at p is (v, p v)
 with (E - H0(p)) v = 0 (Tisseur and Meerbergen, SIAM Rev. 43, 235 (2001)).
 
 poles is the batch of one energy of poles_many, which serves a whole energy
-mesh with one stacked eigensolve of the pencils. Each energy of a batch
+mesh with one stacked eigensolve of the pencils, pole_arrays; the Green
+kernels read its arrays without building PoleSets. Each energy of a batch
 gets the bits it gets alone: numpy's batched eigvals rounds as single calls
 do.
 """
@@ -81,32 +82,41 @@ def poles(model: BandModel, energy: float) -> PoleSet:
 
 def poles_many(model: BandModel, energies) -> list[PoleSet]:
     """poles at a sequence of energies: one stacked eigensolve of the
-    pencils L(E), sorted and labelled per batch. DegeneratePolynomial names
-    the first energy whose pencil has a non-finite entry."""
+    pencils L(E) (pole_arrays), sorted and labelled per batch.
+    DegeneratePolynomial names the first energy whose pencil has a
+    non-finite entry."""
+    roots, real = pole_arrays(model, energies)
+    codes = np.where(real, 2, roots.imag > 0).tolist()
+    # the roots of an energy whose poles are all exactly real are reported real
+    return [PoleSet(energy=e, roots=r if r.imag.any() else r.real.copy(),
+                    labels=tuple(_LABELS[c] for c in code))
+            for e, r, code in zip(energies, roots, codes)]
+
+
+def pole_arrays(model: BandModel, energies) -> tuple[np.ndarray, np.ndarray]:
+    """The poles of poles_many as arrays, without its PoleSets: the roots,
+    complex, shape (len(energies), 2N), each row sorted by (|Im|, Re, Im),
+    and the mask of those labelled Real."""
     n = model.n_bands
     es = np.asarray(energies, dtype=float)
     two_m = 2.0 * model.mass
+    eye = np.eye(n)
     pencil = np.zeros((es.size, 2 * n, 2 * n), dtype=complex)
-    pencil[:, :n, n:] = np.eye(n)
+    pencil[:, :n, n:] = eye
     # an overflow shows as a non-finite entry, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        pencil[:, n:, :n] = two_m * (es[:, None, None] * np.eye(n) - model.a0)
+        pencil[:, n:, :n] = two_m * (es[:, None, None] * eye - model.a0)
         pencil[:, n:, n:] = -two_m * model.a1
-    finite = np.isfinite(pencil).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(pencil).all():
+        finite = np.isfinite(pencil).all(axis=(1, 2))
         raise DegeneratePolynomial(f"the pencil of E - H0(p) is not finite at energy "
                                    f"{es[~finite][0]:g}")
     # a real pencil keeps real arithmetic, whose complex poles come in exact
     # conjugate pairs
     roots = np.linalg.eigvals(pencil if pencil.imag.any() else pencil.real).astype(complex)
-    real = ~roots.imag.any(axis=1)
     order = np.lexsort((roots.imag, roots.real, np.abs(roots.imag)))
     roots = roots[np.arange(es.size)[:, None], order]
-    codes = np.where(np.abs(roots.imag) < REAL_POLE_TOL * (1.0 + np.abs(roots.real)),
-                     2, roots.imag > 0).tolist()
-    return [PoleSet(energy=e, roots=r.real.copy() if is_real else r,
-                    labels=tuple(_LABELS[c] for c in code))
-            for e, r, is_real, code in zip(energies, roots, real, codes)]
+    return roots, np.abs(roots.imag) < REAL_POLE_TOL * (1.0 + np.abs(roots.real))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ def kernel_dev(k1, k2, seps=SEPS):
 
 def residue_at(kernel, pole, tol=1e-10):
     """Residue of the one kernel term whose pole is within tol of `pole`."""
-    (term,) = [t for t in kernel.terms if abs(t.pole - pole) < tol]
-    return term.residue
+    (residue,) = kernel.residues[np.abs(kernel.poles - pole) < tol]
+    return residue
 
 
 def test_single_band_bound_kernel():
@@ -38,11 +38,11 @@ def test_single_band_extended_matches_standing_form():
 def test_two_band_mixed_kernel_structure():
     model = bf.two_band_model(mu=0.0, g=1.0)
     k = bf.residue_green(model, 0.875)
-    poles = sorted((t.pole for t in k.terms), key=lambda p: (p.imag, p.real))
+    poles = sorted(k.poles, key=lambda p: (p.imag, p.real))
     want = [-0.5j, -np.sqrt(3.75), np.sqrt(3.75), 0.5j]
     assert np.allclose(poles, want, atol=1e-10)
     # real poles carry exactly zero imaginary part: that selects their profile
-    assert sum(t.pole.imag == 0 for t in k.terms) == 2
+    assert np.count_nonzero(k.poles.imag == 0) == 2
 
 
 def test_constant_coupling_closed_form_coefficients():
@@ -50,7 +50,7 @@ def test_constant_coupling_closed_form_coefficients():
     k = bf.constantA_kernel(model, 0.5)
     p1 = np.sqrt(3.0)
     kappa = 1.0
-    assert len(k.terms) == 4
+    assert k.poles.shape == (4,) and k.residues.shape == (4, 2, 2)
     # a [v1 | c0 v1] with v1 = (1, 1), c0 = 1, a = -1/(2 kappa): the even
     # exp(-kappa|dx|) matrix, split as R = -i M at +i kappa and +i M at -i kappa
     m_exp = -np.ones((2, 2)) / (2 * kappa)
@@ -94,7 +94,7 @@ def test_soc_closed_form_agrees_with_residues(e_bic):
 
 def test_soc_kernel_term_structure(e_bic):
     k = bf.soc_kernel(bf.soc_model(gamma=0.5, mu=1.0), e_bic)
-    poles = sorted((t.pole for t in k.terms), key=lambda p: (p.imag, p.real))
+    poles = sorted(k.poles, key=lambda p: (p.imag, p.real))
     assert [poles[0], poles[3]] == pytest.approx([-0.7j, 0.7j], abs=1e-6)
     assert [poles[1], poles[2]] == pytest.approx([-2.06325, 2.06325], abs=1e-4)
     r_mq, r_q = residue_at(k, poles[1]), residue_at(k, poles[2])
@@ -182,7 +182,7 @@ def test_random_three_band_kernels_with_linear_term():
         roots = bf.poles(model, e).roots
         assert max(min(abs(r + s) for s in roots) for r in roots) > 0.1
         k = bf.residue_green(model, e)
-        assert len(k.terms) == 6
+        assert k.poles.shape == (6,) and k.residues.shape == (6, 3, 3)
         for d in (1.3, -1.3):
             r = apply_inverse_operator(model, k, d, step=1e-3)
             assert np.abs(r).max() < 1e-5 * np.abs(k(d)).max()
@@ -199,6 +199,14 @@ def test_evanescent_terms_do_not_overflow_on_the_growing_side():
     g = k.evaluate(dx)[:, 0, 0]
     assert np.all(np.isfinite(g))
     assert np.allclose(g, -np.exp(-kappa * np.abs(dx)) / kappa, rtol=1e-12, atol=0)
+    # the uniform table at the same separations, each exponential a product
+    # of two factors. Past kappa |dx| ~ 708 the values are subnormal, where
+    # a product rounds to fewer bits than one exp, so relative accuracy is
+    # asked only down to the smallest normal float
+    table = bf.evaluate_uniform([k], 801, 0.1)[0, :, 0, 0]
+    assert np.all(np.isfinite(table))
+    assert np.allclose(table, -np.exp(-kappa * np.abs(dx)) / kappa, rtol=1e-12,
+                       atol=np.finfo(float).tiny)
 
 
 def test_residues_are_annihilated_at_every_pole():
@@ -212,26 +220,26 @@ def test_residues_are_annihilated_at_every_pole():
     for _ in range(30):
         model = bf.BandModel(3, 1.0, herm(), herm(), np.eye(3))
         e = rng.uniform(-0.3, 0.3)
-        for t in bf.residue_green(model, e).terms:
-            lhs = (e * np.eye(3) - model.h0(t.pole)) @ t.residue
-            assert np.abs(lhs).max() < 1e-11 * np.abs(t.residue).max()
+        k = bf.residue_green(model, e)
+        lhs = (e * np.eye(3) - model.h0_many(k.poles)) @ k.residues
+        assert np.all(np.abs(lhs).max(axis=(1, 2)) < 1e-11 * np.abs(k.residues).max(axis=(1, 2)))
 
 
 def test_residue_green_computes_the_dispersion_polynomial_once(monkeypatch):
     import sys
     from bicforge import spectral
     calls = []
-    batched = spectral.poles_many
+    batched = spectral.pole_arrays
 
     def counted(*args):
         calls.append(args)
         return batched(*args)
 
-    # count through every module that binds the batched function, which
-    # poles also calls, not spectral alone
+    # count through every module that binds the batched pencil solve, which
+    # poles and the kernels both call, not spectral alone
     for name, mod in list(sys.modules.items()):
-        if name.startswith("bicforge") and getattr(mod, "poles_many", None) is batched:
-            monkeypatch.setattr(mod, "poles_many", counted)
+        if name.startswith("bicforge") and getattr(mod, "pole_arrays", None) is batched:
+            monkeypatch.setattr(mod, "pole_arrays", counted)
     rng = np.random.default_rng(8)
     herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     models = [bf.single_band_model(), bf.two_band_model(mu=0.3, g=1.0),
@@ -261,18 +269,21 @@ def test_batch_equals_one_energy_at_a_time(model):
     # bit for bit: the batch shares its linear algebra calls, not its rounding
     energies = list(np.random.default_rng(4).uniform(-2.0, 2.0, 17))
     kernels = bf.residue_green_many(model, energies)
-    tables = bf.evaluate_many(kernels, SEPS, [0], [model.n_bands - 1])
-    assert all(t.tobytes() == k.evaluate(SEPS, [0], [model.n_bands - 1]).tobytes()
+    block = [0], [model.n_bands - 1]
+    tables = bf.evaluate_many(kernels, SEPS, *block)
+    assert all(t.tobytes() == k.evaluate(SEPS, *block).tobytes()
                for t, k in zip(tables, kernels))
-    for e, ps, k in zip(energies, bf.poles_many(model, energies), kernels):
+    # the uniform table that every solver operator reads, one row/column block
+    uniform = bf.evaluate_uniform(kernels, 513, 0.05, *block)
+    for e, ps, k, table in zip(energies, bf.poles_many(model, energies), kernels, uniform):
         one = bf.poles(model, e)
         assert ps.roots.dtype == one.roots.dtype
         assert ps.roots.tobytes() == one.roots.tobytes()
         assert ps.labels == one.labels and ps.energy == e
         alone = bf.residue_green(model, e)
-        assert [t.pole for t in k.terms] == [t.pole for t in alone.terms]
-        assert all(t.residue.tobytes() == u.residue.tobytes()
-                   for t, u in zip(k.terms, alone.terms))
+        assert k.poles.tobytes() == alone.poles.tobytes()
+        assert k.residues.tobytes() == alone.residues.tobytes()
+        assert table.tobytes() == bf.evaluate_uniform([alone], 513, 0.05, *block)[0].tobytes()
     assert bf.residue_green_many(model, []) == bf.poles_many(model, []) == []
 
 
@@ -286,6 +297,31 @@ def test_batch_raises_the_first_band_edge_as_alone(model, edge):
         bf.residue_green_many(model, [-0.4, edge, 0.3, -edge])
     assert str(batch.value) == str(alone.value)
     assert batch.value.energy == edge
+
+
+def _rashba_zeeman() -> bf.BandModel:
+    # kernel-check's Rashba wire with a parallel Zeeman field
+    return bf.BandModel(2, 1.0, 0.3 * bf.sigma_y(), 0.5 * bf.sigma_y(), np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 513, 4096])
+@pytest.mark.parametrize("model, e", [(bf.single_band_model(), -0.5),
+                                      (bf.single_band_model(), 0.5),
+                                      (bf.soc_model(gamma=0.5, mu=1.0), 0.6917497),
+                                      (_rashba_zeeman(), 0.05),
+                                      (_three_band(True), 0.15)],
+                         ids=["1-band-bound", "1-band-extended", "spin-orbit",
+                              "rashba-zeeman", "3-band-a1"])
+def test_uniform_table_matches_evaluate_many(model, e, n):
+    # the per-step factors of evaluate_uniform against one exponential per
+    # separation, on the spacing of a half-width-40 grid of n points; worst
+    # measured 1.5e-14 of the largest entry (spin-orbit, n = 4096)
+    kernel = bf.residue_green(model, e)
+    dx = 80.0 / max(n - 1, 1)
+    table = bf.evaluate_uniform([kernel], n, dx)[0]
+    want = bf.evaluate_many([kernel], dx * np.arange(-(n - 1), n))[0]
+    assert table.shape == want.shape == (2 * n - 1, model.n_bands, model.n_bands)
+    assert np.abs(table - want).max() <= 1e-13 * np.abs(table).max()
 
 
 def test_evaluate_many_refuses_kernels_with_unequal_term_counts():
@@ -302,9 +338,9 @@ def _worst_relative_errors(kernel, reference):
     (pole, residue) pairs, each matched to the kernel's nearest pole."""
     pole_err = res_err = 0.0
     for p, r in reference:
-        t = min(kernel.terms, key=lambda t: abs(t.pole - p))
-        pole_err = max(pole_err, abs(t.pole - p) / abs(p))
-        res_err = max(res_err, np.abs(t.residue - r).max() / np.abs(r).max())
+        i = np.argmin(np.abs(kernel.poles - p))
+        pole_err = max(pole_err, abs(kernel.poles[i] - p) / abs(p))
+        res_err = max(res_err, np.abs(kernel.residues[i] - r).max() / np.abs(r).max())
     return pole_err, res_err
 
 
@@ -356,6 +392,6 @@ def test_spin_orbit_poles_and_residues_match_the_closed_forms(gamma, mu, mass):
         closed = bf.soc_kernel(model, e)
         p_plus, p_minus = bf.soc_poles(gamma, mu, mass, e)
         for p in (p_plus, -p_plus, p_minus, -p_minus):
-            assert min(abs(t.pole - p) for t in k.terms) < 5e-12 * abs(p)
-        terms = [(t.pole, t.residue) for t in closed.terms]
+            assert np.abs(k.poles - p).min() < 5e-12 * abs(p)
+        terms = list(zip(closed.poles, closed.residues))
         assert max(_worst_relative_errors(k, terms)) < 5e-12

@@ -643,8 +643,8 @@ def test_mesh_grid_keeps_a_margin_at_every_momentum():
     grid = bf.Grid.symmetric(30.0, 1 << 15)
     steps = np.arange(400, 4000, 37)[:, None] + np.array([-1e-12, 0.0, 1e-12])
     for p in (steps * solver.MAX_PHASE_STEP / (2.0 * grid.x_max)).ravel():
-        kernel = bf.GreenKernel(energy=0.0, n_bands=1,
-                                terms=(bf.KernelTerm(pole=complex(-p), residue=np.eye(1)),))
+        kernel = bf.GreenKernel(energy=0.0, n_bands=1, poles=np.array([-p], dtype=complex),
+                                residues=np.eye(1)[None])
         mesh = solver._resolving_grid(grid, [kernel])
         assert mesh.n_points < grid.n_points
         solver._check_grid(kernel, mesh)
@@ -1008,7 +1008,7 @@ def test_mesh_energy_the_batch_leaves_gets_the_arpack_outcome(monkeypatch, outco
         monkeypatch.setattr(solver, "MESH_NCV", 5)
         left = set(energies)
     else:
-        left, samples = {energies[1]}, solver._kernel_samples
+        left, samples = {energies[1]}, solver.evaluate_uniform
 
         def poisoned(kernels, *args):
             out = samples(kernels, *args)
@@ -1016,7 +1016,7 @@ def test_mesh_energy_the_batch_leaves_gets_the_arpack_outcome(monkeypatch, outco
                 out[[k.energy in left for k in kernels]] = np.nan
             return out
 
-        monkeypatch.setattr(solver, "_kernel_samples", poisoned)
+        monkeypatch.setattr(solver, "evaluate_uniform", poisoned)
     batched = []
     _record_batch(monkeypatch, lambda op: batched.append(op.kernel.energy))
     coupling = solver._coupling(model, grid, pot)
