@@ -32,7 +32,7 @@ from .models import (BandModel, general_b_model, load_model, sigma_y, single_ban
                      soc_model, two_band_model)
 from .potentials import Delta, Scaled, SocBic, e_bic_analytic, spec_from_dict
 from .solver import find_energy
-from .spectral import poles
+from .spectral import PoleLabel, poles
 from .tabular import write_spectrum, write_wave_samples
 
 EXIT_OK = 0
@@ -80,9 +80,14 @@ def _write_out(text: str, out_path: str | None) -> None:
 
 
 def _pole_table(model: BandModel, energy: float) -> list[dict]:
+    """The poles at energy, Real-labelled ones with im 0.0, ordered by label
+    (Real, UpperHalf, LowerHalf), then Re, then Im: the rounding noise in a
+    real pole's Im or an evanescent pole's Re does not decide the order."""
     ps = poles(model, energy)
-    return [{"re": float(r.real), "im": float(r.imag), "label": lab.value}
-            for r, lab in zip(ps.roots, ps.labels)]
+    rank = {label: i for i, label in enumerate(PoleLabel)}
+    rows = sorted(((rank[lab], float(r.real), 0.0 if lab is PoleLabel.REAL else float(r.imag),
+                    lab.value) for r, lab in zip(ps.roots, ps.labels)))
+    return [{"re": re, "im": im, "label": label} for _, re, im, label in rows]
 
 
 def _checked_grid(half_width: float, n_points: int, n_flag: str = "--n-points") -> Grid:

@@ -3,7 +3,9 @@
 Independent of every solver in the package: 3-point Laplacian, central
 first difference for the linear-in-p term (exactly Hermitian by
 construction), Dirichlet walls. H is block-tridiagonal and stored sparse;
-eigenpairs near a target come from one shift-invert Lanczos run (ARPACK).
+eigenpairs near a target come from one shift-invert Lanczos run (ARPACK)
+whose solves use one banded LU of H - target (LAPACK ?gbtrf, kl = ku =
+2N - 1 for N bands).
 Still size-capped; the point is trust, not scale. Hard walls (not
 periodic) avoid momentum quantization accidentally coinciding with the
 real poles.
@@ -17,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 # eigh is unused here but stays bound: bench/tracer.py wraps oracle.eigh
 from scipy.linalg import eigh, eigvalsh  # noqa: F401
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.linalg.lapack import get_lapack_funcs
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import GridTooLarge, ModelError
 from .grids import Grid, SpinorField
@@ -114,9 +117,11 @@ def eigen_near(h: FdHamiltonian, e_target: float, k: int
                ) -> list[tuple[float, SpinorField]]:
     """k eigenpairs nearest e_target, eigenvectors normalized to unit norm^2.
 
-    One shift-invert Lanczos run about e_target (sparse LU of H - e_target).
-    The start vector is fixed so that repeated calls are bit-identical.
-    Raises ModelError where a solve with that LU is not finite.
+    One shift-invert Lanczos run about e_target, each step a solve with one
+    banded LU of H - e_target (_shift_invert). The start vector is fixed so
+    that repeated calls are bit-identical. Raises ModelError where e_target
+    is an eigenvalue of H (the LU is exactly singular) and where a solve
+    with that LU is not finite.
     """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K} (oracle stays small and checkable)")
@@ -133,8 +138,12 @@ def eigen_near(h: FdHamiltonian, e_target: float, k: int
 
 
 def _shift_invert(h: FdHamiltonian, e_target: float) -> LinearOperator:
-    """(H - e_target)^-1 from the sparse LU eigsh builds itself, with the
-    same bits, whose solves raise ModelError where they are not finite.
+    """(H - e_target)^-1 from one banded LU: H is block-tridiagonal with
+    N x N blocks, so H - e_target is banded with kl = ku = 2N - 1. LAPACK's
+    ?gbtrf factors the band read from todia() once, and ?gbtrs solves each
+    Lanczos step with it. Raises ModelError where e_target is an eigenvalue
+    of the box Hamiltonian (a pivot of the LU is exactly 0), and where a
+    solve is not finite.
 
     Far out, rounding in the LU leaves (H - e_target) near-singular: at
     two-band g = 1e300 and e_target = 1e300 the factors are finite but a
@@ -143,17 +152,26 @@ def _shift_invert(h: FdHamiltonian, e_target: float) -> LinearOperator:
     before the run (at g = 3.16e161 the start vector's solve is finite and
     the third is NaN), so every solve is checked as ARPACK asks for it.
     """
-    shifted = h.matrix - e_target * sp.eye(h.dim)
-    real = not np.issubdtype(shifted.dtype, np.complexfloating)
-    lu = splu(shifted.T if real else shifted.tocsc())  # csr^T is csc; H is symmetric
+    shifted = (h.matrix - e_target * sp.eye(h.dim)).todia()
+    kl = 2 * h.n_bands - 1
+    # LAPACK's band storage holds A[i, j] in column j, row kl + ku + i - j
+    # (rows 0 .. kl - 1 take the LU's fill-in); todia() holds it in column j
+    # of the row of its offset j - i
+    band = np.zeros((3 * kl + 1, h.dim), dtype=shifted.dtype)
+    band[2 * kl - shifted.offsets] = shifted.data
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+    lu, piv, info = gbtrf(band, kl, kl, overwrite_ab=True)
+    if info > 0:
+        raise ModelError(f"the target {e_target:g} is an eigenvalue of the box Hamiltonian: "
+                         f"H - {e_target:g} is singular")
 
     def solve(x):
-        y = lu.solve(np.asarray(x).astype(shifted.dtype))
+        y = gbtrs(lu, kl, kl, np.asarray(x).astype(band.dtype), piv)[0]
         if not np.isfinite(y).all():
             raise ModelError(f"the shift-invert factorisation of H - {e_target:g} overflows")
         return y
 
-    return LinearOperator(shifted.shape, matvec=solve, dtype=shifted.dtype)
+    return LinearOperator(shifted.shape, matvec=solve, dtype=band.dtype)
 
 
 def localization(state: SpinorField, x_cut: float) -> LocalizationMetrics:

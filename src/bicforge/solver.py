@@ -81,30 +81,38 @@ At strength s the map of Scaled(base, s) is s times the map of base, so its
 spectrum is s times base's. Inside a shared_mesh block (every
 criterion.scan_parameter call), find_energy calls share their mesh probes
 when they have the same model object, an equal hashable base, an equal
-window, mesh size and mesh grid, and s != 0: each mesh energy builds one
-operator of base, solves each eigenvalue set it is asked for once, and
-every call reads it times s. Calls with the same model and window derive
-the same mesh grid. Secant steps and solve_state run on the call's own
-operator, so every result keeps its bits.
+window, mesh size and mesh grid, and s != 0: each mesh energy solves the
+map of base once (its direct-path eigenvalues, or one operator that solves
+each eigenvalue set it is asked for once), and every call reads it times
+s. Calls with the same model and window derive the same mesh grid. Secant
+steps and solve_state run on the call's own operator, so every result
+keeps its bits.
 
 The mesh is built as one batch (_mesh_branch_values): one
-residue_green_many gives the kernels of every mesh energy (_mesh_kernels);
-on the direct path one evaluate_uniform gives their tables, and stacked
-eigvals calls their eigenvalues (_solve_direct), each energy with the bits
-of its own probe. On the Arnoldi path the first passes run as one lockstep
-Arnoldi over the mesh energies (_solve_mesh_arnoldi): on the 512-point mesh
-grid ARPACK's fixed cost per call is most of a probe's cost, and the batch
-shares every step. An energy the batch does not converge runs ARPACK as
-before. A failing mesh raises before it builds an operator, with the error
-that probing one energy at a time would meet first (_mesh_kernels).
-Secant steps and solve_state build one kernel at a time.
+residue_green_many gives the kernels of every mesh energy, and one pass
+over their stacked poles sizes the mesh grid and checks that it resolves
+each kernel (_mesh_kernels). A failing mesh raises there, before anything
+is solved, with the error that probing one energy at a time would meet
+first. Whether the mesh takes the direct path depends on the coupling,
+not on the energy, so the direct path builds no operator per energy
+(_direct_mesh): one evaluate_uniform gives the tables of every new mesh
+energy, one stacked einsum their support matrices (_support_matrices) and
+one stacked eigvals their eigenvalues, each energy with the bits of its
+own probe. The memo keeps each energy's eigenvalues, the structural 0
+included, and one pick (_nearest_one) reads them all. On the Arnoldi path
+the first passes run as one lockstep Arnoldi over the mesh energies
+(_solve_mesh_arnoldi): on the 512-point mesh grid ARPACK's fixed cost per
+call is most of a probe's cost, and the batch shares every step. An energy
+the batch does not converge runs ARPACK as before. Secant steps and
+solve_state build one kernel and one operator at a time.
 
 Grid coverage is recorded where a result reads something that decays
-(grids.warns_coverage_once). An eigenvalue read (_near_one) records the
-potential's decay: the map on the support reads the kernel at support
-separations only, so a mesh eigenvalue does not move with the half-width
-at equal dx. An operator read again, a shared mesh operator included,
-counts again; an operator without support, the zero map, records none.
+(grids.warns_coverage_once). An eigenvalue read (_near_one, and each read
+of a direct-path mesh) records the potential's decay: the map on the
+support reads the kernel at support separations only, so a mesh
+eigenvalue does not move with the half-width at equal dx. An operator read
+again, a shared mesh included, counts again; an operator without support,
+the zero map, records none.
 The kernel's own rate is recorded where a state's tail past the grid
 matters: where a state is lifted to the full grid (_solve_state, so
 solve_state and every root find_energy returns), by criterion.classify,
@@ -179,6 +187,17 @@ class _Coupling:
     cols: np.ndarray
     psi: np.ndarray
 
+    @property
+    def direct(self) -> bool:
+        """Whether the eigenvalues come from the dense support matrix: a
+        coupled support (sites x channels) of at most DIRECT_SUPPORT_LIMIT."""
+        return 0 < self.support.size * self.factors.shape[1] <= DIRECT_SUPPORT_LIMIT
+
+    @property
+    def span(self) -> int:
+        """Sites from the first support site to the last."""
+        return int(self.support[-1] - self.support[0]) + 1
+
 
 def _coupling(model: BandModel, grid: Grid, potential: PotentialSpec | Sequence) -> _Coupling:
     terms = coupling_terms(potential, model.b)
@@ -231,6 +250,25 @@ def _sample_fft(kernels: list[GreenKernel], n: int, dx: float, rows=None,
                n=next_fast_len(2 * n - 1), axis=-1)
 
 
+def _support_matrices(c: _Coupling, samples: np.ndarray) -> np.ndarray:
+    """The dense map on the coupled subspace for each kernel table samples
+    (..., 2 span - 1, C, R) across the support's span,
+    T[(j,r),(j',s)] = [psi_j K[C, R](x_j - x_j')]_{rs} over support sites
+    j, j', shape (..., dim, dim)."""
+    s = c.support
+    ks = samples[..., s[:, None] - s[None, :] + (c.span - 1), :, :]
+    dim = s.size * c.rows.size
+    return np.einsum("jrc,...jpcs->...jrps", c.psi, ks).reshape(samples.shape[:-3] + (dim, dim))
+
+
+def _structural_zero(c: _Coupling, vals: np.ndarray) -> np.ndarray:
+    """Direct-path eigenvalues (..., dim) with the full map's structural 0
+    appended where the coupled subspace is smaller than support x channels."""
+    if c.rows.size == c.factors.shape[1]:
+        return vals
+    return np.concatenate([vals, np.zeros(vals.shape[:-1] + (1,))], axis=-1)
+
+
 @warns_coverage_once
 def assemble_map(model: BandModel, energy: float, grid: Grid,
                  potential: PotentialSpec | Sequence) -> np.ndarray:
@@ -265,30 +303,20 @@ class _ConvMap(LinearOperator):
         dim = coupling.support.size * coupling.rows.size
         super().__init__(dtype=complex, shape=(dim, dim))
 
-    @property
-    def direct(self) -> bool:
-        """Whether the eigenvalues come from the dense support_matrix: a
-        coupled support (sites x channels) of at most DIRECT_SUPPORT_LIMIT."""
-        return 0 < self.support.size * self.n_bands <= DIRECT_SUPPORT_LIMIT
-
     @cached_property
     def _at(self) -> np.ndarray | slice:
         """The support sites as offsets into their span: a slice where they
         fill it, so the matvec reads and writes them without fancy indexing."""
-        if self.support.size == self._span:
-            return slice(0, self._span)
+        if self.support.size == self.coupling.span:
+            return slice(0, self.coupling.span)
         return self.support - self.support[0]
-
-    @cached_property
-    def _span(self) -> int:
-        return int(self.support[-1] - self.support[0]) + 1
 
     @cached_property
     def _kf(self) -> np.ndarray:
         """FFT of K[C, R] across the support's span, taken at the first
-        matvec: the direct path probes the mesh without convolving at all."""
+        matvec: the direct path probes without convolving at all."""
         c = self.coupling
-        return _sample_fft([self.kernel], self._span, self.grid.dx, c.cols, c.rows)[0]
+        return _sample_fft([self.kernel], c.span, self.grid.dx, c.cols, c.rows)[0]
 
     def _matvec(self, u: np.ndarray) -> np.ndarray:
         return self._apply(self._kf, u.reshape(-1))  # LinearOperator may pass a column
@@ -296,7 +324,7 @@ class _ConvMap(LinearOperator):
     def _apply(self, kf: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The matvec of u (..., sites x R) on the kernel transforms kf
         (..., C, R, separation): leading axes are a batch of energies."""
-        y = _convolve(kf, self._span, self._at, self._source(u))
+        y = _convolve(kf, self.coupling.span, self._at, self._source(u))
         w = np.einsum("jrc,...cj->...jr", self.coupling.psi, y[..., self._at])
         return w.reshape(u.shape)
 
@@ -305,18 +333,13 @@ class _ConvMap(LinearOperator):
         sources (..., R, sites)."""
         return np.swapaxes(u.reshape(u.shape[:-1] + (-1, self.coupling.rows.size)), -1, -2)
 
-    def support_matrix(self, samples: np.ndarray | None = None) -> np.ndarray:
-        """Dense form of this operator,
-        T[(j,r),(j',s)] = [psi_j K[C, R](x_j - x_j')]_{rs} over support
-        sites j, j', its blocks read from the kernel table across the
-        support's span (samples, where _solve_direct built it already): for
-        compact potentials (a handful of delta sites) a tiny dense
-        eigenproblem instead of an Arnoldi iteration."""
-        c, s = self.coupling, self.support
-        if samples is None:
-            samples = evaluate_uniform([self.kernel], self._span, self.grid.dx, c.cols, c.rows)[0]
-        ks = samples[s[:, None] - s[None, :] + (self._span - 1)]
-        return np.einsum("jrc,jpcs->jrps", c.psi, ks).reshape(self.shape)
+    def support_matrix(self) -> np.ndarray:
+        """Dense form of this operator (_support_matrices): for compact
+        potentials (a handful of delta sites) a tiny dense eigenproblem
+        instead of an Arnoldi iteration."""
+        c = self.coupling
+        return _support_matrices(c, evaluate_uniform([self.kernel], c.span, self.grid.dx,
+                                                     c.cols, c.rows)[0])
 
     def lift(self, w: np.ndarray) -> np.ndarray:
         """K[:, R] applied to a source w on the coupled subspace, on the full
@@ -476,15 +499,13 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0,
     if op.support.size == 0:  # a zero map reads no kernel
         return 0.0 + 0.0j, None, 0
     record_coverage(op.grid, op.coupling.decay)
-    if op.direct:
+    if op.coupling.direct:
         key = ("direct", want_vectors)
         if key not in op.sets:
             t = op.support_matrix()
             op.sets[key] = np.linalg.eig(t) if want_vectors else (np.linalg.eigvals(t), None)
         vals, vecs = op.sets[key]
-        if op.support.size * op.n_bands > dim:
-            vals = np.append(vals, 0.0)
-        vals = scaled(vals)
+        vals = scaled(_structural_zero(op.coupling, vals))
         complete = True
     else:
         k = min(k, dim - 2)
@@ -507,11 +528,16 @@ def _near_one(op: _ConvMap, k: int, want_vectors: bool, s: float = 1.0,
                 raise NoNearUnitEigenvalue("Arnoldi iteration found no eigenvalues")
             vals = scaled(vals)
             complete = converged and bool(np.abs(vals).min() < 1.0)
-    best = int(np.argmin(np.abs(vals - 1.0)))
+    best, count = _nearest_one(vals)
     lam = complex(vals[best])
     vec = vecs[:, best] if vecs is not None and lam != 0.0 else None
-    above = int(np.count_nonzero(vals.real > 1.0)) if complete else None
-    return lam, vec, above
+    return lam, vec, int(count) if complete else None
+
+
+def _nearest_one(vals: np.ndarray) -> tuple:
+    """The index of the eigenvalue nearest 1 along the last axis of vals,
+    and the count of eigenvalues with Re(lambda) > 1."""
+    return np.argmin(np.abs(vals - 1.0), axis=-1), np.count_nonzero(vals.real > 1.0, axis=-1)
 
 
 def _fix_phase(values: np.ndarray) -> np.ndarray:
@@ -606,23 +632,6 @@ STACK_ENTRIES = 1 << 16
 MESH_NCV = 20
 
 
-def _solve_direct(ops: Iterable[_ConvMap]) -> None:
-    """Fill the mesh eigenvalue set of each direct-path operator (all on one
-    grid and coupling) from stacked kernel tables and eigvals calls."""
-    ops = [op for op in ops if op.direct]
-    if not ops:
-        return
-    span, dx, c = ops[0]._span, ops[0].grid.dx, ops[0].coupling
-    entries = max(ops[0].shape[0] ** 2, (2 * span - 1) * c.rows.size * c.cols.size)
-    step = max(1, STACK_ENTRIES // entries)
-    for start in range(0, len(ops), step):
-        chunk = ops[start:start + step]
-        samples = evaluate_uniform([op.kernel for op in chunk], span, dx, c.cols, c.rows)
-        mats = np.array([op.support_matrix(table) for op, table in zip(chunk, samples)])
-        for op, vals in zip(chunk, np.linalg.eigvals(mats)):
-            op.sets[("direct", False)] = vals, None
-
-
 def _solve_mesh_arnoldi(ops: Iterable[_ConvMap]) -> None:
     """Fill the flat first-pass set of each Arnoldi-path operator (all on one
     grid and coupling) that converges within MESH_NCV Arnoldi steps. Per
@@ -635,11 +644,11 @@ def _solve_mesh_arnoldi(ops: Iterable[_ConvMap]) -> None:
     tol = ARNOLDI_TOL; one that does not, or reads a non-finite number, keeps
     nothing, and _near_one runs ARPACK for it, as it does for an operator
     too small for MESH_NCV steps."""
-    ops = [op for op in ops if not op.direct and op.shape[0] > MESH_NCV]
+    ops = [op for op in ops if not op.coupling.direct and op.shape[0] > MESH_NCV]
     if not ops:
         return
     op0, dim, m = ops[0], ops[0].shape[0], MESH_NCV
-    c, span = op0.coupling, op0._span
+    c, span = op0.coupling, op0.coupling.span
     size = next_fast_len(2 * span - 1)
     step = max(1, STACK_ENTRIES // ((m + 1) * dim + size * c.rows.size * c.cols.size))
     floor = np.finfo(float).eps ** (2.0 / 3.0)
@@ -672,40 +681,71 @@ def _solve_mesh_arnoldi(ops: Iterable[_ConvMap]) -> None:
 
 def _mesh_kernels(model: BandModel, energies, grid: Grid) -> tuple[list[GreenKernel], Grid]:
     """The mesh energies' kernels, from one residue_green_many, and the mesh
-    grid (_resolving_grid). Raises as probing one energy at a time would:
-    the GridTooCoarse of the first kernel the mesh grid cannot resolve, else
+    grid (_resolving_grid), both sized and checked from one pass over the
+    stacked poles. Raises as probing one energy at a time would: the
+    GridTooCoarse of the first kernel the mesh grid cannot resolve, else
     the DegeneratePoles of the first energy whose poles coincide."""
     try:
         kernels = residue_green_many(model, energies)
     except DegeneratePoles as exc:
         _mesh_kernels(model, energies[:list(energies).index(exc.energy)], grid)
         raise
-    mesh_grid = _resolving_grid(grid, kernels)
-    return [_check_grid(kernel, mesh_grid) for kernel in kernels], mesh_grid
+    poles = np.array([k.poles for k in kernels]).reshape(len(kernels), 2 * model.n_bands)
+    p = np.where(poles.imag == 0, np.abs(poles.real), 0.0).max(axis=1, initial=0.0)
+    mesh_grid = _resolving_grid(grid, p.max(initial=0.0))
+    unresolved = np.flatnonzero(mesh_grid.dx * p > MAX_PHASE_STEP)
+    if unresolved.size:
+        _check_grid(kernels[unresolved[0]], mesh_grid)
+    return kernels, mesh_grid
 
 
-def _resolving_grid(grid: Grid, kernels: list[GreenKernel]) -> Grid:
+def _resolving_grid(grid: Grid, p: float) -> Grid:
     """grid's half-width on the fewest points, at least MESH_MIN_POINTS, that
-    keep dx*|p| under MAX_PHASE_STEP, one point to spare, for every real
-    pole of the kernels; grid itself where that takes as many points."""
-    p = max((np.abs(k.real_momenta).max(initial=0.0) for k in kernels), default=0.0)
+    keep dx*p under MAX_PHASE_STEP, one point to spare, for the largest real
+    momentum p of a kernel batch; grid itself where that takes as many
+    points."""
     n = max(MESH_MIN_POINTS, int(np.ceil(2.0 * grid.x_max * p / MAX_PHASE_STEP)) + 2)
     return grid if n >= grid.n_points else Grid.symmetric(grid.x_max, n)
+
+
+def _direct_mesh(kernels: dict, grid: Grid, c: _Coupling) -> dict:
+    """The direct-path eigenvalues of the map at each energy of kernels
+    (energy -> kernel), structural 0 included (_structural_zero), from
+    stacked kernel tables, support matrices and eigvals calls of at most
+    STACK_ENTRIES entries each."""
+    energies, kernels = list(kernels), list(kernels.values())
+    dim = c.support.size * c.rows.size
+    step = max(1, STACK_ENTRIES // max(dim * dim, (2 * c.span - 1) * c.rows.size * c.cols.size))
+    out = {}
+    for start in range(0, len(kernels), step):
+        samples = evaluate_uniform(kernels[start:start + step], c.span, grid.dx, c.cols, c.rows)
+        vals = np.linalg.eigvals(_support_matrices(c, samples))
+        out.update(zip(energies[start:start + step], _structural_zero(c, vals)))
+    return out
 
 
 def _mesh_branch_values(energies, kernels: list[GreenKernel], grid: Grid, coupling: _Coupling,
                         ops: dict, s: float) -> list:
     """_branch_value of s times the map at each mesh energy, in mesh order;
     the eigenvalue is NaN where the eigensolve fails. kernels and grid are
-    what _mesh_kernels returned for energies, and ops maps energies to their
-    mesh operators: a shared_mesh block's, which later calls read again, or
-    a fresh dict. Each energy missing from ops gets an operator on its
-    kernel; _solve_direct solves those on the direct path together and
-    _solve_mesh_arnoldi the first passes of the others, leaving ARPACK only
-    the energies the batch does not solve and the MESH_K reruns."""
-    new = {e: _ConvMap(k, grid, coupling) for e, k in zip(energies, kernels) if e not in ops}
+    what _mesh_kernels returned for energies, and ops memoises the energies'
+    eigensolves: a shared_mesh block's, which later calls read again, or a
+    fresh dict. On the direct path it maps each energy to its eigenvalues
+    (_direct_mesh), and the pick reads them all at once. Otherwise it maps
+    each energy to its operator; _solve_mesh_arnoldi solves the first
+    passes of the new ones, leaving ARPACK only the energies the batch does
+    not solve and the MESH_K reruns."""
+    new = {e: k for e, k in zip(energies, kernels) if e not in ops}
+    if coupling.direct:
+        ops.update(_direct_mesh(new, grid, coupling))
+        record_coverage(grid, coupling.decay)
+        vals = np.array([ops[e] for e in energies])
+        vals = vals if s == 1.0 else s * vals
+        best, above = _nearest_one(vals)
+        return [(complex(lam), int(n)) for lam, n in
+                zip(vals[np.arange(len(vals)), best], above)]
+    new = {e: _ConvMap(k, grid, coupling) for e, k in new.items()}
     ops.update(new)
-    _solve_direct(new.values())
     _solve_mesh_arnoldi(new.values())
     values = []
     for e in energies:

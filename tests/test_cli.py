@@ -55,6 +55,20 @@ def test_delta_bound_two_band():
     assert labels == ["LowerHalf", "Real", "Real", "UpperHalf"]
 
 
+def test_pole_table_order_does_not_follow_rounding_noise():
+    # a real pole's Im and the evanescent pair's Re are rounding noise of
+    # about 1e-16; ordered by them, the UpperHalf and LowerHalf rows of the
+    # spin-orbit model traded places between these energies
+    model = bf.soc_model(gamma=0.5, mu=1.0)
+    tables = [cli._pole_table(model, 0.6917497 + d) for d in (0.0, 1e-15, 3e-15)]
+    assert [row["label"] for row in tables[0]] == ["Real", "Real", "UpperHalf", "LowerHalf"]
+    assert [row["im"] for row in tables[0][:2]] == [0.0, 0.0]
+    for table in tables[1:]:
+        assert [row["label"] for row in table] == [row["label"] for row in tables[0]]
+        for row, first in zip(table, tables[0]):
+            assert (row["re"], row["im"]) == pytest.approx((first["re"], first["im"]), abs=1e-12)
+
+
 def test_delta_bound_repulsive_exit_code():
     rc, out, err = run_cli("delta-bound", "--lambda", "1")
     assert rc == 2
@@ -877,11 +891,15 @@ def test_kernel_check_overflowing_energy_is_an_error_row():
     ("bic-verify --gamma -1e-8 --nu -0.5 --mu 2 --scale -1e300 --half-width 1 "
      "--mesh-points 257 --n-points 257", cli.EXIT_USAGE,
      "bicforge: the potential coupling V(x) B has no finite norm on the grid"),
+    # the free box of 65 sites at dx = 1 has the eigenvalue 1 - cos(pi/2) = 1
+    ("oracle --single-band --lambda 0 --half-width 32 --n 65 --target 1 --k 1",
+     cli.EXIT_USAGE, "bicforge: the target 1 is an eigenvalue of the box Hamiltonian"),
 ], ids=["soc_window_empty", "scan_soc_window_empty", "single_band_e_b", "two_band_e_b",
         "general_b_e_b", "kernel_check_c0_d0", "oracle_kinetic_inf", "oracle_kinetic_zero_div",
         "soc_bic_radicand", "scan_e_bic_radicand", "oracle_coupling_inf",
         "oracle_kinetic_zero", "lambda_critical", "general_b_amp_ratio",
-        "scan_numpy_scalar_param", "oracle_shift_invert", "coupling_norm"])
+        "scan_numpy_scalar_param", "oracle_shift_invert", "coupling_norm",
+        "oracle_singular_target"])
 def test_overflowing_input_ends_in_one_line(capfd, argv, code, fragment):
     # each ended in a traceback (ValueError, OverflowError, ZeroDivisionError,
     # RuntimeError, ArpackError), printed numpy warning lines before its one

@@ -174,6 +174,43 @@ def test_eigen_near_matches_dense_spectrum(case):
     assert again == got.tolist()
 
 
+def _superlu_shift_invert(h, e_target):
+    """(H - e_target)^-1 from SciPy's sparse LU, the reference of the banded one."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, splu
+    shifted = (h.matrix - e_target * sp.eye(h.dim)).tocsc()
+    lu = splu(shifted)
+    return LinearOperator(shifted.shape, dtype=shifted.dtype,
+                          matvec=lambda x: lu.solve(np.asarray(x).astype(shifted.dtype)))
+
+
+BANDED_CASES = {
+    "two_band_delta": (lambda: bf.two_band_model(mu=0.3, g=0.0, lam=-1.0), 40.0, 1024,
+                       UNIT_DELTA, -0.2),
+    "soc_well": (lambda: bf.soc_model(gamma=0.5, mu=1.0), 30.0, 1024, bf.SocBic(0.5, 0.7),
+                 0.6917),
+    "three_band": (_three_band, 30.0, 384, UNIT_DELTA, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BANDED_CASES))
+def test_banded_shift_invert_matches_superlu(monkeypatch, case):
+    # the banded LU moves the eigenvalues by rounding only, and no state
+    # changes between localized and extended
+    make_model, half, n, pot, target = BANDED_CASES[case]
+    h = oracle.assemble(make_model(), bf.Grid.symmetric(half, n), pot)
+    runs = [oracle.eigen_near(h, target, 7)]
+    monkeypatch.setattr(oracle, "_shift_invert", _superlu_shift_invert)
+    runs.append(oracle.eigen_near(h, target, 7))
+    (banded, superlu) = ([e for e, _ in pairs] for pairs in runs)
+    np.testing.assert_allclose(banded, superlu, rtol=0, atol=1e-10)
+    local = [sum(oracle.localization(state, half / 2).tail_mass < 1e-3 for _, state in pairs)
+             for pairs in runs]
+    assert local[0] == local[1]
+    if case != "three_band":
+        assert local[0] == 1
+
+
 def test_assemble_at_cap_stays_small():
     import tracemalloc
 

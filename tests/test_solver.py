@@ -573,7 +573,7 @@ def test_mesh_values_equal_the_per_energy_branch_values(n_bands):
     ops = {}
     kernels, _ = solver._mesh_kernels(model, energies, grid)
     got = solver._mesh_branch_values(energies, kernels, grid, coupling, ops, 1.0)
-    assert all(op.direct for op in ops.values()) and len(ops) == len(energies)
+    assert len(ops) == len(energies)
     want = [solver._branch_value(model, e, grid, coupling) for e in energies]
     assert got == want
 
@@ -596,6 +596,22 @@ def test_first_failing_mesh_energy_decides_the_error(monkeypatch):
                        mesh_points=4)
     assert str(info.value) == str(alone.value)
     assert read == []
+
+
+def test_mesh_grid_error_names_the_first_unresolved_energy():
+    # on this 81-point grid dx = 0.25: the real poles at E = 1.25 (|p| 1.58)
+    # and 2 (|p| 2) exceed dx*p = 0.3 while E = 0.5 (|p| 1) does not, so the
+    # first failing energy is a middle one, with its own kernel's message
+    model = bf.single_band_model(lam=-1.0)
+    grid = bf.Grid.symmetric(10.0, 81)
+    energies = np.linspace(-1.0, 2.0, 5)
+    kernels = bf.residue_green_many(model, energies)
+    with pytest.raises(GridTooCoarse) as want:
+        solver._check_grid(kernels[3], grid)
+    solver._check_grid(kernels[2], grid)
+    with pytest.raises(GridTooCoarse) as info:
+        solver._mesh_kernels(model, energies, grid)
+    assert str(info.value) == str(want.value) == "dx*p = 0.395 rad/step exceeds 0.3"
 
 
 @pytest.mark.filterwarnings("ignore:grid half-width")
@@ -645,7 +661,7 @@ def test_mesh_grid_keeps_a_margin_at_every_momentum():
     for p in (steps * solver.MAX_PHASE_STEP / (2.0 * grid.x_max)).ravel():
         kernel = bf.GreenKernel(energy=0.0, n_bands=1, poles=np.array([-p], dtype=complex),
                                 residues=np.eye(1)[None])
-        mesh = solver._resolving_grid(grid, [kernel])
+        mesh = solver._resolving_grid(grid, p)
         assert mesh.n_points < grid.n_points
         solver._check_grid(kernel, mesh)
         coarser = bf.Grid.symmetric(grid.x_max, mesh.n_points - 3)
@@ -968,7 +984,7 @@ def test_mesh_batch_matches_the_arpack_first_pass(case, channels):
     # and the same count above 1
     ops, ref = (_mesh_ops(*MESHES[case]()) for _ in range(2))
     assert ops[0].coupling.rows.size == ops[0].coupling.cols.size == channels
-    assert not ops[0].direct
+    assert not ops[0].coupling.direct
     solver._solve_mesh_arnoldi(ops)
     solved = [(op, r) for op, r in zip(ops, ref) if FIRST_PASS in op.sets]
     assert len(solved) >= 0.9 * len(ops)
